@@ -293,9 +293,6 @@ class DirichletCharacter:
             return self
         return character(q, pow(self.index, -1, q))
 
-    def values_on_units(self) -> dict[int, UnitRoot]:
-        return {u: self.root(u) for u in self._group.units}
-
 
 def character(q: int, index: int) -> DirichletCharacter:
     """The character mod q with the given unit index (1 = principal)."""

@@ -40,6 +40,7 @@ from zeropair.conjectures import (
     weak_form_table,
 )
 from zeropair.explicit import psi_progression_from_zeros
+from zeropair.lfunc import EvalPrecision
 from zeropair.paircorr import (
     CertificationError,
     PairCorrInput,
@@ -351,8 +352,15 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
                 "file": str(cache.path_for(zs.label, args.T)),
             }
         )
+    prec = EvalPrecision.for_height(args.T)
+    em = {
+        "direct_terms": prec.direct_terms,
+        "bernoulli_terms": prec.bernoulli_terms,
+        "target_abs_error": prec.target_abs_error,
+    }
     code = 0 if all_certified else 3
-    return _Result(rows, header, {"params": params, "certified": all_certified}, code)
+    summary = {"params": params, "certified": all_certified, "em": em}
+    return _Result(rows, header, summary, code)
 
 
 def _cmd_psi(args, cfg: RunConfig) -> _Result:

@@ -11,12 +11,23 @@ against the standard remainder bound
     |R| <= |B_{2M+2}/(2M+2)! * (s)_{2M+1} * (N+a)^(-s-2M-1)|
            * |s+2M+1| / (Re(s)+2M+1).
 
-L(s, chi) for primitive chi mod q is q^(-s) sum_a chi(a) zeta(s, a/q);
-imprimitive values are obtained from the inducing character by stripping
-Euler factors.  hardy_z rotates the critical line by a unimodular phase
-(fixed to the principal square root of the root number) so that the
-rotated value is real; the residual imaginary part is checked before it
-is discarded.
+Choice of N: with M = 12 the bound is C(s) * w^-(Re s + 2M + 1) for
+w = N + a, so the smallest N that meets the target follows in closed form
+(settled against the bound itself) for the worst shift a -> 0, where w = N.
+EvalPrecision.for_height(T) does this at s = 1/2 + iT, the worst point of a
+critical-line window |t| <= T; evaluations without an explicit precision do
+it over the points they are given.  Every evaluation still checks the bound
+at its own points and raises PrecisionError when it fails.
+
+L(s, chi) for primitive chi mod q is q^(-s) sum_a chi(a) zeta(s, a/q).  The
+shifts a/q broadcast against the points, so one Euler-Maclaurin pass yields
+every residue column and a matrix-vector product with the values chi(a)
+combines them; the pass is chunked so that points x residues x N stays
+bounded.  Imprimitive values are obtained from the inducing character by
+stripping Euler factors.  hardy_z rotates the critical line by a unimodular
+phase (fixed to the principal square root of the root number) so that the
+rotated value is real; the residual imaginary part is checked before it is
+discarded.
 """
 
 from __future__ import annotations
@@ -30,7 +41,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma, loggamma
 
-from zeropair.characters import DirichletCharacter, _factorize, conductor_and_inducer, gauss_sum
+from zeropair.characters import (
+    DirichletCharacter,
+    _factorize,
+    character,
+    conductor_and_inducer,
+    gauss_sum,
+)
 
 
 class PoleError(ValueError):
@@ -67,6 +84,10 @@ _BERN_OVER_FACT = tuple(
 _MAX_BERNOULLI_TERMS = len(_BERNOULLI_EVEN) - 1  # one more is needed for the bound
 
 
+_BERNOULLI_TERMS = 12  # M used by every precision this module chooses itself
+_EM_CHUNK_ELEMENTS = 1 << 22  # points x residues x N of one direct-sum tensor
+
+
 @dataclass(frozen=True)
 class EvalPrecision:
     """Euler-Maclaurin truncation parameters plus the certified target."""
@@ -85,12 +106,15 @@ class EvalPrecision:
 
     @staticmethod
     def for_height(height: float, target_abs_error: float = 1e-12) -> "EvalPrecision":
-        # N proportional to the height keeps the remainder far below target
-        n = max(32, math.ceil(abs(height) + 10))
-        return EvalPrecision(target_abs_error, n, 12)
+        """The smallest certified N for critical-line points 1/2 + it, |t| <= height.
+
+        The remainder bound grows with |t| and falls as w = N + a grows, so it
+        holds on the whole window once it holds at t = height for a -> 0.
+        """
+        return _precision_for(np.array([complex(0.5, abs(height))]), target_abs_error)
 
 
-def _em_remainder_bound(s: np.ndarray, w: float, prec: EvalPrecision) -> np.ndarray:
+def _em_remainder_bound(s: np.ndarray, w: float | np.ndarray, prec: EvalPrecision) -> np.ndarray:
     m = prec.bernoulli_terms
     sigma = s.real
     if np.any(sigma + 2 * m + 1 <= 0):
@@ -108,19 +132,48 @@ def _em_remainder_bound(s: np.ndarray, w: float, prec: EvalPrecision) -> np.ndar
     )
 
 
+def _precision_for(s: np.ndarray, target_abs_error: float = 1e-12) -> EvalPrecision:
+    """M = 12 and the smallest N whose remainder bound meets the target at every
+    point of s for the worst shift a -> 0, where w = N + a falls to N."""
+    probe = EvalPrecision(target_abs_error, 1, _BERNOULLI_TERMS)
+    s = np.ravel(s)
+    n = 1
+    if s.size:
+        # the bound is (its value at w = 1) * w^-(Re s + 2M + 1): solve for w,
+        # then settle the rounding against the bound itself
+        at_one = _em_remainder_bound(s, 1.0, probe)
+        root = (at_one / target_abs_error) ** (1.0 / (s.real + 2 * _BERNOULLI_TERMS + 1))
+        n = max(1, math.ceil(float(np.max(root))))
+
+        def meets(k: int) -> bool:
+            return float(np.max(_em_remainder_bound(s, float(k), probe))) <= target_abs_error
+
+        while not meets(n):
+            n += 1
+        while n > 1 and meets(n - 1):
+            n -= 1
+    return EvalPrecision(target_abs_error, n, _BERNOULLI_TERMS)
+
+
 def hurwitz_zeta_batch(
-    s: np.ndarray, a: float, prec: EvalPrecision | None = None
+    s: np.ndarray, a: float | np.ndarray, prec: EvalPrecision | None = None
 ) -> np.ndarray:
-    """zeta(s, a) for an array of complex s (none equal to 1), 0 < a <= 1."""
-    if not 0 < a <= 1:
+    """zeta(s, a) elementwise for complex s (none equal to 1) and shifts 0 < a <= 1.
+
+    s and a broadcast against each other: s of shape (P, k) with a of shape
+    (k,) evaluates k Hurwitz columns at P points in one pass.  Without prec,
+    N is the smallest that certifies every point of s.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all((a > 0) & (a <= 1)):
         raise ValueError(f"a must lie in (0, 1], got {a}")
     s = np.asarray(s, dtype=np.complex128)
     if np.any(s == 1):
         raise PoleError("zeta(s, a) has a pole at s = 1")
     if prec is None:
-        prec = EvalPrecision.for_height(float(np.max(np.abs(s.imag))) if s.size else 0.0)
+        prec = _precision_for(s)
     n, m = prec.direct_terms, prec.bernoulli_terms
-    w = float(n + a)
+    w = n + a
 
     bound = _em_remainder_bound(s, w, prec)
     worst = float(np.max(bound)) if bound.size else 0.0
@@ -130,16 +183,17 @@ def hurwitz_zeta_batch(
             f"{prec.target_abs_error:.3e} (N={n}, M={m})"
         )
 
-    logs = np.log(a + np.arange(n, dtype=np.float64))
-    total = np.exp(-s[:, None] * logs[None, :]).sum(axis=1)
+    logs = np.log(a[..., None] + np.arange(n, dtype=np.float64))
+    terms = s[..., None] * -logs
+    np.exp(terms, out=terms)
+    total = terms.sum(axis=-1)
 
-    lw = math.log(w)
-    total += np.exp((1 - s) * lw) / (s - 1)
-    total += 0.5 * np.exp(-s * lw)
+    wneg = np.exp(-s * np.log(w))  # w^-s
+    total += w * wneg / (s - 1) + 0.5 * wneg
 
-    rising = s.copy()
-    wpow = np.exp(-(s + 1) * lw)
-    wstep = math.exp(-2 * lw)
+    rising = np.array(s)
+    wpow = wneg / w
+    wstep = 1.0 / (w * w)
     for j in range(1, m + 1):
         total += _BERN_OVER_FACT[j - 1] * rising * wpow
         if j < m:
@@ -150,8 +204,6 @@ def hurwitz_zeta_batch(
 
 def hurwitz_zeta(s: complex, a: float, prec: EvalPrecision | None = None) -> complex:
     """zeta(s, a) for a single complex s != 1, 0 < a <= 1."""
-    if prec is None:
-        prec = EvalPrecision.for_height(abs(complex(s).imag))
     return complex(hurwitz_zeta_batch(np.array([s], dtype=complex), a, prec)[0])
 
 
@@ -159,6 +211,36 @@ def _euler_factors(chi_star: DirichletCharacter, q: int) -> list[int]:
     """Primes dividing q but not the conductor of chi_star."""
     qstar = chi_star.modulus
     return [p for p, _ in _factorize(q) if qstar % p != 0]
+
+
+@lru_cache(maxsize=None)
+def _residues(label) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts a/q and values chi(a) over the a in [1, q] with chi(a) != 0."""
+    chi = character(label.modulus, label.index)
+    q = chi.modulus
+    support = [a for a in range(1, q + 1) if chi(a) != 0]
+    shifts = np.array([a / q for a in support], dtype=np.float64)
+    values = np.array([chi(a) for a in support], dtype=np.complex128)
+    shifts.flags.writeable = values.flags.writeable = False
+    return shifts, values
+
+
+def _l_primitive(chi: DirichletCharacter, s: np.ndarray, prec: EvalPrecision) -> np.ndarray:
+    """L(s, chi) for primitive chi at a 1-d array of s: one Euler-Maclaurin call
+    per chunk covers every residue column, and a matrix-vector product with
+    the character values combines them."""
+    shifts, values = _residues(chi.label)
+    k = shifts.size
+    step = max(1, _EM_CHUNK_ELEMENTS // (k * prec.direct_terms))
+    total = np.empty(s.shape, dtype=np.complex128)
+    for i in range(0, s.size, step):
+        block = s[i : i + step, None]
+        cols = hurwitz_zeta_batch(np.broadcast_to(block, (block.shape[0], k)), shifts, prec)
+        total[i : i + step] = cols @ values
+    q = chi.modulus
+    if q > 1:
+        total *= np.exp(-s * math.log(q))
+    return total
 
 
 def l_value(
@@ -186,14 +268,10 @@ def l_value(
                 total += va * digamma(a / q)
         return -total / q
 
+    points = np.array([s])
     if prec is None:
-        prec = EvalPrecision.for_height(abs(s.imag))
-    total = 0j
-    for a in range(1, q + 1):
-        va = chi(a)
-        if va != 0:
-            total += va * hurwitz_zeta(s, a / q, prec)
-    return cmath.exp(-s * math.log(q)) * total if q > 1 else total
+        prec = _precision_for(points)
+    return complex(_l_primitive(chi, points, prec)[0])
 
 
 def l_critical_batch(
@@ -203,18 +281,10 @@ def l_critical_batch(
     if not chi.is_primitive:
         raise ValueError("l_critical_batch requires a primitive character")
     ts = np.asarray(ts, dtype=np.float64)
+    s = 0.5 + 1j * ts.ravel()
     if prec is None:
-        prec = EvalPrecision.for_height(float(np.max(np.abs(ts))) if ts.size else 0.0)
-    s = 0.5 + 1j * ts
-    q = chi.modulus
-    total = np.zeros(ts.shape, dtype=np.complex128)
-    for a in range(1, q + 1):
-        va = chi(a)
-        if va != 0:
-            total += va * hurwitz_zeta_batch(s, a / q, prec)
-    if q > 1:
-        total *= np.exp(-s * math.log(q))
-    return total
+        prec = _precision_for(s)
+    return _l_primitive(chi, s, prec).reshape(ts.shape)
 
 
 def root_number(chi: DirichletCharacter) -> complex:
@@ -254,8 +324,6 @@ class CompletedLParams:
 
 @lru_cache(maxsize=None)
 def _params_for(label) -> CompletedLParams:
-    from zeropair.characters import character
-
     return CompletedLParams.from_character(character(label.modulus, label.index))
 
 

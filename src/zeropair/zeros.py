@@ -2,16 +2,26 @@
 
 A scan walks a symmetric mesh on [-T, T], brackets sign changes of the
 rotated (real) critical-line value, splits suspicious near-tangent dips at
-half steps, and refines every bracket by bisection with a final secant
-polish.  The result carries a certificate: the count of located zeros must
-agree with the counting formula
+half steps, and refines every bracket with vectorised Illinois false
+position.  Each trial point sits at least tolerance/2 inside its bracket,
+so the bracket also closes from the side far from the root, and a step
+that fails to halve its bracket forces a bisection next, which bounds the
+worst case at two steps per halving.  A final secant step inside the
+closed bracket gives the ordinate and its residual.  Every evaluation uses
+EvalPrecision.for_height(T), the smallest Euler-Maclaurin size certified on
+the whole window.
+
+The result carries a certificate: the count of located zeros must agree
+with the counting formula
 
     q = 1:  2 * ((T/2pi) log(T/2pi e)) + 7/4
     q > 1:  (T/pi) log(qT/2pi e)         (clamped at 0)
 
-to within +-2, ordinates must be strictly separated, and every refined
-residual must be small.  Failing sets are returned with certified=False,
-never silently dropped.
+to within +-2, ordinates must be strictly separated, every refined
+residual must be small, and every ordinate must sit in a bracket no wider
+than the tolerance whose ends have values of opposite sign (or be an exact
+zero).  Failing sets are returned with certified=False, never silently
+dropped.
 
 Scans never assume conjugate symmetry of the ordinates; the negative half
 of the window is walked for real characters too, so symmetry stays a
@@ -31,6 +41,7 @@ from zeropair.lfunc import EvalPrecision, ROTATION_BRANCH, hardy_z_batch
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-6
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
+REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
 
 
 def default_mesh_step(q: int, T: float) -> float:
@@ -104,41 +115,69 @@ def _counts_agree(found: int, expected: float) -> bool:
     return abs(found - round(expected)) <= COUNT_SLACK
 
 
-def _eval_z(chi, ts: np.ndarray, prec: EvalPrecision, chunk: int = 20000) -> np.ndarray:
-    if ts.size <= chunk:
-        return hardy_z_batch(chi, ts, prec)
-    out = np.empty(ts.shape, dtype=np.float64)
-    for i in range(0, ts.size, chunk):
-        out[i : i + chunk] = hardy_z_batch(chi, ts[i : i + chunk], prec)
-    return out
-
-
 def _refine_brackets(
     chi, lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray, zhi: np.ndarray,
     prec: EvalPrecision, tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bisection to width <= tol, then one secant step inside the bracket."""
-    lo, hi = lo.copy(), hi.copy()
-    zlo, zhi = zlo.copy(), zhi.copy()
-    for _ in range(80):
-        if not lo.size or float(np.max(hi - lo)) <= tol:
+) -> tuple[np.ndarray, ...]:
+    """Illinois false position to width <= tol, then one secant step inside the bracket.
+
+    Every trial point lies at least tol/2 inside its bracket, so a point that
+    lands next to the root closes the bracket from the far side.  A step that
+    fails to halve its bracket makes the next step a bisection, so at most
+    two steps pass per halving.  Returns the ordinates, their residuals, the
+    brackets and the values of Z at the bracket ends; a bracket collapsed to
+    a point holds an exact zero, with both end values 0.
+    """
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    zlo, zhi = np.array(zlo, dtype=np.float64), np.array(zhi, dtype=np.float64)
+    # end values for the false-position step; Illinois halves the value of an
+    # end that is kept twice in a row
+    flo, fhi = zlo.copy(), zhi.copy()
+    kept = np.zeros(lo.size, dtype=np.int8)  # +1: hi kept last step, -1: lo kept
+    bisect = np.zeros(lo.size, dtype=bool)
+    for _ in range(REFINE_STEP_CAP):
+        idx = np.nonzero(hi - lo > tol)[0]
+        if not idx.size:
             break
-        mid = 0.5 * (lo + hi)
-        zm = _eval_z(chi, mid, prec)
-        exact = zm == 0.0
-        same = np.sign(zm) == np.sign(zlo)
-        lo = np.where(same, mid, lo)
-        zlo = np.where(same, zm, zlo)
-        hi = np.where(same, hi, mid)
-        zhi = np.where(same, zhi, zm)
-        lo = np.where(exact, mid, lo)
-        hi = np.where(exact, mid, hi)
-    denom = zhi - zlo
+        a, b, fa, fb = lo[idx], hi[idx], flo[idx], fhi[idx]
+        width = b - a
+        halve = bisect[idx]
+        x = np.where(halve, a + 0.5 * width, a + width * (fa / (fa - fb)))
+        x = np.clip(x, a + 0.5 * tol, b - 0.5 * tol)
+        z = hardy_z_batch(chi, x, prec)
+
+        right = np.sign(z) == np.sign(zlo[idx])  # the root lies in [x, b]
+        exact = z == 0.0
+        lo[idx] = np.where(right | exact, x, a)
+        hi[idx] = np.where(right & ~exact, b, x)
+        zlo[idx] = np.where(right | exact, z, zlo[idx])
+        zhi[idx] = np.where(right & ~exact, zhi[idx], z)
+
+        side = np.where(right, 1, -1)
+        again = kept[idx] == side
+        flo[idx] = np.where(right, z, np.where(again, 0.5 * fa, fa))
+        fhi[idx] = np.where(right, np.where(again, 0.5 * fb, fb), z)
+        # a bisection restarts false position from the true end values
+        flo[idx] = np.where(halve, zlo[idx], flo[idx])
+        fhi[idx] = np.where(halve, zhi[idx], fhi[idx])
+        kept[idx] = np.where(halve, 0, side)
+        bisect[idx] = ~halve & (hi[idx] - lo[idx] > 0.5 * width)
     with np.errstate(divide="ignore", invalid="ignore"):
-        secant = np.where(denom != 0, (lo * zhi - hi * zlo) / denom, 0.5 * (lo + hi))
-    ordinates = np.clip(secant, lo, hi)
-    residual = np.abs(_eval_z(chi, ordinates, prec))
-    return ordinates, residual, lo, hi
+        secant = lo + (hi - lo) * (zlo / (zlo - zhi))
+    ordinates = np.clip(np.where(hi > lo, secant, lo), lo, hi)
+    residual = np.abs(hardy_z_batch(chi, ordinates, prec))
+    return ordinates, residual, lo, hi, zlo, zhi
+
+
+def _brackets_certified(
+    ords: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    zlo: np.ndarray, zhi: np.ndarray, tol: float,
+) -> bool:
+    """Each ordinate sits in a sign-change bracket no wider than tol, or is exact."""
+    exact = (lo == hi) & (zlo == 0.0) & (zhi == 0.0)
+    flip = np.sign(zlo) * np.sign(zhi) < 0
+    inside = (lo <= ords) & (ords <= hi) & (hi - lo <= tol)
+    return bool(np.all(exact | (flip & inside)))
 
 
 def scan_zeros(
@@ -165,7 +204,7 @@ def scan_zeros(
 
     half = math.ceil(T / mesh_step)
     ts = np.linspace(-T, T, 2 * half + 1)
-    z = _eval_z(chi, ts, prec)
+    z = hardy_z_batch(chi, ts, prec)
 
     sign = np.sign(z)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -188,8 +227,7 @@ def scan_zeros(
     if dip.size:
         mids_l = 0.5 * (ts[dip - 1] + ts[dip])
         mids_r = 0.5 * (ts[dip] + ts[dip + 1])
-        zl = _eval_z(chi, mids_l, prec)
-        zr = _eval_z(chi, mids_r, prec)
+        zl, zr = np.split(hardy_z_batch(chi, np.concatenate([mids_l, mids_r]), prec), 2)
         add_lo, add_hi, add_zlo, add_zhi = [], [], [], []
         for j, i in enumerate(dip):
             for a, b, za, zb in (
@@ -209,7 +247,9 @@ def scan_zeros(
             zlo = np.concatenate([zlo, add_zlo])
             zhi = np.concatenate([zhi, add_zhi])
 
-    ords, resid, blo, bhi = _refine_brackets(chi, lo, hi, zlo, zhi, prec, tolerance)
+    ords, resid, blo, bhi, zblo, zbhi = _refine_brackets(
+        chi, lo, hi, zlo, zhi, prec, tolerance
+    )
 
     records = [
         ZeroRecord(float(o), (float(a), float(b)), float(r))
@@ -228,6 +268,7 @@ def scan_zeros(
     certified = (
         _counts_agree(len(records), expected)
         and separated
+        and _brackets_certified(ords, blo, bhi, zblo, zbhi, tolerance)
         and all(r.residual <= residual_tol for r in records)
     )
     return ZeroSet(
@@ -256,14 +297,14 @@ def refine_zero(
         raise ValueError("bracket must satisfy a < b")
     if prec is None:
         prec = EvalPrecision.for_height(max(abs(a), abs(b)))
-    za, zb = _eval_z(chi, np.array([a, b]), prec)
+    za, zb = hardy_z_batch(chi, np.array([a, b]), prec)
     if za == 0.0:
         return ZeroRecord(a, (a, a), 0.0)
     if zb == 0.0:
         return ZeroRecord(b, (b, b), 0.0)
     if math.copysign(1.0, za) == math.copysign(1.0, zb):
         raise ValueError(f"no sign change over {bracket} for {chi.label}")
-    ords, resid, lo, hi = _refine_brackets(
+    ords, resid, lo, hi, _, _ = _refine_brackets(
         chi, np.array([a]), np.array([b]), np.array([za]), np.array([zb]), prec, tolerance
     )
     return ZeroRecord(float(ords[0]), (float(lo[0]), float(hi[0])), float(resid[0]))

@@ -14,6 +14,7 @@ import pytest
 
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
+from zeropair.lfunc import EvalPrecision
 from zeropair.paircorr import PairCorrInput, f_q
 from zeropair.sieve import psi_character, psi_progression, shared_table
 from zeropair.store import read_zero_set
@@ -134,6 +135,21 @@ class TestZeros:
         _, out1 = run(capsys, cache_dir, "zeros", "--q", "3", "--T", "30")
         _, out2 = run(capsys, cache_dir, "zeros", "--q", "3", "--T", "30", "--force")
         assert out1 == out2
+
+    def test_json_summary_reports_em_parameters(self, capsys, cache_dir):
+        code, out = run(capsys, cache_dir, "zeros", "--q", "5", "--T", "30", "--json")
+        assert code == 0
+        summary = json.loads(out)
+        prec = EvalPrecision.for_height(30.0)
+        assert summary["em"] == {
+            "direct_terms": prec.direct_terms,
+            "bernoulli_terms": prec.bernoulli_terms,
+            "target_abs_error": prec.target_abs_error,
+        }
+        assert summary["em"]["direct_terms"] == 15
+        assert summary["rows"] and all("em" not in row for row in summary["rows"])
+        _, table = run(capsys, cache_dir, "zeros", "--q", "5", "--T", "30")
+        assert "em" not in table.splitlines()[0].split(",")
 
     def test_needs_q_or_chi(self, capsys, cache_dir):
         code, _ = run(capsys, cache_dir, "zeros", "--T", "30")

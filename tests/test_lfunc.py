@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zeropair import lfunc
 from zeropair.characters import character, enumerate_characters
 from zeropair.lfunc import (
     CompletedLParams,
@@ -22,6 +23,7 @@ from zeropair.lfunc import (
     l_critical_batch,
     l_value,
     root_number,
+    _em_remainder_bound,
 )
 
 mp.mp.dps = 30
@@ -87,6 +89,93 @@ class TestHurwitzZeta:
             EvalPrecision(bernoulli_terms=40)
         with pytest.raises(ValueError):
             EvalPrecision(target_abs_error=0.0)
+
+
+def _critical_bound(T: float, n: int) -> float:
+    """The remainder bound at 1/2 + iT for the worst shift a -> 0, where w = N."""
+    prec = EvalPrecision.for_height(T)
+    return float(_em_remainder_bound(np.array([0.5 + 1j * T]), float(n), prec)[0])
+
+
+class TestPrecisionChoice:
+    @pytest.mark.parametrize("T", [15.0, 30.0, 100.0, 1000.0])
+    def test_for_height_is_minimal(self, T):
+        prec = EvalPrecision.for_height(T)
+        n = prec.direct_terms
+        assert prec.bernoulli_terms == 12
+        assert _critical_bound(T, n) <= prec.target_abs_error < _critical_bound(T, n - 1)
+
+    def test_documented_sizes(self):
+        got = [EvalPrecision.for_height(T).direct_terms for T in (30.0, 100.0, 1000.0)]
+        assert got == [15, 46, 471]
+
+    @pytest.mark.parametrize("T", [15.0, 30.0, 100.0, 1000.0])
+    def test_one_term_fewer_fails_the_certificate(self, T):
+        prec = EvalPrecision.for_height(T)
+        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        s = np.array([0.5 + 1j * T])
+        hurwitz_zeta_batch(s, 1e-9, prec)
+        with pytest.raises(PrecisionError):
+            hurwitz_zeta_batch(s, 1e-9, fewer)
+
+    @pytest.mark.parametrize("q,idx", [(1, 1), (5, 2), (7, 3), (12, 5)])
+    def test_left_of_critical_line_against_mpmath(self, q, idx):
+        chi = character(q, idx)
+        s = 0.2 + 50j
+        ref = complex(mp.dirichlet(mp.mpc("0.2", 50), [chi(n) for n in range(q)]))
+        assert abs(l_value(chi, s) - ref) <= 1e-11
+
+    @pytest.mark.parametrize("s,a", [(5.0, 0.05), (6.0, 0.01), (3.0 + 0.5j, 0.05)])
+    def test_default_precision_certifies_points_right_of_the_line(self, s, a):
+        # sizing N at Re s = 1/2 would fail the bound at the first two points
+        ref = complex(mp.zeta(mp.mpmathify(s), a))
+        assert abs(hurwitz_zeta(s, a) - ref) <= 1e-13 * abs(ref)
+
+
+class TestBroadcastKernel:
+    def test_columns_match_scalar_shift_calls(self):
+        prec = EvalPrecision.for_height(60.0)
+        ts = np.array([-58.2, -3.0, 0.0, 0.4, 11.9, 37.5, 60.0])
+        shifts = np.arange(1, 24) / 23.0
+        s = np.broadcast_to((0.5 + 1j * ts)[:, None], (ts.size, shifts.size))
+        cols = hurwitz_zeta_batch(s, shifts, prec)
+        assert cols.shape == (ts.size, shifts.size)
+        for j, a in enumerate(shifts):
+            one = hurwitz_zeta_batch(0.5 + 1j * ts, a, prec)
+            assert np.max(np.abs(cols[:, j] - one) / np.maximum(1.0, np.abs(one))) <= 1e-13
+
+    def test_every_primitive_character_mod_23_against_mpmath(self):
+        ts = np.array([-9.4, 23.6])
+        checked = 0
+        with mp.workdps(17):
+            for chi in enumerate_characters(23):
+                if not chi.is_primitive:
+                    continue
+                values = [chi(n) for n in range(23)]
+                got = l_critical_batch(chi, ts)
+                for t, v in zip(ts, got):
+                    ref = complex(mp.dirichlet(mp.mpc(0.5, t), values))
+                    assert abs(v - ref) <= 1e-10 * (1 + abs(ref))
+                checked += 1
+        assert checked == 21
+
+    def test_chunks_stay_within_the_element_budget(self, monkeypatch):
+        chi = character(7, 3)
+        ts = np.linspace(-40.0, 40.0, 301)
+        whole = l_critical_batch(chi, ts)
+        sizes = []
+        kernel = lfunc.hurwitz_zeta_batch
+
+        def recording(s, a, prec=None):
+            sizes.append(np.size(s) * prec.direct_terms)
+            return kernel(s, a, prec)
+
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 2000)
+        monkeypatch.setattr(lfunc, "hurwitz_zeta_batch", recording)
+        chunked = l_critical_batch(chi, ts)
+        assert len(sizes) > 1 and max(sizes) <= 2000
+        assert sum(sizes) == ts.size * 6 * EvalPrecision.for_height(40.0).direct_terms
+        assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 class TestLValues:

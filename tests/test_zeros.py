@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from zeropair import zeros
 from zeropair.characters import character, enumerate_characters
+from zeropair.cli import main
+from zeropair.lfunc import EvalPrecision, hardy_z_batch
 from zeropair.zeros import (
     ZeroRecord,
     ZeroSet,
+    _brackets_certified,
+    _refine_brackets,
     count_expected,
     default_mesh_step,
     refine_zero,
@@ -142,6 +147,87 @@ class TestRefine:
             refine_zero(character(1, 1), (2.0, 3.0))
         with pytest.raises(ValueError):
             refine_zero(character(1, 1), (3.0, 2.0))
+
+
+class TestRefinementCertificate:
+    def test_every_bracket_flips_sign(self):
+        chi = character(5, 2)
+        zs = scan_zeros(chi, 30.0)
+        assert zs.certified and zs.count > 0
+        lo = np.array([r.bracket[0] for r in zs.records])
+        hi = np.array([r.bracket[1] for r in zs.records])
+        assert np.all(lo < hi)
+        assert np.all(hi - lo <= zs.tolerance)
+        assert np.all((lo <= zs.ordinates) & (zs.ordinates <= hi))
+        prec = EvalPrecision.for_height(30.0)
+        zlo, zhi = hardy_z_batch(chi, lo, prec), hardy_z_batch(chi, hi, prec)
+        assert np.all(np.sign(zlo) * np.sign(zhi) < 0)
+
+    def test_bracket_check_rejects_each_defect(self):
+        ords, lo, hi = np.array([1.5e-11]), np.array([0.0]), np.array([1e-10])
+        zlo, zhi = np.array([-1.0]), np.array([2.0])
+        assert _brackets_certified(ords, lo, hi, zlo, zhi, 1e-10)
+        assert not _brackets_certified(ords, lo, hi, zlo, 3 * zlo, 1e-10)  # no sign change
+        assert not _brackets_certified(ords, lo, 2 * hi, zlo, zhi, 1e-10)  # too wide
+        assert not _brackets_certified(ords + 1e-9, lo, hi, zlo, zhi, 1e-10)  # outside
+        # a bracket collapsed onto an exact zero stands on its own
+        point = np.array([0.25])
+        assert _brackets_certified(point, point, point, np.zeros(1), np.zeros(1), 1e-10)
+
+    def test_step_cap_reached_is_not_certified(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(zeros, "REFINE_STEP_CAP", 3)
+        zs = scan_zeros(character(5, 2), 20.0)
+        assert zs.count > 0 and not zs.certified
+        code = main(["zeros", "--chi", "5:2", "--T", "20", "--cache-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 3
+
+    def test_refinement_points_per_zero(self, monkeypatch):
+        points = [0]
+
+        def counting(chi, ts, prec=None):
+            points[0] += np.size(ts)
+            return hardy_z_batch(chi, ts, prec)
+
+        monkeypatch.setattr(zeros, "hardy_z_batch", counting)
+        T = 60.0
+        mesh = 2 * math.ceil(T / default_mesh_step(5, T)) + 1
+        found = refined = 0
+        for chi in enumerate_characters(5):
+            if chi.is_primitive:
+                points[0] = 0
+                zs = scan_zeros(chi, T)
+                assert zs.certified
+                found += zs.count
+                refined += points[0] - mesh
+        # dip re-tests and the final residual count too
+        assert refined <= 12 * found
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda t: (t - 0.0123) ** 3,
+            lambda t: np.expm1(40.0 * (t - 0.031)),
+            lambda t: np.arctan(1e6 * (t - 0.0049)),
+            lambda t: t**9 - 0.02**9,
+        ],
+        ids=["cubic", "exponential", "step", "flat"],
+    )
+    def test_hard_functions_close_within_twice_bisection(self, monkeypatch, f):
+        steps = [0]
+
+        def fake(chi, ts, prec=None):
+            steps[0] += 1
+            return f(np.asarray(ts, dtype=np.float64))
+
+        monkeypatch.setattr(zeros, "hardy_z_batch", fake)
+        tol, lo, hi = 1e-10, np.array([0.0]), np.array([0.05])
+        ords, resid, blo, bhi, zlo, zhi = _refine_brackets(
+            None, lo, hi, f(lo), f(hi), None, tol
+        )
+        assert _brackets_certified(ords, blo, bhi, zlo, zhi, tol)
+        # the last call is the residual; a halving costs at most two steps
+        assert steps[0] - 1 <= 2 * math.ceil(math.log2(0.05 / tol))
 
 
 class TestTruncation:
