@@ -23,8 +23,19 @@ L(s, chi) for primitive chi mod q is q^(-s) sum_a chi(a) zeta(s, a/q).  The
 shifts a/q broadcast against the points, so one Euler-Maclaurin pass yields
 every residue column and a matrix-vector product with the values chi(a)
 combines them; the pass is chunked so that points x residues x N stays
-bounded.  Imprimitive values are obtained from the inducing character by
-stripping Euler factors.  hardy_z rotates the critical line by a unimodular
+bounded.
+
+A zero scan needs the same columns for every character mod q on the same
+mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
+keeps the last few meshes, so each further character costs one
+matrix-vector product.  Its mesh is blocked, t = t_b + j h, so that
+(n + a)^(-it) = e^(-i t_b log(n+a)) e^(-i j h log(n+a)) and the direct sums
+of all columns are one batched matrix product (the Odlyzko-Schonhage
+factorisation); the Euler-Maclaurin tail and the remainder check are the
+kernel's own, at the same points.
+
+Imprimitive values are obtained from the inducing character by stripping
+Euler factors.  hardy_z rotates the critical line by a unimodular
 phase (fixed to the principal square root of the root number) so that the
 rotated value is real; the residual imaginary part is checked before it is
 discarded.
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,6 +167,38 @@ def _precision_for(s: np.ndarray, target_abs_error: float = 1e-12) -> EvalPrecis
     return EvalPrecision(target_abs_error, n, _BERNOULLI_TERMS)
 
 
+def _certify(s: np.ndarray, shift: float, prec: EvalPrecision) -> None:
+    """Raise PrecisionError unless the remainder bound meets the target at every
+    point of s for the given shift.
+
+    The bound falls as w = N + a grows, so checking at the smallest shift in
+    use covers every column; a point is bounded as if it met that shift.
+    """
+    bound = _em_remainder_bound(s, prec.direct_terms + shift, prec)
+    worst = float(np.max(bound)) if bound.size else 0.0
+    if worst > prec.target_abs_error:
+        raise PrecisionError(
+            f"Euler-Maclaurin remainder {worst:.3e} exceeds target "
+            f"{prec.target_abs_error:.3e} (N={prec.direct_terms}, M={prec.bernoulli_terms})"
+        )
+
+
+def _add_em_tail(total: np.ndarray, s: np.ndarray, w: np.ndarray, m: int) -> None:
+    """Add w^(1-s)/(s-1) + w^-s/2 and the M Bernoulli terms to total in place,
+    for w = N + a; s and w broadcast to the shape of total."""
+    wneg = np.exp(-s * np.log(w))  # w^-s
+    total += w * wneg / (s - 1) + 0.5 * wneg
+
+    rising = s
+    wpow = wneg / w
+    wstep = 1.0 / (w * w)
+    for j in range(1, m + 1):
+        total += _BERN_OVER_FACT[j - 1] * rising * wpow
+        if j < m:
+            rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
+            wpow = wpow * wstep
+
+
 def hurwitz_zeta_batch(
     s: np.ndarray, a: float | np.ndarray, prec: EvalPrecision | None = None
 ) -> np.ndarray:
@@ -162,7 +206,8 @@ def hurwitz_zeta_batch(
 
     s and a broadcast against each other: s of shape (P, k) with a of shape
     (k,) evaluates k Hurwitz columns at P points in one pass.  Without prec,
-    N is the smallest that certifies every point of s.
+    N is the smallest that certifies every point of s.  The remainder bound
+    is checked at the smallest shift, which carries the largest bound.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all((a > 0) & (a <= 1)):
@@ -172,33 +217,15 @@ def hurwitz_zeta_batch(
         raise PoleError("zeta(s, a) has a pole at s = 1")
     if prec is None:
         prec = _precision_for(s)
-    n, m = prec.direct_terms, prec.bernoulli_terms
-    w = n + a
+    # points repeated along a broadcast (zero-stride) axis are certified once
+    _certify(s[tuple(slice(0, 1) if st == 0 else slice(None) for st in s.strides)],
+             float(np.min(a, initial=1.0)), prec)
 
-    bound = _em_remainder_bound(s, w, prec)
-    worst = float(np.max(bound)) if bound.size else 0.0
-    if worst > prec.target_abs_error:
-        raise PrecisionError(
-            f"Euler-Maclaurin remainder {worst:.3e} exceeds target "
-            f"{prec.target_abs_error:.3e} (N={n}, M={m})"
-        )
-
-    logs = np.log(a[..., None] + np.arange(n, dtype=np.float64))
+    logs = np.log(a[..., None] + np.arange(prec.direct_terms, dtype=np.float64))
     terms = s[..., None] * -logs
     np.exp(terms, out=terms)
     total = terms.sum(axis=-1)
-
-    wneg = np.exp(-s * np.log(w))  # w^-s
-    total += w * wneg / (s - 1) + 0.5 * wneg
-
-    rising = np.array(s)
-    wpow = wneg / w
-    wstep = 1.0 / (w * w)
-    for j in range(1, m + 1):
-        total += _BERN_OVER_FACT[j - 1] * rising * wpow
-        if j < m:
-            rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
-            wpow = wpow * wstep
+    _add_em_tail(total, s, prec.direct_terms + a, prec.bernoulli_terms)
     return total
 
 
@@ -214,15 +241,22 @@ def _euler_factors(chi_star: DirichletCharacter, q: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _unit_shifts(q: int) -> np.ndarray:
+    """Shifts a/q over the units a in [1, q], the support of every character mod q."""
+    shifts = np.array([a / q for a in range(1, q + 1) if math.gcd(a, q) == 1])
+    shifts.flags.writeable = False
+    return shifts
+
+
+@lru_cache(maxsize=None)
 def _residues(label) -> tuple[np.ndarray, np.ndarray]:
     """Shifts a/q and values chi(a) over the a in [1, q] with chi(a) != 0."""
     chi = character(label.modulus, label.index)
     q = chi.modulus
-    support = [a for a in range(1, q + 1) if chi(a) != 0]
-    shifts = np.array([a / q for a in support], dtype=np.float64)
-    values = np.array([chi(a) for a in support], dtype=np.complex128)
-    shifts.flags.writeable = values.flags.writeable = False
-    return shifts, values
+    values = np.array([chi(a) for a in range(1, q + 1) if math.gcd(a, q) == 1],
+                      dtype=np.complex128)
+    values.flags.writeable = False
+    return _unit_shifts(q), values
 
 
 def _l_primitive(chi: DirichletCharacter, s: np.ndarray, prec: EvalPrecision) -> np.ndarray:
@@ -333,6 +367,21 @@ def _phase(params: CompletedLParams, ts: np.ndarray) -> np.ndarray:
     return params.rotation.conjugate() * np.exp(1j * theta)
 
 
+def _rotated_real(chi: DirichletCharacter, ts: np.ndarray, vals: np.ndarray,
+                  realness_tol: float) -> np.ndarray:
+    """The real parts of rotated values; RealnessError if any residual imaginary
+    part exceeds realness_tol * (1 + |value|)."""
+    resid = np.abs(vals.imag)
+    allowed = realness_tol * (1.0 + np.abs(vals))
+    if np.any(resid > allowed):
+        worst = int(np.argmax(resid - allowed))
+        raise RealnessError(
+            f"rotated value at t={ts[worst]:.6f} for {chi.label} kept an imaginary "
+            f"part {resid[worst]:.3e} (|value|={abs(vals[worst]):.3e})"
+        )
+    return vals.real
+
+
 def hardy_z_batch(
     chi: DirichletCharacter,
     ts: np.ndarray,
@@ -347,15 +396,69 @@ def hardy_z_batch(
     """
     ts = np.asarray(ts, dtype=np.float64)
     vals = _phase(_params_for(chi.label), ts) * l_critical_batch(chi, ts, prec)
-    resid = np.abs(vals.imag)
-    allowed = realness_tol * (1.0 + np.abs(vals))
-    if np.any(resid > allowed):
-        worst = int(np.argmax(resid - allowed))
-        raise RealnessError(
-            f"rotated value at t={ts[worst]:.6f} for {chi.label} kept an imaginary "
-            f"part {resid[worst]:.3e} (|value|={abs(vals[worst]):.3e})"
-        )
-    return vals.real
+    return _rotated_real(chi, ts, vals, realness_tol)
+
+
+_MESH_LOCK = threading.Lock()  # scans running in threads build each mesh once
+
+
+@lru_cache(maxsize=4)
+def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
+    """The scan mesh of [-T, T] and the columns q^-s zeta(s, a/q), s = 1/2 + it,
+    of the units a mod q on it, as read-only arrays of shapes (P,) and (P, k).
+
+    The P = 2 ceil(T / mesh_step) + 1 points are t = t_b + j h with
+    h = T / ceil(T / mesh_step), block bases t_b = -T + b B h and offsets
+    j < B = ceil(sqrt(P)).  On that grid (n + a)^(-it) factors as
+    e^(-i t_b log(n+a)) e^(-i j h log(n+a)), so the direct sums of every
+    column are one batched matrix product (k, P/B, N) @ (k, N, B), with about
+    2 sqrt(P) k N exponentials instead of P k N.  The Euler-Maclaurin tail and
+    the remainder check use the same floats t.
+    """
+    half = math.ceil(T / mesh_step)
+    size = 2 * half + 1
+    h = T / half
+    width = math.isqrt(size - 1) + 1  # ceil(sqrt(size))
+    bases = -T + np.arange(-(-size // width)) * (width * h)
+    offsets = np.arange(width) * h
+    ts = (bases[:, None] + offsets).ravel()[:size]
+    s = 0.5 + 1j * ts[:, None]
+
+    shifts = _unit_shifts(q)
+    _certify(s, float(shifts[0]), prec)
+    logs = np.log(shifts[:, None] + np.arange(prec.direct_terms, dtype=np.float64))
+    lead = np.exp(logs[:, None, :] * (-0.5 - 1j * bases[:, None]))  # (k, P/B, N)
+    step = np.exp(logs[:, :, None] * (-1j * offsets))  # (k, N, B)
+    cols = np.matmul(lead, step).reshape(shifts.size, -1)[:, :size].T
+    _add_em_tail(cols, s, prec.direct_terms + shifts, prec.bernoulli_terms)
+    if q > 1:
+        cols *= np.exp(-s * math.log(q))
+    ts.flags.writeable = cols.flags.writeable = False
+    return ts, cols
+
+
+def hardy_z_mesh(
+    chi: DirichletCharacter,
+    T: float,
+    mesh_step: float,
+    prec: EvalPrecision | None = None,
+    realness_tol: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scan mesh of [-T, T] with spacing at most mesh_step, and the rotated
+    values of primitive chi on it.
+
+    The Hurwitz columns depend only on (q, T, mesh_step, prec) and are kept
+    for the next character of the same modulus, which then costs one
+    matrix-vector product; the realness check runs at every point.
+    """
+    if not chi.is_primitive:
+        raise ValueError("hardy_z_mesh requires a primitive character")
+    if prec is None:
+        prec = EvalPrecision.for_height(T)
+    with _MESH_LOCK:
+        ts, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
+    vals = _phase(_params_for(chi.label), ts) * (cols @ _residues(chi.label)[1])
+    return ts, _rotated_real(chi, ts, vals, realness_tol)
 
 
 def hardy_z(

@@ -3,13 +3,16 @@
 A scan walks a symmetric mesh on [-T, T], brackets sign changes of the
 rotated (real) critical-line value, splits suspicious near-tangent dips at
 half steps, and refines every bracket with vectorised Illinois false
-position.  Each trial point sits at least tolerance/2 inside its bracket,
-so the bracket also closes from the side far from the root, and a step
-that fails to halve its bracket forces a bisection next, which bounds the
-worst case at two steps per halving.  A final secant step inside the
-closed bracket gives the ordinate and its residual.  Every evaluation uses
-EvalPrecision.for_height(T), the smallest Euler-Maclaurin size certified on
-the whole window.
+position.  The mesh values come from lfunc.hardy_z_mesh, which evaluates
+the Hurwitz columns of a mesh once per modulus and keeps them for the next
+character of that modulus; the dips and the refinement evaluate
+hardy_z_batch at their own points.  Each trial point sits at least
+tolerance/2 inside its bracket, so the bracket also closes from the side
+far from the root, and a step that fails to halve its bracket forces a
+bisection next, which bounds the worst case at two steps per halving.  A
+final secant step inside the closed bracket gives the ordinate and its
+residual.  Every evaluation uses EvalPrecision.for_height(T), the smallest
+Euler-Maclaurin size certified on the whole window.
 
 The result carries a certificate: the count of located zeros must agree
 with the counting formula
@@ -36,7 +39,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from zeropair.characters import CharacterLabel, DirichletCharacter, conductor_and_inducer, enumerate_characters
-from zeropair.lfunc import EvalPrecision, ROTATION_BRANCH, hardy_z_batch
+from zeropair.lfunc import (
+    EvalPrecision,
+    PrecisionError,
+    ROTATION_BRANCH,
+    hardy_z_batch,
+    hardy_z_mesh,
+)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -202,9 +211,7 @@ def scan_zeros(
     if prec is None:
         prec = EvalPrecision.for_height(T)
 
-    half = math.ceil(T / mesh_step)
-    ts = np.linspace(-T, T, 2 * half + 1)
-    z = hardy_z_batch(chi, ts, prec)
+    ts, z = hardy_z_mesh(chi, T, mesh_step, prec)
 
     sign = np.sign(z)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -291,7 +298,11 @@ def refine_zero(
     tolerance: float = DEFAULT_TOLERANCE,
     prec: EvalPrecision | None = None,
 ) -> ZeroRecord:
-    """Narrow one sign-change bracket; raises if the bracket does not flip sign."""
+    """Narrow one sign-change bracket.
+
+    Raises ValueError if the bracket does not flip sign, and PrecisionError
+    if refinement stops at REFINE_STEP_CAP before the bracket is certified.
+    """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise ValueError("bracket must satisfy a < b")
@@ -304,9 +315,14 @@ def refine_zero(
         return ZeroRecord(b, (b, b), 0.0)
     if math.copysign(1.0, za) == math.copysign(1.0, zb):
         raise ValueError(f"no sign change over {bracket} for {chi.label}")
-    ords, resid, lo, hi, _, _ = _refine_brackets(
+    ords, resid, lo, hi, zlo, zhi = _refine_brackets(
         chi, np.array([a]), np.array([b]), np.array([za]), np.array([zb]), prec, tolerance
     )
+    if not _brackets_certified(ords, lo, hi, zlo, zhi, tolerance):
+        raise PrecisionError(
+            f"refinement of {bracket} for {chi.label} stopped at {REFINE_STEP_CAP} steps "
+            f"with a bracket {hi[0] - lo[0]:.3e} wide (tolerance {tolerance:.1e})"
+        )
     return ZeroRecord(float(ords[0]), (float(lo[0]), float(hi[0])), float(resid[0]))
 
 

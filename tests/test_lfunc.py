@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zeropair import lfunc
+from zeropair import lfunc, zeros
 from zeropair.characters import character, enumerate_characters
 from zeropair.lfunc import (
     CompletedLParams,
@@ -18,6 +19,7 @@ from zeropair.lfunc import (
     completed_l,
     hardy_z,
     hardy_z_batch,
+    hardy_z_mesh,
     hurwitz_zeta,
     hurwitz_zeta_batch,
     l_critical_batch,
@@ -176,6 +178,89 @@ class TestBroadcastKernel:
         assert len(sizes) > 1 and max(sizes) <= 2000
         assert sum(sizes) == ts.size * 6 * EvalPrecision.for_height(40.0).direct_terms
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+class TestRemainderAtSmallestShift:
+    def test_smallest_shift_carries_the_largest_bound(self):
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.2, 3.0, 200) + 1j * rng.uniform(-150.0, 150.0, 200)
+        shifts = np.array([a / 23 for a in range(1, 23)])
+        prec = EvalPrecision(1e-12, 30, 12)
+        every = _em_remainder_bound(s[:, None], prec.direct_terms + shifts, prec)
+        smallest = _em_remainder_bound(s, prec.direct_terms + shifts.min(), prec)
+        assert np.max(np.abs(smallest - every.max(axis=1)) / every.max(axis=1)) <= 1e-14
+
+    def test_broadcast_kernel_still_raises_at_the_certified_edge(self):
+        prec = EvalPrecision.for_height(100.0)
+        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        s = np.broadcast_to(np.array([[0.5 + 100j]]), (1, 3))
+        shifts = np.array([0.9, 1e-9, 0.5])
+        hurwitz_zeta_batch(s, shifts, prec)
+        with pytest.raises(PrecisionError):
+            hurwitz_zeta_batch(s, shifts, fewer)
+
+
+def _primitive(q):
+    return [chi for chi in enumerate_characters(q) if chi.is_primitive]
+
+
+class TestMeshEvaluator:
+    def test_mesh_points(self):
+        T, step = 30.0, 0.05
+        ts, z = hardy_z_mesh(character(1, 1), T, step)
+        assert ts.size == z.size == 2 * math.ceil(T / step) + 1
+        assert ts[0] == -T and abs(ts[-1] - T) <= 1e-12
+        assert np.all(np.diff(ts) <= step + 1e-12)
+        assert not ts.flags.writeable
+
+    def test_matches_hardy_z_batch_for_every_character_mod_23(self):
+        T = 30.0
+        prec = EvalPrecision.for_height(T)
+        chars = _primitive(23)
+        assert len(chars) == 21
+        for chi in chars:
+            ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(23, T), prec)
+            ref = hardy_z_batch(chi, ts, prec)
+            assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 1e-13
+
+    def test_matches_hardy_z_batch_at_height_1000(self):
+        T = 1000.0
+        chi = character(1, 1)
+        prec = EvalPrecision.for_height(T)
+        ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(1, T), prec)
+        ref = hardy_z_batch(chi, ts, prec)
+        assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 2e-12
+
+    def test_against_mpmath_siegelz_at_height_1000(self):
+        T = 1000.0
+        ts, z = hardy_z_mesh(character(1, 1), T, zeros.default_mesh_step(1, T))
+        picks = np.random.default_rng(7).choice(ts.size, 40, replace=False)
+        picks = np.concatenate([picks, [0, ts.size // 2, ts.size - 1]])
+        with mp.workdps(20):
+            for i in picks:
+                assert abs(z[i] - float(mp.siegelz(mp.mpf(float(ts[i]))))) <= 2e-12
+
+    def test_one_term_fewer_raises(self):
+        T = 30.0
+        prec = EvalPrecision.for_height(T)
+        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        chi = _primitive(23)[0]
+        hardy_z_mesh(chi, T, 0.05, prec)
+        with pytest.raises(PrecisionError):
+            hardy_z_mesh(chi, T, 0.05, fewer)
+
+    def test_corrupted_rotation_raises(self, monkeypatch):
+        chi = _primitive(23)[3]
+        params = lfunc._params_for(chi.label)
+        hardy_z_mesh(chi, 30.0, 0.05)
+        tilted = dataclasses.replace(params, rotation=params.rotation * cmath.exp(0.3j))
+        monkeypatch.setattr(lfunc, "_params_for", lambda label: tilted)
+        with pytest.raises(RealnessError):
+            hardy_z_mesh(chi, 30.0, 0.05)
+
+    def test_imprimitive_rejected(self):
+        with pytest.raises(ValueError):
+            hardy_z_mesh(character(12, 5), 10.0, 0.05)
 
 
 class TestLValues:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zeropair import zeros
+from zeropair import lfunc, zeros
 from zeropair.characters import character, enumerate_characters
 from zeropair.cli import main
-from zeropair.lfunc import EvalPrecision, hardy_z_batch
+from zeropair.lfunc import EvalPrecision, PrecisionError, hardy_z_batch
 from zeropair.zeros import (
     ZeroRecord,
     ZeroSet,
@@ -130,6 +130,25 @@ class TestScan:
         assert zs.height == 20.0 and zs.mesh_step <= 0.05
 
 
+class TestMeshSharing:
+    def test_characters_of_one_modulus_share_the_columns(self):
+        lfunc._mesh_columns.cache_clear()
+        chars = [chi for chi in enumerate_characters(23) if chi.is_primitive]
+        for chi in chars:
+            assert scan_zeros(chi, 30.0).certified
+        info = lfunc._mesh_columns.cache_info()
+        assert (info.misses, info.hits) == (1, len(chars) - 1) == (1, 20)
+
+    def test_threaded_scans_build_each_mesh_once(self, tmp_path, capsys):
+        lfunc._mesh_columns.cache_clear()
+        args = ["zeros", "--q", "23", "--T", "30", "--threads", "2", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        # the principal character scans the q = 1 mesh, the 21 others share one
+        info = lfunc._mesh_columns.cache_info()
+        assert (info.misses, info.hits) == (2, 20)
+
+
 class TestRefine:
     def test_refines_known_zero(self):
         r = refine_zero(character(1, 1), (14.0, 14.3))
@@ -141,6 +160,11 @@ class TestRefine:
         r = refine_zero(character(4, 3), (5.9, 6.1), tolerance=1e-8)
         assert r.bracket[1] - r.bracket[0] <= 1e-8
         assert abs(r.ordinate - CHI4_ORDINATES[0]) <= 1e-7
+
+    def test_step_cap_reached_raises(self, monkeypatch):
+        monkeypatch.setattr(zeros, "REFINE_STEP_CAP", 3)
+        with pytest.raises(PrecisionError):
+            refine_zero(character(1, 1), (14.0, 14.3))
 
     def test_degenerate_bracket_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +207,8 @@ class TestRefinementCertificate:
         assert code == 3
 
     def test_refinement_points_per_zero(self, monkeypatch):
+        # the mesh goes through hardy_z_mesh, so every hardy_z_batch point
+        # belongs to a dip re-test, a refinement step or a final residual
         points = [0]
 
         def counting(chi, ts, prec=None):
@@ -190,17 +216,15 @@ class TestRefinementCertificate:
             return hardy_z_batch(chi, ts, prec)
 
         monkeypatch.setattr(zeros, "hardy_z_batch", counting)
-        T = 60.0
-        mesh = 2 * math.ceil(T / default_mesh_step(5, T)) + 1
         found = refined = 0
         for chi in enumerate_characters(5):
             if chi.is_primitive:
                 points[0] = 0
-                zs = scan_zeros(chi, T)
+                zs = scan_zeros(chi, 60.0)
                 assert zs.certified
                 found += zs.count
-                refined += points[0] - mesh
-        # dip re-tests and the final residual count too
+                refined += points[0]
+        assert found > 0 and refined >= found
         assert refined <= 12 * found
 
     @pytest.mark.parametrize(
