@@ -30,9 +30,9 @@ mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
 keeps the last few meshes, so each further character costs one
 matrix-vector product.  Its mesh is blocked, t = t_b + j h, so that
 (n + a)^(-it) = e^(-i t_b log(n+a)) e^(-i j h log(n+a)) and the direct sums
-of all columns are one batched matrix product (the Odlyzko-Schonhage
-factorisation); the Euler-Maclaurin tail and the remainder check are the
-kernel's own, at the same points.
+of a block of columns are one batched matrix product (the Odlyzko-Schonhage
+factorisation), the blocks chunked like the kernel's; the Euler-Maclaurin
+tail and the remainder check are the kernel's own, at the same points.
 
 Imprimitive values are obtained from the inducing character by stripping
 Euler factors.  hardy_z rotates the critical line by a unimodular
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -399,9 +398,6 @@ def hardy_z_batch(
     return _rotated_real(chi, ts, vals, realness_tol)
 
 
-_MESH_LOCK = threading.Lock()  # scans running in threads build each mesh once
-
-
 @lru_cache(maxsize=4)
 def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     """The scan mesh of [-T, T] and the columns q^-s zeta(s, a/q), s = 1/2 + it,
@@ -410,10 +406,11 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     The P = 2 ceil(T / mesh_step) + 1 points are t = t_b + j h with
     h = T / ceil(T / mesh_step), block bases t_b = -T + b B h and offsets
     j < B = ceil(sqrt(P)).  On that grid (n + a)^(-it) factors as
-    e^(-i t_b log(n+a)) e^(-i j h log(n+a)), so the direct sums of every
-    column are one batched matrix product (k, P/B, N) @ (k, N, B), with about
-    2 sqrt(P) k N exponentials instead of P k N.  The Euler-Maclaurin tail and
-    the remainder check use the same floats t.
+    e^(-i t_b log(n+a)) e^(-i j h log(n+a)), so the direct sums of a block of
+    columns are one batched matrix product (k', P/B, N) @ (k', N, B), with
+    about 2 sqrt(P) k N exponentials instead of P k N; the column blocks keep
+    k' N (P/B + B) within the chunk budget.  The Euler-Maclaurin tail and the
+    remainder check use the same floats t.
     """
     half = math.ceil(T / mesh_step)
     size = 2 * half + 1
@@ -425,12 +422,18 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     s = 0.5 + 1j * ts[:, None]
 
     shifts = _unit_shifts(q)
+    n = prec.direct_terms
     _certify(s, float(shifts[0]), prec)
-    logs = np.log(shifts[:, None] + np.arange(prec.direct_terms, dtype=np.float64))
-    lead = np.exp(logs[:, None, :] * (-0.5 - 1j * bases[:, None]))  # (k, P/B, N)
-    step = np.exp(logs[:, :, None] * (-1j * offsets))  # (k, N, B)
-    cols = np.matmul(lead, step).reshape(shifts.size, -1)[:, :size].T
-    _add_em_tail(cols, s, prec.direct_terms + shifts, prec.bernoulli_terms)
+    cols = np.empty((size, shifts.size), dtype=np.complex128)
+    step = max(1, _EM_CHUNK_ELEMENTS // (n * (bases.size + width)))
+    for c in range(0, shifts.size, step):
+        a = shifts[c : c + step]
+        logs = np.log(a[:, None] + np.arange(n, dtype=np.float64))
+        lead = np.exp(logs[:, None, :] * (-0.5 - 1j * bases[:, None]))  # (k', P/B, N)
+        offs = np.exp(logs[:, :, None] * (-1j * offsets))  # (k', N, B)
+        block = np.matmul(lead, offs).reshape(a.size, -1)[:, :size].T
+        _add_em_tail(block, s, n + a, prec.bernoulli_terms)
+        cols[:, c : c + step] = block
     if q > 1:
         cols *= np.exp(-s * math.log(q))
     ts.flags.writeable = cols.flags.writeable = False
@@ -438,11 +441,7 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
 
 
 def hardy_z_mesh(
-    chi: DirichletCharacter,
-    T: float,
-    mesh_step: float,
-    prec: EvalPrecision | None = None,
-    realness_tol: float = 1e-8,
+    chi: DirichletCharacter, T: float, mesh_step: float, prec: EvalPrecision
 ) -> tuple[np.ndarray, np.ndarray]:
     """The scan mesh of [-T, T] with spacing at most mesh_step, and the rotated
     values of primitive chi on it.
@@ -453,12 +452,9 @@ def hardy_z_mesh(
     """
     if not chi.is_primitive:
         raise ValueError("hardy_z_mesh requires a primitive character")
-    if prec is None:
-        prec = EvalPrecision.for_height(T)
-    with _MESH_LOCK:
-        ts, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
+    ts, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
     vals = _phase(_params_for(chi.label), ts) * (cols @ _residues(chi.label)[1])
-    return ts, _rotated_real(chi, ts, vals, realness_tol)
+    return ts, _rotated_real(chi, ts, vals, 1e-8)
 
 
 def hardy_z(

@@ -207,7 +207,7 @@ def _primitive(q):
 class TestMeshEvaluator:
     def test_mesh_points(self):
         T, step = 30.0, 0.05
-        ts, z = hardy_z_mesh(character(1, 1), T, step)
+        ts, z = hardy_z_mesh(character(1, 1), T, step, EvalPrecision.for_height(T))
         assert ts.size == z.size == 2 * math.ceil(T / step) + 1
         assert ts[0] == -T and abs(ts[-1] - T) <= 1e-12
         assert np.all(np.diff(ts) <= step + 1e-12)
@@ -233,7 +233,8 @@ class TestMeshEvaluator:
 
     def test_against_mpmath_siegelz_at_height_1000(self):
         T = 1000.0
-        ts, z = hardy_z_mesh(character(1, 1), T, zeros.default_mesh_step(1, T))
+        prec = EvalPrecision.for_height(T)
+        ts, z = hardy_z_mesh(character(1, 1), T, zeros.default_mesh_step(1, T), prec)
         picks = np.random.default_rng(7).choice(ts.size, 40, replace=False)
         picks = np.concatenate([picks, [0, ts.size // 2, ts.size - 1]])
         with mp.workdps(20):
@@ -252,15 +253,36 @@ class TestMeshEvaluator:
     def test_corrupted_rotation_raises(self, monkeypatch):
         chi = _primitive(23)[3]
         params = lfunc._params_for(chi.label)
-        hardy_z_mesh(chi, 30.0, 0.05)
+        prec = EvalPrecision.for_height(30.0)
+        hardy_z_mesh(chi, 30.0, 0.05, prec)
         tilted = dataclasses.replace(params, rotation=params.rotation * cmath.exp(0.3j))
         monkeypatch.setattr(lfunc, "_params_for", lambda label: tilted)
         with pytest.raises(RealnessError):
-            hardy_z_mesh(chi, 30.0, 0.05)
+            hardy_z_mesh(chi, 30.0, 0.05, prec)
 
     def test_imprimitive_rejected(self):
         with pytest.raises(ValueError):
-            hardy_z_mesh(character(12, 5), 10.0, 0.05)
+            hardy_z_mesh(character(12, 5), 10.0, 0.05, EvalPrecision.for_height(10.0))
+
+    def test_column_blocks_stay_within_the_element_budget(self, monkeypatch):
+        T, step = 30.0, 0.05
+        prec = EvalPrecision.for_height(T)
+        lfunc._mesh_columns.cache_clear()
+        ts, whole = lfunc._mesh_columns(23, T, step, prec)
+        sizes = []
+        matmul = np.matmul
+
+        def recording(lead, offs):
+            sizes.append(lead.size + offs.size)
+            return matmul(lead, offs)
+
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 5000)
+        monkeypatch.setattr(lfunc.np, "matmul", recording)
+        lfunc._mesh_columns.cache_clear()
+        blocked_ts, blocked = lfunc._mesh_columns(23, T, step, prec)
+        lfunc._mesh_columns.cache_clear()
+        assert len(sizes) > 1 and max(sizes) <= 5000
+        assert np.array_equal(blocked_ts, ts) and np.array_equal(blocked, whole)
 
 
 class TestLValues:

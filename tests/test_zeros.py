@@ -139,15 +139,6 @@ class TestMeshSharing:
         info = lfunc._mesh_columns.cache_info()
         assert (info.misses, info.hits) == (1, len(chars) - 1) == (1, 20)
 
-    def test_threaded_scans_build_each_mesh_once(self, tmp_path, capsys):
-        lfunc._mesh_columns.cache_clear()
-        args = ["zeros", "--q", "23", "--T", "30", "--threads", "2", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        capsys.readouterr()
-        # the principal character scans the q = 1 mesh, the 21 others share one
-        info = lfunc._mesh_columns.cache_info()
-        assert (info.misses, info.hits) == (2, 20)
-
 
 class TestRefine:
     def test_refines_known_zero(self):
