@@ -47,6 +47,11 @@ def _prime_factors(n: int) -> list[int]:
     return [p for p, _ in _factorize(n)]
 
 
+def units(q: int) -> list[int]:
+    """The integers in [1, q] coprime to q; [1] for q = 1."""
+    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+
+
 def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError("q must be a positive integer")

@@ -21,13 +21,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from zeropair.characters import (
     CharacterLabel,
-    DirichletCharacter,
     character,
     conductor_and_inducer,
     enumerate_characters,
@@ -53,9 +51,9 @@ from zeropair.paircorr import (
     increment_identity_check,
     spacing_histogram,
 )
-from zeropair.sieve import psi_character, psi_progression, shared_table
+from zeropair.sieve import psi_character, psi_progression, table_for
 from zeropair.store import ZeroCache, ZeroCacheError, emit_table
-from zeropair.zeros import DEFAULT_TOLERANCE, ZeroSet
+from zeropair.zeros import DEFAULT_TOLERANCE, zeros_for_modulus
 
 __all__ = ["RunConfig", "main"]
 
@@ -87,7 +85,6 @@ class RunConfig:
     mesh_step      none    scan mesh override; none = per-(q,T) default
     threads        1       worker pool for independent zero scans
     format         csv     table output format (csv or json)
-    deterministic  true    recorded attestation: no seeded randomness
     """
 
     cache_dir: Path = Path("cache")
@@ -96,7 +93,6 @@ class RunConfig:
     mesh_step: float | None = None
     threads: int = 1
     format: str = "csv"
-    deterministic: bool = True
 
     def manifest(self) -> dict:
         return {
@@ -106,17 +102,8 @@ class RunConfig:
             "mesh_step": self.mesh_step,
             "threads": self.threads,
             "format": self.format,
-            "deterministic": self.deterministic,
+            "deterministic": True,
         }
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 _CONFIG_COERCERS = {
@@ -126,7 +113,6 @@ _CONFIG_COERCERS = {
     "mesh_step": lambda raw: None if raw.strip().lower() == "none" else float(raw),
     "threads": int,
     "format": str,
-    "deterministic": _parse_bool,
 }
 
 
@@ -188,45 +174,6 @@ def _parse_chi(spec: str) -> CharacterLabel:
     except ValueError:
         raise ValueError(f"--chi wants integers q:index, got {spec!r}") from None
     return CharacterLabel(q, index)
-
-
-def _cached_sets(
-    q: int, T: float, cfg: RunConfig, force: bool = False
-) -> dict[CharacterLabel, ZeroSet]:
-    """Zero sets for every character mod q, via the cache, keyed by label.
-
-    Induced characters share their inducer's set, so only distinct
-    inducers are scanned; with threads > 1 those scans run concurrently
-    and are reassembled in a fixed order.
-    """
-    cache = ZeroCache(cfg.cache_dir)
-    chars = enumerate_characters(q)
-    inducers: dict[CharacterLabel, DirichletCharacter] = {}
-    for chi in chars:
-        _, ind = conductor_and_inducer(chi)
-        inducers.setdefault(ind.label, ind)
-    ordered = sorted(inducers.values(), key=lambda c: (c.modulus, c.index))
-
-    def scan(ind: DirichletCharacter) -> ZeroSet:
-        return cache.load_or_scan(
-            ind, T, mesh_step=cfg.mesh_step, tolerance=cfg.tolerance, force=force
-        )
-
-    if cfg.threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            scanned = list(pool.map(scan, ordered))
-    else:
-        scanned = [scan(ind) for ind in ordered]
-    by_label = dict(zip((ind.label for ind in ordered), scanned))
-    out = {}
-    for chi in chars:
-        _, ind = conductor_and_inducer(chi)
-        out[chi.label] = by_label[ind.label]
-    return out
-
-
-def _table_limit(x: float) -> int:
-    return max(100_000, math.ceil(x))
 
 
 def _require_unit(a: int, q: int) -> None:
@@ -333,7 +280,10 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
             )
         }
     else:
-        sets = _cached_sets(chars[0].modulus, args.T, cfg, force=args.force)
+        sets = zeros_for_modulus(
+            chars[0].modulus, args.T, cfg.mesh_step, cfg.tolerance,
+            cache=cache, force=args.force, threads=cfg.threads,
+        )
     rows = []
     all_certified = True
     for chi in chars:
@@ -375,7 +325,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
         if args.dry_run:
             return _Result([], header, {"dry_run": True, "params": params})
         chi = character(label.modulus, label.index)
-        val = psi_character(args.x, chi, shared_table(_table_limit(args.x)))
+        val = psi_character(args.x, chi, table_for(args.x))
         rows = [{"x": args.x, "q": label.modulus, "index": label.index,
                  "re": val.real, "im": val.imag}]
         return _Result(rows, header, {"params": params})
@@ -386,7 +336,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": q, "a": a}
     if args.dry_run:
         return _Result([], header, {"dry_run": True, "params": params})
-    val = psi_progression(args.x, q, a, shared_table(_table_limit(args.x)))
+    val = psi_progression(args.x, q, a, table_for(args.x))
     return _Result([{"x": args.x, "q": q, "a": a, "psi": val}], header, {"params": params})
 
 
@@ -407,7 +357,8 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
         return _Result([], _PAIRCORR_HEADER, {"dry_run": True, "params": params})
     rows = []
     for T in ts:
-        sets = _cached_sets(q, T, cfg)
+        sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
+                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
         for x in xs:
             res = f_q(PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), window=args.window)
             rows.append(_paircorr_row(res))
@@ -430,8 +381,9 @@ def _cmd_explicit(args, cfg: RunConfig) -> _Result:
     params = {"q": q, "a": a, "x": xs, "Z": zs}
     if args.dry_run:
         return _Result([], header, {"dry_run": True, "params": params})
-    sets = _cached_sets(q, max(zs), cfg)
-    table = shared_table(_table_limit(max(xs)))
+    sets = zeros_for_modulus(q, max(zs), cfg.mesh_step, cfg.tolerance,
+                             cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+    table = table_for(max(xs))
     rows = []
     for x in xs:
         for z in zs:
@@ -480,7 +432,7 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
     params = {"x": xs, "q": qs, "a": args.a}
     if args.dry_run:
         return _Result([], _MONT_HEADER, {"dry_run": True, "params": params})
-    table = shared_table(_table_limit(max(xs)))
+    table = table_for(max(xs))
     rows = _montgomery_rows(xs, qs, args.a, table)
     return _Result(rows, _MONT_HEADER, {"params": params})
 
@@ -497,7 +449,7 @@ def _cmd_eh(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "Q": qs}
     if args.dry_run:
         return _Result([], header, {"dry_run": True, "params": params})
-    table = shared_table(_table_limit(args.x))
+    table = table_for(args.x)
     rows = []
     for Q in qs:
         val = eh_sum(args.x, Q, table=table)
@@ -524,7 +476,7 @@ def _cmd_weak(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": qs, "a": args.a, "alpha": alphas}
     if args.dry_run:
         return _Result([], _WEAK_HEADER, {"dry_run": True, "params": params})
-    table = shared_table(_table_limit(args.x))
+    table = table_for(args.x)
     rows = []
     for alpha in alphas:
         for r in weak_form_table(args.x, qs, alpha, a=args.a, table=table):
@@ -552,7 +504,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": q, "a": a, "eps": eps}
     if args.dry_run:
         return _Result([], _DYADIC_HEADER, {"dry_run": True, "params": params})
-    table = shared_table(_table_limit(args.x))
+    table = table_for(args.x)
     prof = dyadic_profile(args.x, q, a, eps, table=table)
     return _Result(_dyadic_rows(prof), _DYADIC_HEADER, {"params": params})
 
@@ -560,6 +512,78 @@ def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
 def _check_grid(args, key, default):
     values = getattr(args, key, None)
     return sorted(set(values)) if values else list(default)
+
+
+def _integral_rows(q, a, grid, cfg, quad):
+    for T in grid["T"]:
+        sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
+                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+        for x in grid["x"]:
+            res = f_q_via_integral(
+                PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), quad=quad
+            )
+            yield {"x": x, "T": T}, (), f"x={x:g} T={T:g}", res.rel_residual
+
+
+def _increment_rows(q, a, grid, cfg, quad):
+    for u, t in grid["UT"]:
+        sets = zeros_for_modulus(q, t, cfg.mesh_step, cfg.tolerance,
+                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+        for x in grid["x"]:
+            res = increment_identity_check(x, t, u, q, a, sets, quad=quad)
+            yield {"x": x, "U": u, "T": t}, (), f"x={x:g} U={u:g} T={t:g}", res.rel_residual
+
+
+def _orthogonality_rows(q, a, grid, cfg, quad):
+    table = table_for(max(grid["x"]))
+    for x in grid["x"]:
+        combined = (
+            sum(chi(a).conjugate() * psi_character(x, chi, table)
+                for chi in enumerate_characters(q))
+            / euler_phi(q)
+        )
+        residual = abs(combined - psi_progression(x, q, a, table))
+        yield {"x": x}, (), f"x={x:g}", residual
+
+
+def _reconstruction_rows(q, a, grid, cfg, quad):
+    zs = grid["Z"]
+    table = table_for(max(grid["x"]))
+    sets = zeros_for_modulus(q, max(zs), cfg.mesh_step, cfg.tolerance,
+                             cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+    for x in grid["x"]:
+        errs = [psi_progression_from_zeros(x, z, q, a, sets, table).abs_error for z in zs]
+        notes = [f"x={x:g} Z={z:g} absError={err:.6f}" for z, err in zip(zs, errs)]
+        fields = {"x": x, "firstZ": zs[0], "lastZ": zs[-1],
+                  "firstErr": errs[0], "lastErr": errs[-1]}
+        text = f"x={x:g} Z={zs[0]:g}->{zs[-1]:g} err={errs[0]:.4f}->{errs[-1]:.4f}"
+        yield fields, notes, text, errs[-1] < errs[0]
+
+
+def _increment_grid(grid: dict) -> dict:
+    pairs = [(u, t) for u in grid["U"] for t in grid["T"] if u < t]
+    if not pairs:
+        raise ValueError("increment needs at least one pair with U < T")
+    return {"x": grid["x"], "UT": pairs}
+
+
+def _reconstruction_grid(grid: dict) -> dict:
+    if len(grid["Z"]) < 2:
+        raise ValueError("reconstruction needs at least two --Z values")
+    return grid
+
+
+# suite -> (default grid per flag, grid -> dry-run params, row generator).  A
+# generator yields (row fields, note lines, verdict text, outcome) for one
+# modulus: the outcome is the residual for suites with a tolerance in
+# _SUITE_TOL, and the pass/fail verdict itself otherwise.
+_SUITES = {
+    "integral": ({"x": (3.0,), "T": (15.0,)}, dict, _integral_rows),
+    "increment": ({"x": (3.0,), "U": (5.0,), "T": (15.0,)}, _increment_grid, _increment_rows),
+    "orthogonality": ({"x": (1000.5,)}, dict, _orthogonality_rows),
+    "reconstruction": ({"x": (1000.5,), "Z": (30.0, 100.0)}, _reconstruction_grid,
+                       _reconstruction_rows),
+}
 
 
 def _cmd_check(args, cfg: RunConfig) -> _Result:
@@ -570,121 +594,28 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     for q in qs:
         _require_unit(a, q)
     quad = QuadSpec(rel_tol=cfg.rel_tol)
+    defaults, make_grid, suite_rows = _SUITES[suite]
+    grid = make_grid({key: _check_grid(args, key, d) for key, d in defaults.items()})
+    params = {"suite": suite, "q": qs, "a": a, **grid}
+    if suite in _SUITE_TOL:
+        params["tol"] = tol
+    if args.dry_run:
+        return _Result([], None, {"dry_run": True, "params": params})
     rows: list = []
     lines: list = []
     failed = False
-
-    if suite == "integral":
-        xs = _check_grid(args, "x", (3.0,))
-        ts = _check_grid(args, "T", (15.0,))
-        params = {"suite": suite, "q": qs, "a": a, "x": xs, "T": ts, "tol": tol}
-        if args.dry_run:
-            return _Result([], None, {"dry_run": True, "params": params})
-        for q in qs:
-            for T in ts:
-                sets = _cached_sets(q, T, cfg)
-                for x in xs:
-                    res = f_q_via_integral(
-                        PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), quad=quad
-                    )
-                    ok = res.rel_residual < tol
-                    failed |= not ok
-                    rows.append(
-                        {"suite": suite, "q": q, "a": a, "x": x, "T": T,
-                         "residual": res.rel_residual, "tol": tol, "passed": ok}
-                    )
-                    lines.append(
-                        f"integral q={q} a={a} x={x:g} T={T:g} "
-                        f"residual={res.rel_residual:.3e} tol={tol:.1e} "
-                        f"{'PASS' if ok else 'FAIL'}"
-                    )
-    elif suite == "increment":
-        xs = _check_grid(args, "x", (3.0,))
-        us = _check_grid(args, "U", (5.0,))
-        ts = _check_grid(args, "T", (15.0,))
-        pairs = [(u, t) for u in us for t in ts if u < t]
-        if not pairs:
-            raise ValueError("increment needs at least one pair with U < T")
-        params = {"suite": suite, "q": qs, "a": a, "x": xs, "UT": pairs, "tol": tol}
-        if args.dry_run:
-            return _Result([], None, {"dry_run": True, "params": params})
-        for q in qs:
-            for u, t in pairs:
-                sets = _cached_sets(q, t, cfg)
-                for x in xs:
-                    res = increment_identity_check(x, t, u, q, a, sets, quad=quad)
-                    ok = res.rel_residual < tol
-                    failed |= not ok
-                    rows.append(
-                        {"suite": suite, "q": q, "a": a, "x": x, "U": u, "T": t,
-                         "residual": res.rel_residual, "tol": tol, "passed": ok}
-                    )
-                    lines.append(
-                        f"increment q={q} a={a} x={x:g} U={u:g} T={t:g} "
-                        f"residual={res.rel_residual:.3e} tol={tol:.1e} "
-                        f"{'PASS' if ok else 'FAIL'}"
-                    )
-    elif suite == "orthogonality":
-        xs = _check_grid(args, "x", (1000.5,))
-        params = {"suite": suite, "q": qs, "a": a, "x": xs, "tol": tol}
-        if args.dry_run:
-            return _Result([], None, {"dry_run": True, "params": params})
-        table = shared_table(_table_limit(max(xs)))
-        for q in qs:
-            phi = euler_phi(q)
-            for x in xs:
-                combined = (
-                    sum(
-                        chi(a).conjugate() * psi_character(x, chi, table)
-                        for chi in enumerate_characters(q)
-                    )
-                    / phi
-                )
-                direct = psi_progression(x, q, a, table)
-                residual = abs(combined - direct)
-                ok = residual < tol
-                failed |= not ok
-                rows.append(
-                    {"suite": suite, "q": q, "a": a, "x": x,
-                     "residual": residual, "tol": tol, "passed": ok}
-                )
-                lines.append(
-                    f"orthogonality q={q} a={a} x={x:g} residual={residual:.3e} "
-                    f"tol={tol:.1e} {'PASS' if ok else 'FAIL'}"
-                )
-    elif suite == "reconstruction":
-        xs = _check_grid(args, "x", (1000.5,))
-        zs = _check_grid(args, "Z", (30.0, 100.0))
-        if len(zs) < 2:
-            raise ValueError("reconstruction needs at least two --Z values")
-        params = {"suite": suite, "q": qs, "a": a, "x": xs, "Z": zs}
-        if args.dry_run:
-            return _Result([], None, {"dry_run": True, "params": params})
-        table = shared_table(_table_limit(max(xs)))
-        for q in qs:
-            sets = _cached_sets(q, max(zs), cfg)
-            for x in xs:
-                errs = [
-                    psi_progression_from_zeros(x, z, q, a, sets, table).abs_error
-                    for z in zs
-                ]
-                for z, err in zip(zs, errs):
-                    lines.append(f"reconstruction q={q} a={a} x={x:g} Z={z:g} absError={err:.6f}")
-                ok = errs[-1] < errs[0]
-                failed |= not ok
-                rows.append(
-                    {"suite": suite, "q": q, "a": a, "x": x,
-                     "firstZ": zs[0], "lastZ": zs[-1],
-                     "firstErr": errs[0], "lastErr": errs[-1], "passed": ok}
-                )
-                lines.append(
-                    f"reconstruction q={q} a={a} x={x:g} "
-                    f"Z={zs[0]:g}->{zs[-1]:g} err={errs[0]:.4f}->{errs[-1]:.4f} "
-                    f"{'PASS' if ok else 'FAIL'}"
-                )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown suite {suite!r}")
-
+    for q in qs:
+        head = f"{suite} q={q} a={a}"
+        for fields, notes, text, outcome in suite_rows(q, a, grid, cfg, quad):
+            ok = outcome
+            if suite in _SUITE_TOL:
+                ok = outcome < tol
+                fields = {**fields, "residual": outcome, "tol": tol}
+                text += f" residual={outcome:.3e} tol={tol:.1e}"
+            failed |= not ok
+            rows.append({"suite": suite, "q": q, "a": a, **fields, "passed": ok})
+            lines.extend(f"{head} {note}" for note in notes)
+            lines.append(f"{head} {text} {'PASS' if ok else 'FAIL'}")
     header = list(rows[0].keys()) if rows else None
     summary = {"params": params, "passed": not failed}
     return _Result(rows, header, summary, 3 if failed else 0, lines)
@@ -703,7 +634,8 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
         files.append(name)
 
     # single-modulus ratio ladder, positive window
-    sets1 = _cached_sets(1, 100.0, cfg)
+    sets1 = zeros_for_modulus(1, 100.0, cfg.mesh_step, cfg.tolerance,
+                              cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
     zset = sets1[_ZETA]
     zrows = []
     for x in _REPORT_ZETA_XS:
@@ -718,7 +650,8 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
     trows = []
     for q in _REPORT_THM_QS:
         for T in _REPORT_THM_TS:
-            sets = _cached_sets(q, T, cfg)
+            sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
+                                     cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
             for x in _REPORT_THM_XS:
                 res = f_q(PairCorrInput(q=q, a=1, x=x, T=T, zero_sets=sets))
                 row = _paircorr_row(res)
@@ -756,7 +689,7 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
          "diagonalBin"],
     )
 
-    table = shared_table(_table_limit(max(max(_REPORT_X_LADDER), float(2**20))))
+    table = table_for(max(max(_REPORT_X_LADDER), float(2**20)))
     write(
         "montgomery.csv",
         _montgomery_rows(_REPORT_X_LADDER, _REPORT_MONT_QS, None, table),

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from zeropair.characters import euler_phi
-from zeropair.sieve import LambdaTable, psi_progression, shared_table
+from zeropair.characters import euler_phi, units
+from zeropair.sieve import LambdaTable, psi_progression, table_for
 
 __all__ = [
     "MontgomeryRow",
@@ -99,27 +99,13 @@ class DyadicProfile:
         return math.fsum(self.block_errors) + self.tail_error
 
 
-def _table_for(x: float, table: LambdaTable | None) -> LambdaTable:
-    if table is None:
-        return shared_table(max(100_000, math.ceil(x)))
-    if table.limit < x:
-        raise ValueError(f"table covers only {table.limit}, need {x:g}")
-    return table
-
-
-def _units(q: int) -> list[int]:
-    if q == 1:
-        return [1]
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
-
-
 def _class_errors(x: float, q: int, table: LambdaTable) -> dict[int, float]:
     """psi(x; q, a) - x/phi(q) for every unit a, in one table pass."""
     cut = table.cut(x)
     residues = table.n[:cut] % q
     logs = table.logp[:cut]
     main = x / euler_phi(q)
-    return {a: math.fsum(logs[residues == a % q]) - main for a in _units(q)}
+    return {a: math.fsum(logs[residues == a % q]) - main for a in units(q)}
 
 
 def _implied_epsilon(normalized: float, x: float) -> float:
@@ -145,7 +131,7 @@ def montgomery_table(
         raise ValueError("x values must exceed 1")
     if not qs or qs[0] < 1:
         raise ValueError("moduli must be positive")
-    table = _table_for(xs[-1], table)
+    table = table_for(xs[-1], table)
     rows = []
     for x in xs:
         grh_env = math.sqrt(x) * math.log(x) ** 2
@@ -156,7 +142,7 @@ def montgomery_table(
                     raise ValueError(f"a={a} must be coprime to q={q}")
                 classes = [1] if q == 1 else [a % q]
             else:
-                classes = _units(q)
+                classes = units(q)
             normalizer = math.sqrt(x / q)
             for cls in classes:
                 err = errors[cls]
@@ -186,7 +172,7 @@ def eh_sum(x: float, Q: int, table: LambdaTable | None = None) -> float:
         raise ValueError("Q must be positive")
     if not Q < x:
         raise ValueError(f"need Q < x, got Q={Q}, x={x:g}")
-    table = _table_for(x, table)
+    table = table_for(x, table)
     terms = []
     for q in range(1, Q + 1):
         errors = _class_errors(x, q, table)
@@ -213,7 +199,7 @@ def weak_form_table(
     qs = sorted(set(int(q) for q in q_list))
     if not qs or qs[0] < 1:
         raise ValueError("moduli must be positive")
-    table = _table_for(x, table)
+    table = table_for(x, table)
     rows = []
     for q in qs:
         errors = _class_errors(x, q, table)
@@ -222,7 +208,7 @@ def weak_form_table(
                 raise ValueError(f"a={a} must be coprime to q={q}")
             classes = [1] if q == 1 else [a % q]
         else:
-            classes = _units(q)
+            classes = units(q)
         normalizer = math.sqrt(x * euler_phi(q) ** alpha / q)
         for cls in classes:
             err = errors[cls]
@@ -265,7 +251,7 @@ def dyadic_profile(
         raise ValueError("x must exceed 1")
     if q > x ** (1.0 - eps):
         raise ValueError(f"need q <= x^(1-eps) = {x ** (1.0 - eps):g}, got q={q}")
-    table = _table_for(x, table)
+    table = table_for(x, table)
     phi = euler_phi(q)
     # largest J with (x/2^J)^(1-eps) >= q; the guard absorbs roundoff on
     # exact-power boundaries

@@ -30,19 +30,19 @@ import numpy as np
 from zeropair.characters import (
     CharacterLabel,
     DirichletCharacter,
+    _prime_factors,
     conductor_and_inducer,
     enumerate_characters,
     euler_phi,
 )
-from zeropair.paircorr import CertificationError
 from zeropair.sieve import (
     LambdaTable,
     psi,
     psi_character,
     psi_progression,
-    shared_table,
+    table_for,
 )
-from zeropair.zeros import ZeroSet
+from zeropair.zeros import ZeroSet, require_certified
 
 __all__ = [
     "ExplicitFormulaRun",
@@ -86,31 +86,14 @@ class ExplicitFormulaRun:
         return self.abs_error / self.error_budget
 
 
-def _require_certified(zs: ZeroSet, z: float) -> None:
-    if not zs.certified:
-        raise CertificationError(f"zero set {zs.label} is not certified")
-    if zs.height + 1e-12 < z:
-        raise CertificationError(
-            f"zero set {zs.label} reaches only height {zs.height:g}, need {z:g}"
-        )
-
-
 def _check_range(x: float, z: float) -> None:
     if not 2.0 <= z <= x:
         raise ValueError(f"need 2 <= Z <= x, got Z={z:g}, x={x:g}")
 
 
-def _default_table(x: float, table: LambdaTable | None) -> LambdaTable:
-    if table is None:
-        return shared_table(max(100_000, math.ceil(x)))
-    if table.limit < x:
-        raise ValueError(f"table covers only {table.limit}, need {x:g}")
-    return table
-
-
 def zero_sum(x: float, zs: ZeroSet, z: float) -> complex:
     """Sum of x^(1/2+ig)/(1/2+ig) over recorded ordinates with |g| <= z."""
-    _require_certified(zs, z)
+    require_certified(zs, z)
     o = zs.ordinates
     o = o[np.abs(o) <= z]
     if o.size == 0:
@@ -125,7 +108,7 @@ def _paired_zeta_sum(x: float, zs: ZeroSet, z: float) -> tuple[float, int]:
     Pairing g with -g exactly keeps the result real regardless of the
     last-digit noise between the two independently refined halves.
     """
-    _require_certified(zs, z)
+    require_certified(zs, z)
     o = zs.ordinates
     pos = o[(o > 0.0) & (o <= z)]
     count = int(np.count_nonzero(np.abs(o) <= z))
@@ -139,22 +122,11 @@ def _paired_zeta_sum(x: float, zs: ZeroSet, z: float) -> tuple[float, int]:
 def ramified_mass(x: float, q: int) -> float:
     """Sum of log p over prime powers <= x whose prime divides q."""
     total = 0.0
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            pk = p
-            while pk <= x:
-                total += math.log(p)
-                pk *= p
-        p += 1
-    if m > 1:
-        pk = m
+    for p in _prime_factors(q):
+        pk = p
         while pk <= x:
-            total += math.log(m)
-            pk *= m
+            total += math.log(p)
+            pk *= p
     return total
 
 
@@ -168,7 +140,7 @@ def psi_from_zeros(
     _check_range(x, z)
     if zeta_set.label != _ZETA_LABEL:
         raise ValueError(f"expected the zeta zero set, got {zeta_set.label}")
-    table = _default_table(x, table)
+    table = table_for(x, table)
     total, count = _paired_zeta_sum(x, zeta_set, z)
     budget = x * math.log(x * z) ** 2 / z
     return ExplicitFormulaRun(
@@ -208,7 +180,7 @@ def psi_chi_from_zeros(
             f"zero set {zero_set.label} matches neither {chi.label} "
             f"nor its inducer {inducer.label}"
         )
-    table = _default_table(x, table)
+    table = table_for(x, table)
     q = chi.modulus
     o = zero_set.ordinates
     count = int(np.count_nonzero(np.abs(o) <= z))
@@ -254,7 +226,7 @@ def psi_progression_from_zeros(
         if lab not in zero_sets:
             raise KeyError(f"no zero set supplied for {lab}")
         return psi_from_zeros(x, z, zero_sets[lab], table)
-    table = _default_table(x, table)
+    table = table_for(x, table)
     phi = euler_phi(q)
     total = 0j
     count = 0

@@ -58,6 +58,7 @@ from zeropair.characters import (
     character,
     conductor_and_inducer,
     gauss_sum,
+    units,
 )
 
 
@@ -242,7 +243,7 @@ def _euler_factors(chi_star: DirichletCharacter, q: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _unit_shifts(q: int) -> np.ndarray:
     """Shifts a/q over the units a in [1, q], the support of every character mod q."""
-    shifts = np.array([a / q for a in range(1, q + 1) if math.gcd(a, q) == 1])
+    shifts = np.array([a / q for a in units(q)])
     shifts.flags.writeable = False
     return shifts
 
@@ -252,8 +253,7 @@ def _residues(label) -> tuple[np.ndarray, np.ndarray]:
     """Shifts a/q and values chi(a) over the a in [1, q] with chi(a) != 0."""
     chi = character(label.modulus, label.index)
     q = chi.modulus
-    values = np.array([chi(a) for a in range(1, q + 1) if math.gcd(a, q) == 1],
-                      dtype=np.complex128)
+    values = np.array([chi(a) for a in units(q)], dtype=np.complex128)
     values.flags.writeable = False
     return _unit_shifts(q), values
 

@@ -40,7 +40,7 @@ from zeropair.characters import (
     euler_phi,
 )
 from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, shared_table
-from zeropair.zeros import ZeroSet
+from zeropair.zeros import CertificationError, ZeroSet, require_certified
 
 __all__ = [
     "CertificationError",
@@ -78,10 +78,6 @@ _WINDOWS = ("both", "positive")
 _TAIL_CONSTANT = 3.12
 
 
-class CertificationError(ValueError):
-    """An operation required certified zero sets and did not get them."""
-
-
 class QuadratureError(RuntimeError):
     """Numerical integration could not meet its error budget."""
 
@@ -100,15 +96,6 @@ def gue_density(u):
 def _check_window(window: str) -> None:
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
-
-
-def _require_certified(zs: ZeroSet, T: float) -> None:
-    if not zs.certified:
-        raise CertificationError(f"zero set {zs.label} is not certified")
-    if zs.height + 1e-12 < T:
-        raise CertificationError(
-            f"zero set {zs.label} reaches only T={zs.height:g}, need T={T:g}"
-        )
 
 
 def _window_ordinates(
@@ -181,7 +168,7 @@ class PairCorrInput:
         if self.T <= 0:
             raise ValueError("T must be positive")
         for chi in enumerate_characters(self.q):
-            _require_certified(_set_for(self.zero_sets, chi.label), self.T)
+            require_certified(_set_for(self.zero_sets, chi.label), self.T)
 
 
 @dataclass(frozen=True)
@@ -235,8 +222,8 @@ def g_pair(
     _check_window(window)
     zs1 = _set_for(zero_sets, chi1.label)
     zs2 = _set_for(zero_sets, chi2.label)
-    _require_certified(zs1, T)
-    _require_certified(zs2, T)
+    require_certified(zs1, T)
+    require_certified(zs2, T)
     o1 = _window_ordinates(zs1, T, window)
     o2 = _window_ordinates(zs2, T, window)
     return GPairResult(_ordered_pair_sum(o1, o2, x), o1.size * o2.size)
@@ -257,7 +244,7 @@ def _f_q_value(
     ords = []
     for chi, _ in pairs:
         zs = _set_for(zero_sets, chi.label)
-        _require_certified(zs, T)
+        require_certified(zs, T)
         ords.append(_window_ordinates(zs, T, window, above))
     total = complex(0.0)
     terms = 0
@@ -332,7 +319,7 @@ def _flatten(
     ws, gs = [], []
     for chi, w in _character_weights(q, a):
         zs = _set_for(zero_sets, chi.label)
-        _require_certified(zs, T)
+        require_certified(zs, T)
         o = _window_ordinates(zs, T, window, above)
         ws.append(np.full(o.size, w, dtype=np.complex128))
         gs.append(o)
@@ -792,7 +779,7 @@ def spacing_histogram(
         raise ValueError("need at least one bin")
     if T <= 1:
         raise ValueError("T must exceed 1 for the log T scaling")
-    _require_certified(zs, T)
+    require_certified(zs, T)
     o = _window_ordinates(zs, T, "positive")
     scale = math.log(T) / (2.0 * math.pi)
     gaps = np.subtract.outer(o, o).ravel() * scale

@@ -104,6 +104,15 @@ def shared_table(limit: int) -> LambdaTable:
     return LambdaTable.build(limit)
 
 
+def table_for(x: float, table: LambdaTable | None = None) -> LambdaTable:
+    """A table reaching x: the shared one of limit max(100000, ceil(x)) by default."""
+    if table is None:
+        return shared_table(max(100_000, math.ceil(x)))
+    if table.limit < x:
+        raise ValueError(f"table covers only {table.limit}, need {x:g}")
+    return table
+
+
 def psi(x: float, table: LambdaTable) -> float:
     """sum of log p over prime powers <= x."""
     return math.fsum(table.logp[: table.cut(x)])

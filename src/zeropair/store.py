@@ -22,8 +22,8 @@ Writes are atomic (temp file + rename) and refuse to replace a certified
 set with an uncertified one unless forced.  Loads re-validate the payload
 (ascending, inside the window, count consistent) and raise distinct error
 types for bad magic, unknown version, checksum mismatch and invariant
-violations.  Loaded records carry point brackets; the uncertainty of a
-stored ordinate is the set-level tolerance.
+violations.  Loaded sets carry point brackets and NaN residuals; the
+uncertainty of a stored ordinate is the set-level tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from zeropair.characters import CharacterLabel, DirichletCharacter
-from zeropair.zeros import ZeroRecord, ZeroSet, scan_zeros
+from zeropair.zeros import ZeroSet, scan_zeros
 
 MAGIC = b"ZPZC"
 VERSION = 1
@@ -165,9 +165,6 @@ def read_zero_set(path: Path | str) -> ZeroSet:
         raise CacheInvariantError(f"{path}: invalid label: {exc}") from exc
 
     branch = branch_raw.rstrip(b"\x00").decode("ascii")
-    records = tuple(
-        ZeroRecord(float(t), (float(t), float(t)), math.nan) for t in ordinates
-    )
     return ZeroSet(
         label=label,
         conductor=conductor,
@@ -176,7 +173,10 @@ def read_zero_set(path: Path | str) -> ZeroSet:
         mesh_step=mesh_step,
         tolerance=tolerance,
         branch=branch,
-        records=records,
+        ordinates=ordinates,
+        lo=ordinates,
+        hi=ordinates,
+        residual=np.full(count, math.nan),
         expected_count=expected,
         certified=bool(certified),
     )

@@ -34,6 +34,7 @@ testable property of the output.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,16 +72,20 @@ def count_expected(chi: DirichletCharacter, T: float) -> float:
     return max(0.0, val)
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    ordinate: float
-    bracket: tuple[float, float]
-    residual: float
+class CertificationError(ValueError):
+    """An operation required certified zero sets and did not get them."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """Zeros of one primitive character in [-height, height], with certificate."""
+    """Zeros of one primitive character in [-height, height], with certificate.
+
+    ordinates, lo, hi and residual are parallel float64 arrays in ascending
+    ordinate order: each ordinate sits in its bracket [lo, hi], and residual
+    is |Z| there (NaN for a set read from the cache, which stores ordinates
+    only).  The arrays are read-only because induced characters share one
+    set by reference.
+    """
 
     label: CharacterLabel
     conductor: int
@@ -89,28 +94,45 @@ class ZeroSet:
     mesh_step: float
     tolerance: float
     branch: str
-    records: tuple[ZeroRecord, ...]
+    ordinates: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    residual: np.ndarray
     expected_count: float
     certified: bool
 
-    @property
-    def count(self) -> int:
-        return len(self.records)
+    def __post_init__(self):
+        for name in ("ordinates", "lo", "hi", "residual"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
-    def ordinates(self) -> np.ndarray:
-        return np.array([r.ordinate for r in self.records], dtype=np.float64)
+    def count(self) -> int:
+        return int(self.ordinates.size)
 
     def truncated(self, T: float) -> "ZeroSet":
         """The sub-window |ordinate| <= T, re-certified at the new height."""
         if T > self.height + 1e-12:
             raise ValueError(f"cannot truncate to {T}: set only reaches {self.height}")
-        kept = tuple(r for r in self.records if abs(r.ordinate) <= T)
+        keep = np.abs(self.ordinates) <= T
         chi = _character_of(self.label)
         expected = count_expected(chi, T)
-        certified = self.certified and _counts_agree(len(kept), expected)
+        certified = self.certified and _counts_agree(int(np.count_nonzero(keep)), expected)
         return replace(
-            self, height=T, records=kept, expected_count=expected, certified=certified
+            self, height=T, ordinates=self.ordinates[keep], lo=self.lo[keep],
+            hi=self.hi[keep], residual=self.residual[keep], expected_count=expected,
+            certified=certified,
+        )
+
+
+def require_certified(zs: ZeroSet, T: float) -> None:
+    """Raise CertificationError unless zs is certified and reaches height T."""
+    if not zs.certified:
+        raise CertificationError(f"zero set {zs.label} is not certified")
+    if zs.height + 1e-12 < T:
+        raise CertificationError(
+            f"zero set {zs.label} reaches only height {zs.height:g}, need {T:g}"
         )
 
 
@@ -258,25 +280,18 @@ def scan_zeros(
         chi, lo, hi, zlo, zhi, prec, tolerance
     )
 
-    records = [
-        ZeroRecord(float(o), (float(a), float(b)), float(r))
-        for o, a, b, r in zip(ords, blo, bhi, resid)
-    ]
-    for i in exact_nodes:
-        t0 = float(ts[i])
-        records.append(ZeroRecord(t0, (t0, t0), 0.0))
-    records.sort(key=lambda r: r.ordinate)
+    exact = ts[exact_nodes]
+    ordinates = np.concatenate([ords, exact])
+    order = np.argsort(ordinates, kind="stable")
+    residual = np.concatenate([resid, np.zeros(exact.size)])[order]
+    ordinates = ordinates[order]
 
     expected = count_expected(chi, T)
-    separated = all(
-        records[i + 1].ordinate - records[i].ordinate > tolerance
-        for i in range(len(records) - 1)
-    )
     certified = (
-        _counts_agree(len(records), expected)
-        and separated
+        _counts_agree(ordinates.size, expected)
+        and bool(np.all(np.diff(ordinates) > tolerance))
         and _brackets_certified(ords, blo, bhi, zblo, zbhi, tolerance)
-        and all(r.residual <= residual_tol for r in records)
+        and bool(np.all(residual <= residual_tol))
     )
     return ZeroSet(
         label=chi.label,
@@ -286,7 +301,10 @@ def scan_zeros(
         mesh_step=float(mesh_step),
         tolerance=float(tolerance),
         branch=ROTATION_BRANCH,
-        records=tuple(records),
+        ordinates=ordinates,
+        lo=np.concatenate([blo, exact])[order],
+        hi=np.concatenate([bhi, exact])[order],
+        residual=residual,
         expected_count=expected,
         certified=certified,
     )
@@ -297,8 +315,8 @@ def refine_zero(
     bracket: tuple[float, float],
     tolerance: float = DEFAULT_TOLERANCE,
     prec: EvalPrecision | None = None,
-) -> ZeroRecord:
-    """Narrow one sign-change bracket.
+) -> tuple[float, float, float, float]:
+    """Narrow one sign-change bracket to (ordinate, lo, hi, residual).
 
     Raises ValueError if the bracket does not flip sign, and PrecisionError
     if refinement stops at REFINE_STEP_CAP before the bracket is certified.
@@ -310,9 +328,9 @@ def refine_zero(
         prec = EvalPrecision.for_height(max(abs(a), abs(b)))
     za, zb = hardy_z_batch(chi, np.array([a, b]), prec)
     if za == 0.0:
-        return ZeroRecord(a, (a, a), 0.0)
+        return a, a, a, 0.0
     if zb == 0.0:
-        return ZeroRecord(b, (b, b), 0.0)
+        return b, b, b, 0.0
     if math.copysign(1.0, za) == math.copysign(1.0, zb):
         raise ValueError(f"no sign change over {bracket} for {chi.label}")
     ords, resid, lo, hi, zlo, zhi = _refine_brackets(
@@ -323,7 +341,7 @@ def refine_zero(
             f"refinement of {bracket} for {chi.label} stopped at {REFINE_STEP_CAP} steps "
             f"with a bracket {hi[0] - lo[0]:.3e} wide (tolerance {tolerance:.1e})"
         )
-    return ZeroRecord(float(ords[0]), (float(lo[0]), float(hi[0])), float(resid[0]))
+    return float(ords[0]), float(lo[0]), float(hi[0]), float(resid[0])
 
 
 def zeros_for_modulus(
@@ -332,24 +350,36 @@ def zeros_for_modulus(
     mesh_step: float | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     cache=None,
+    force: bool = False,
+    threads: int = 1,
 ) -> dict[CharacterLabel, ZeroSet]:
     """Zero sets for every character mod q, scanned through the inducers.
 
     Imprimitive characters share their inducer's set by reference (the
     stripped Euler factors are zero-free on the critical line); principal
-    characters map to the q = 1 set.  With a cache, scans go through
-    cache.load_or_scan.
+    characters map to the q = 1 set.  Each distinct inducer is scanned once,
+    in ascending label order, so the inducers of one modulus follow each
+    other and reuse its mesh columns.  With a cache, scans go through
+    cache.load_or_scan (force rescans past it); with threads > 1 they run on
+    a thread pool and are reassembled in the same order.
     """
-    out: dict[CharacterLabel, ZeroSet] = {}
-    by_inducer: dict[CharacterLabel, ZeroSet] = {}
-    for chi in enumerate_characters(q):
-        _, psi = conductor_and_inducer(chi)
-        zs = by_inducer.get(psi.label)
-        if zs is None:
-            if cache is not None:
-                zs = cache.load_or_scan(psi, T, mesh_step=mesh_step, tolerance=tolerance)
-            else:
-                zs = scan_zeros(psi, T, mesh_step=mesh_step, tolerance=tolerance)
-            by_inducer[psi.label] = zs
-        out[chi.label] = zs
-    return out
+    inducer_of = {chi.label: conductor_and_inducer(chi)[1] for chi in enumerate_characters(q)}
+    inducers = sorted(
+        {psi.label: psi for psi in inducer_of.values()}.values(),
+        key=lambda psi: (psi.modulus, psi.index),
+    )
+
+    def scan(psi: DirichletCharacter) -> ZeroSet:
+        if cache is None:
+            return scan_zeros(psi, T, mesh_step=mesh_step, tolerance=tolerance)
+        return cache.load_or_scan(
+            psi, T, mesh_step=mesh_step, tolerance=tolerance, force=force
+        )
+
+    if threads > 1 and len(inducers) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            scanned = list(pool.map(scan, inducers))
+    else:
+        scanned = [scan(psi) for psi in inducers]
+    by_label = {psi.label: zs for psi, zs in zip(inducers, scanned)}
+    return {label: by_label[psi.label] for label, psi in inducer_of.items()}

@@ -14,6 +14,7 @@ from zeropair.characters import (
     enumerate_characters,
     gauss_sum,
     orthogonality_matrix,
+    units,
 )
 
 
@@ -45,6 +46,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("q", list(range(1, 201)))
     def test_count_is_euler_phi(self, q):
         assert len(enumerate_characters(q)) == euler_phi(q)
+
+    def test_units_are_the_support(self):
+        assert units(1) == [1]
+        for q in range(2, 61):
+            assert units(q) == [a for a in range(1, q + 1) if character(q, 1)(a) != 0]
+            assert len(units(q)) == euler_phi(q)
 
     def test_principal_first(self):
         for q in (1, 2, 8, 30):

@@ -68,6 +68,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(p)
 
+    def test_deterministic_key_is_unknown(self, capsys, tmp_path, cache_dir):
+        # the attestation key had no effect and is gone; the manifest keeps
+        # recording "deterministic": true as a constant
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("deterministic = true\n")
+        code = main(["psi", "--x", "10", "--config", str(cfgfile),
+                     "--cache-dir", str(cache_dir)])
+        assert code == 2
+        assert "unknown key 'deterministic'" in capsys.readouterr().err
+        assert main(["psi", "--x", "10", "--cache-dir", str(cache_dir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["deterministic"] is True
+
     def test_bad_line_rejected(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("threads\n")

@@ -46,9 +46,9 @@ def table():
 
 def brute_zero_sum(zs, x, z):
     total = 0j
-    for r in zs.records:
-        if abs(r.ordinate) <= z:
-            rho = 0.5 + 1j * r.ordinate
+    for t in zs.ordinates:
+        if abs(t) <= z:
+            rho = 0.5 + 1j * float(t)
             total += cmath.exp(rho * math.log(x)) / rho
     return total
 

@@ -56,11 +56,11 @@ def sets5():
 
 def window_ordinates(zs, T, window="both"):
     out = []
-    for r in zs.records:
-        if window == "both" and abs(r.ordinate) <= T:
-            out.append(r.ordinate)
-        if window == "positive" and 0 < r.ordinate <= T:
-            out.append(r.ordinate)
+    for t in map(float, zs.ordinates):
+        if window == "both" and abs(t) <= T:
+            out.append(t)
+        if window == "positive" and 0 < t <= T:
+            out.append(t)
     return out
 
 

@@ -16,6 +16,8 @@ from zeropair.sieve import (
     psi_character,
     psi_progression,
     s_of_x,
+    shared_table,
+    table_for,
 )
 
 
@@ -67,6 +69,14 @@ class TestTable:
     def test_cut_beyond_limit_rejected(self, table_1e5):
         with pytest.raises(ValueError):
             table_1e5.cut(10**5 + 1)
+
+    def test_table_for_sizes_and_checks(self):
+        assert table_for(3.5) is shared_table(100_000)
+        assert table_for(150_000.5).limit == 150_001
+        small = LambdaTable.build(100)
+        assert table_for(100.0, small) is small
+        with pytest.raises(ValueError, match="table covers only 100"):
+            table_for(100.5, small)
 
     def test_windowed_equals_direct(self):
         direct = primes_up_to(5000)

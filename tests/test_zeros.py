@@ -1,20 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zeropair import lfunc, zeros
-from zeropair.characters import character, enumerate_characters
+from zeropair.characters import character, conductor_and_inducer, enumerate_characters
 from zeropair.cli import main
 from zeropair.lfunc import EvalPrecision, PrecisionError, hardy_z_batch
+from zeropair.paircorr import CertificationError as PairCorrCertificationError
 from zeropair.zeros import (
-    ZeroRecord,
+    CertificationError,
     ZeroSet,
     _brackets_certified,
     _refine_brackets,
     count_expected,
     default_mesh_step,
     refine_zero,
+    require_certified,
     scan_zeros,
     zeros_for_modulus,
 )
@@ -50,8 +53,8 @@ class TestScan:
     def test_zeta_to_30(self):
         zs = scan_zeros(character(1, 1), 30.0)
         assert zs.certified
-        pos = [r.ordinate for r in zs.records if r.ordinate > 0]
-        neg = [r.ordinate for r in zs.records if r.ordinate < 0]
+        pos = [t for t in zs.ordinates if t > 0]
+        neg = [t for t in zs.ordinates if t < 0]
         assert len(pos) == len(neg) == 3
         for got, want in zip(pos, ZETA_ORDINATES):
             assert abs(got - want) <= 1e-8
@@ -61,13 +64,13 @@ class TestScan:
     def test_mod4_to_15(self):
         zs = scan_zeros(character(4, 3), 15.0)
         assert zs.certified and zs.count == 6
-        pos = [r.ordinate for r in zs.records if r.ordinate > 0]
+        pos = [t for t in zs.ordinates if t > 0]
         for got, want in zip(pos, CHI4_ORDINATES):
             assert abs(got - want) <= 1e-8
 
     def test_mod3_first_ordinate(self):
         zs = scan_zeros(character(3, 2), 12.0)
-        pos = [r.ordinate for r in zs.records if r.ordinate > 0]
+        pos = [t for t in zs.ordinates if t > 0]
         assert abs(pos[0] - CHI3_ORDINATES[0]) <= 1e-8
         assert abs(pos[1] - CHI3_ORDINATES[1]) <= 1e-8
 
@@ -78,9 +81,9 @@ class TestScan:
     def test_residuals_below_tolerance(self):
         zs = scan_zeros(character(5, 2), 25.0)
         assert zs.certified
-        assert all(r.residual <= 1e-6 for r in zs.records)
-        assert all(r.bracket[0] <= r.ordinate <= r.bracket[1] for r in zs.records)
-        assert all(r.bracket[1] - r.bracket[0] <= zs.tolerance for r in zs.records)
+        assert np.all(zs.residual <= 1e-6)
+        assert np.all((zs.lo <= zs.ordinates) & (zs.ordinates <= zs.hi))
+        assert np.all(zs.hi - zs.lo <= zs.tolerance)
 
     def test_ordinates_sorted_and_separated(self):
         zs = scan_zeros(character(7, 3), 40.0)
@@ -142,15 +145,15 @@ class TestMeshSharing:
 
 class TestRefine:
     def test_refines_known_zero(self):
-        r = refine_zero(character(1, 1), (14.0, 14.3))
-        assert abs(r.ordinate - ZETA_ORDINATES[0]) <= 1e-9
-        assert r.residual <= 1e-8
-        assert r.bracket[1] - r.bracket[0] <= 1e-10
+        ordinate, lo, hi, residual = refine_zero(character(1, 1), (14.0, 14.3))
+        assert abs(ordinate - ZETA_ORDINATES[0]) <= 1e-9
+        assert residual <= 1e-8
+        assert hi - lo <= 1e-10
 
     def test_tightens_to_requested_width(self):
-        r = refine_zero(character(4, 3), (5.9, 6.1), tolerance=1e-8)
-        assert r.bracket[1] - r.bracket[0] <= 1e-8
-        assert abs(r.ordinate - CHI4_ORDINATES[0]) <= 1e-7
+        ordinate, lo, hi, _ = refine_zero(character(4, 3), (5.9, 6.1), tolerance=1e-8)
+        assert hi - lo <= 1e-8
+        assert abs(ordinate - CHI4_ORDINATES[0]) <= 1e-7
 
     def test_step_cap_reached_raises(self, monkeypatch):
         monkeypatch.setattr(zeros, "REFINE_STEP_CAP", 3)
@@ -169,8 +172,7 @@ class TestRefinementCertificate:
         chi = character(5, 2)
         zs = scan_zeros(chi, 30.0)
         assert zs.certified and zs.count > 0
-        lo = np.array([r.bracket[0] for r in zs.records])
-        hi = np.array([r.bracket[1] for r in zs.records])
+        lo, hi = zs.lo, zs.hi
         assert np.all(lo < hi)
         assert np.all(hi - lo <= zs.tolerance)
         assert np.all((lo <= zs.ordinates) & (zs.ordinates <= hi))
@@ -245,6 +247,30 @@ class TestRefinementCertificate:
         assert steps[0] - 1 <= 2 * math.ceil(math.log2(0.05 / tol))
 
 
+class TestZeroSetArrays:
+    def test_arrays_are_read_only(self):
+        zs = scan_zeros(character(4, 3), 15.0)
+        for name in ("ordinates", "lo", "hi", "residual"):
+            arr = getattr(zs, name)
+            assert arr.dtype == np.float64 and arr.shape == (zs.count,)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the constructor copies, so a caller's array stays writable and apart
+        raw = zs.ordinates.copy()
+        other = ZeroSet(**{**vars(zs), "ordinates": raw})
+        raw[0] = 0.0
+        assert other.ordinates[0] == zs.ordinates[0]
+
+    def test_require_certified(self):
+        zs = scan_zeros(character(4, 3), 15.0)
+        require_certified(zs, 15.0)
+        with pytest.raises(CertificationError, match="reaches only height 15, need 16"):
+            require_certified(zs, 16.0)
+        with pytest.raises(CertificationError, match="is not certified"):
+            require_certified(replace(zs, certified=False), 10.0)
+        assert PairCorrCertificationError is CertificationError
+
+
 class TestTruncation:
     def test_truncate_recertifies(self):
         zs = scan_zeros(character(1, 1), 30.0)
@@ -252,7 +278,19 @@ class TestTruncation:
         assert tr.height == 20.0
         assert tr.count == 2  # just +-14.13
         assert tr.certified
-        assert all(abs(r.ordinate) <= 20.0 for r in tr.records)
+        assert np.all(np.abs(tr.ordinates) <= 20.0)
+
+    def test_truncate_keeps_arrays_aligned(self):
+        zs = scan_zeros(character(5, 2), 30.0)
+        tr = zs.truncated(18.0)
+        keep = np.abs(zs.ordinates) <= 18.0
+        assert 0 < tr.count < zs.count
+        for name in ("ordinates", "lo", "hi", "residual"):
+            got = getattr(tr, name)
+            assert got.shape == (tr.count,)
+            assert np.array_equal(got, getattr(zs, name)[keep])
+            assert not got.flags.writeable
+        assert np.all((tr.lo <= tr.ordinates) & (tr.ordinates <= tr.hi))
 
     def test_truncate_beyond_height_rejected(self):
         zs = scan_zeros(character(4, 3), 15.0)
@@ -281,6 +319,53 @@ class TestModulusMap:
         # shared by reference with the primitive scans
         m3 = zeros_for_modulus(3, 15.0)
         assert m[lab5].count == m3[character(3, 2).label].count
+
+    def test_one_scan_per_inducer_in_label_order(self, monkeypatch):
+        scanned = {}
+
+        def counting(chi, T, **kwargs):
+            zs = scan_zeros(chi, T, **kwargs)
+            assert chi.label not in scanned
+            scanned[chi.label] = zs
+            return zs
+
+        monkeypatch.setattr(zeros, "scan_zeros", counting)
+        m = zeros_for_modulus(24, 10.0)
+        chars = enumerate_characters(24)
+        assert list(m) == [chi.label for chi in chars]
+        inducers = {chi.label: conductor_and_inducer(chi)[1].label for chi in chars}
+        assert list(scanned) == sorted(set(inducers.values()),
+                                       key=lambda lab: (lab.modulus, lab.index))
+        # induced characters share their inducer's set by reference
+        for label, inducer in inducers.items():
+            assert m[label] is scanned[inducer]
+
+    def test_cache_path_and_force(self):
+        calls = []
+
+        class FakeCache:
+            def load_or_scan(self, chi, T, mesh_step=None, tolerance=None, force=False):
+                calls.append((chi.label, T, mesh_step, tolerance, force))
+                return scan_zeros(chi, T, mesh_step=mesh_step, tolerance=tolerance)
+
+        m = zeros_for_modulus(12, 10.0, tolerance=1e-9, cache=FakeCache(), force=True)
+        assert len(m) == 4
+        assert [c[0] for c in calls] == sorted({zs.label for zs in m.values()},
+                                               key=lambda lab: (lab.modulus, lab.index))
+        assert all(c[1:] == (10.0, None, 1e-9, True) for c in calls)
+
+    def test_threads_match_serial_bit_for_bit(self):
+        serial = zeros_for_modulus(24, 12.0)
+        pooled = zeros_for_modulus(24, 12.0, threads=2)
+        assert list(serial) == list(pooled)
+        for label, zs in serial.items():
+            other = pooled[label]
+            assert (other.label, other.certified, other.expected_count) == (
+                zs.label, zs.certified, zs.expected_count)
+            for name in ("ordinates", "lo", "hi", "residual"):
+                assert np.array_equal(getattr(zs, name), getattr(other, name))
+        # the pool keeps the sharing: one object per inducer
+        assert len({id(zs) for zs in pooled.values()}) == len({zs.label for zs in pooled.values()})
 
     def test_all_certified_small(self):
         for q in (1, 3, 5, 8):
