@@ -52,6 +52,14 @@ def units(q: int) -> list[int]:
     return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
 
 
+def require_unit(q: int, a: int) -> None:
+    """Raise ValueError unless q >= 1 and a is a unit mod q."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"a={a} must be coprime to q={q}")
+
+
 def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError("q must be a positive integer")

@@ -30,6 +30,7 @@ from zeropair.characters import (
     conductor_and_inducer,
     enumerate_characters,
     euler_phi,
+    require_unit,
 )
 from zeropair.conjectures import (
     dyadic_profile,
@@ -38,7 +39,7 @@ from zeropair.conjectures import (
     weak_form_table,
 )
 from zeropair.explicit import psi_progression_from_zeros
-from zeropair.lfunc import EvalPrecision
+from zeropair.lfunc import EvalPrecision, PrecisionError
 from zeropair.paircorr import (
     CertificationError,
     PairCorrInput,
@@ -176,11 +177,10 @@ def _parse_chi(spec: str) -> CharacterLabel:
     return CharacterLabel(q, index)
 
 
-def _require_unit(a: int, q: int) -> None:
-    if q < 1:
-        raise ValueError("q must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+def _zero_sets(cfg: RunConfig, q: int, T: float, force: bool = False) -> dict:
+    """Zero sets of every character mod q to height T, through the cache."""
+    return zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance, cache=ZeroCache(cfg.cache_dir),
+                             force=force, threads=cfg.threads)
 
 
 def _mont_regime(x: float, q: int) -> str:
@@ -280,10 +280,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
             )
         }
     else:
-        sets = zeros_for_modulus(
-            chars[0].modulus, args.T, cfg.mesh_step, cfg.tolerance,
-            cache=cache, force=args.force, threads=cfg.threads,
-        )
+        sets = _zero_sets(cfg, args.q, args.T, force=args.force)
     rows = []
     all_certified = True
     for chi in chars:
@@ -293,7 +290,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
             {
                 "q": chi.modulus,
                 "index": chi.index,
-                "conductor": conductor_and_inducer(chi)[0],
+                "conductor": chi.conductor,
                 "inducer": str(zs.label),
                 "T": args.T,
                 "count": zs.count,
@@ -331,7 +328,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
         return _Result(rows, header, {"params": params})
     q = args.q if args.q is not None else 1
     a = args.a if args.a is not None else 1
-    _require_unit(a, q)
+    require_unit(q, a)
     header = ["x", "q", "a", "psi"]
     params = {"x": args.x, "q": q, "a": a}
     if args.dry_run:
@@ -343,7 +340,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
 def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
     q = args.q if args.q is not None else 1
     a = args.a if args.a is not None else 1
-    _require_unit(a, q)
+    require_unit(q, a)
     xs = sorted(set(args.x or ()))
     ts = sorted(set(args.T or ()))
     if not xs or not ts:
@@ -357,8 +354,7 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
         return _Result([], _PAIRCORR_HEADER, {"dry_run": True, "params": params})
     rows = []
     for T in ts:
-        sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
-                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+        sets = _zero_sets(cfg, q, T)
         for x in xs:
             res = f_q(PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), window=args.window)
             rows.append(_paircorr_row(res))
@@ -368,7 +364,7 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
 def _cmd_explicit(args, cfg: RunConfig) -> _Result:
     q = args.q if args.q is not None else 1
     a = args.a if args.a is not None else 1
-    _require_unit(a, q)
+    require_unit(q, a)
     xs = sorted(set(args.x or ()))
     zs = sorted(set(args.Z or ()))
     if not xs or not zs:
@@ -381,8 +377,7 @@ def _cmd_explicit(args, cfg: RunConfig) -> _Result:
     params = {"q": q, "a": a, "x": xs, "Z": zs}
     if args.dry_run:
         return _Result([], header, {"dry_run": True, "params": params})
-    sets = zeros_for_modulus(q, max(zs), cfg.mesh_step, cfg.tolerance,
-                             cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+    sets = _zero_sets(cfg, q, max(zs))
     table = table_for(max(xs))
     rows = []
     for x in xs:
@@ -428,13 +423,25 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
     qs = _mont_moduli(args)
     if args.a is not None:
         for q in qs:
-            _require_unit(args.a, q)
+            require_unit(q, args.a)
     params = {"x": xs, "q": qs, "a": args.a}
     if args.dry_run:
         return _Result([], _MONT_HEADER, {"dry_run": True, "params": params})
     table = table_for(max(xs))
     rows = _montgomery_rows(xs, qs, args.a, table)
     return _Result(rows, _MONT_HEADER, {"params": params})
+
+
+_EH_HEADER = ["x", "Q", "value", "valueOverX"]
+
+
+def _eh_rows(xs, Qs, table) -> list:
+    rows = []
+    for x in xs:
+        for Q in Qs:
+            val = eh_sum(x, Q, table=table)
+            rows.append({"x": x, "Q": Q, "value": val, "valueOverX": val / x})
+    return rows
 
 
 def _cmd_eh(args, cfg: RunConfig) -> _Result:
@@ -445,19 +452,27 @@ def _cmd_eh(args, cfg: RunConfig) -> _Result:
         raise ValueError("eh needs at least one --Q")
     if qs[0] < 1 or qs[-1] >= args.x:
         raise ValueError("need 1 <= Q < x")
-    header = ["x", "Q", "value", "valueOverX"]
     params = {"x": args.x, "Q": qs}
     if args.dry_run:
-        return _Result([], header, {"dry_run": True, "params": params})
-    table = table_for(args.x)
-    rows = []
-    for Q in qs:
-        val = eh_sum(args.x, Q, table=table)
-        rows.append({"x": args.x, "Q": Q, "value": val, "valueOverX": val / args.x})
-    return _Result(rows, header, {"params": params})
+        return _Result([], _EH_HEADER, {"dry_run": True, "params": params})
+    return _Result(_eh_rows((args.x,), qs, table_for(args.x)), _EH_HEADER, {"params": params})
 
 
 _WEAK_HEADER = ["x", "q", "a", "alpha", "error", "normalizer", "normalized"]
+
+
+def _weak_rows(x, qs, alphas, a, table) -> list:
+    rows = []
+    for alpha in alphas:
+        for r in weak_form_table(x, qs, alpha, a=a, table=table):
+            rows.append(
+                {
+                    "x": r.x, "q": r.q, "a": r.a, "alpha": r.alpha,
+                    "error": r.error, "normalizer": r.normalizer,
+                    "normalized": r.normalized,
+                }
+            )
+    return rows
 
 
 def _cmd_weak(args, cfg: RunConfig) -> _Result:
@@ -472,21 +487,11 @@ def _cmd_weak(args, cfg: RunConfig) -> _Result:
     qs = _mont_moduli(args)
     if args.a is not None:
         for q in qs:
-            _require_unit(args.a, q)
+            require_unit(q, args.a)
     params = {"x": args.x, "q": qs, "a": args.a, "alpha": alphas}
     if args.dry_run:
         return _Result([], _WEAK_HEADER, {"dry_run": True, "params": params})
-    table = table_for(args.x)
-    rows = []
-    for alpha in alphas:
-        for r in weak_form_table(args.x, qs, alpha, a=args.a, table=table):
-            rows.append(
-                {
-                    "x": r.x, "q": r.q, "a": r.a, "alpha": r.alpha,
-                    "error": r.error, "normalizer": r.normalizer,
-                    "normalized": r.normalized,
-                }
-            )
+    rows = _weak_rows(args.x, qs, alphas, args.a, table_for(args.x))
     return _Result(rows, _WEAK_HEADER, {"params": params})
 
 
@@ -495,7 +500,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
         raise ValueError("--x must exceed 1")
     q = args.q if args.q is not None else 1
     a = args.a if args.a is not None else 1
-    _require_unit(a, q)
+    require_unit(q, a)
     eps = args.eps
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -516,8 +521,7 @@ def _check_grid(args, key, default):
 
 def _integral_rows(q, a, grid, cfg, quad):
     for T in grid["T"]:
-        sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
-                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+        sets = _zero_sets(cfg, q, T)
         for x in grid["x"]:
             res = f_q_via_integral(
                 PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), quad=quad
@@ -527,8 +531,7 @@ def _integral_rows(q, a, grid, cfg, quad):
 
 def _increment_rows(q, a, grid, cfg, quad):
     for u, t in grid["UT"]:
-        sets = zeros_for_modulus(q, t, cfg.mesh_step, cfg.tolerance,
-                                 cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+        sets = _zero_sets(cfg, q, t)
         for x in grid["x"]:
             res = increment_identity_check(x, t, u, q, a, sets, quad=quad)
             yield {"x": x, "U": u, "T": t}, (), f"x={x:g} U={u:g} T={t:g}", res.rel_residual
@@ -549,8 +552,7 @@ def _orthogonality_rows(q, a, grid, cfg, quad):
 def _reconstruction_rows(q, a, grid, cfg, quad):
     zs = grid["Z"]
     table = table_for(max(grid["x"]))
-    sets = zeros_for_modulus(q, max(zs), cfg.mesh_step, cfg.tolerance,
-                             cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+    sets = _zero_sets(cfg, q, max(zs))
     for x in grid["x"]:
         errs = [psi_progression_from_zeros(x, z, q, a, sets, table).abs_error for z in zs]
         notes = [f"x={x:g} Z={z:g} absError={err:.6f}" for z, err in zip(zs, errs)]
@@ -592,7 +594,7 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     tol = args.tol if args.tol is not None else _SUITE_TOL.get(suite)
     qs = _check_grid(args, "q", (4,))
     for q in qs:
-        _require_unit(a, q)
+        require_unit(q, a)
     quad = QuadSpec(rel_tol=cfg.rel_tol)
     defaults, make_grid, suite_rows = _SUITES[suite]
     grid = make_grid({key: _check_grid(args, key, d) for key, d in defaults.items()})
@@ -634,9 +636,7 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
         files.append(name)
 
     # single-modulus ratio ladder, positive window
-    sets1 = zeros_for_modulus(1, 100.0, cfg.mesh_step, cfg.tolerance,
-                              cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
-    zset = sets1[_ZETA]
+    zset = _zero_sets(cfg, 1, 100.0)[_ZETA]
     zrows = []
     for x in _REPORT_ZETA_XS:
         res = f_zeta_ratio(x, 100.0, zset)
@@ -650,8 +650,7 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
     trows = []
     for q in _REPORT_THM_QS:
         for T in _REPORT_THM_TS:
-            sets = zeros_for_modulus(q, T, cfg.mesh_step, cfg.tolerance,
-                                     cache=ZeroCache(cfg.cache_dir), threads=cfg.threads)
+            sets = _zero_sets(cfg, q, T)
             for x in _REPORT_THM_XS:
                 res = f_q(PairCorrInput(q=q, a=1, x=x, T=T, zero_sets=sets))
                 row = _paircorr_row(res)
@@ -696,24 +695,9 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
         _MONT_HEADER,
     )
 
-    erows = []
-    for x in _REPORT_X_LADDER:
-        for Q in _REPORT_EH_QS:
-            val = eh_sum(x, Q, table=table)
-            erows.append({"x": x, "Q": Q, "value": val, "valueOverX": val / x})
-    write("eh.csv", erows, ["x", "Q", "value", "valueOverX"])
-
-    wrows = []
-    for al in _REPORT_WEAK_ALPHAS:
-        for r in weak_form_table(1_000_000.0, _REPORT_WEAK_QS, al, a=1, table=table):
-            wrows.append(
-                {
-                    "x": r.x, "q": r.q, "a": r.a, "alpha": r.alpha,
-                    "error": r.error, "normalizer": r.normalizer,
-                    "normalized": r.normalized,
-                }
-            )
-    write("weak.csv", wrows, _WEAK_HEADER)
+    write("eh.csv", _eh_rows(_REPORT_X_LADDER, _REPORT_EH_QS, table), _EH_HEADER)
+    write("weak.csv", _weak_rows(1_000_000.0, _REPORT_WEAK_QS, _REPORT_WEAK_ALPHAS, 1, table),
+          _WEAK_HEADER)
 
     drows = []
     for x, q in ((float(2**20), 8), (1_000_000.0, 101)):
@@ -852,10 +836,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         result = _HANDLERS[args.command](args, cfg)
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 3
-    except (QuadratureError, ZeroCacheError) as exc:
+    except (CertificationError, PrecisionError, QuadratureError, ZeroCacheError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

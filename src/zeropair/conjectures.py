@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from zeropair.characters import euler_phi, units
+from zeropair.characters import euler_phi, require_unit, units
 from zeropair.sieve import LambdaTable, psi_progression, table_for
 
 __all__ = [
@@ -138,8 +138,7 @@ def montgomery_table(
         for q in qs:
             errors = _class_errors(x, q, table)
             if a is not None:
-                if math.gcd(a, q) != 1:
-                    raise ValueError(f"a={a} must be coprime to q={q}")
+                require_unit(q, a)
                 classes = [1] if q == 1 else [a % q]
             else:
                 classes = units(q)
@@ -204,8 +203,7 @@ def weak_form_table(
     for q in qs:
         errors = _class_errors(x, q, table)
         if a is not None:
-            if math.gcd(a, q) != 1:
-                raise ValueError(f"a={a} must be coprime to q={q}")
+            require_unit(q, a)
             classes = [1] if q == 1 else [a % q]
         else:
             classes = units(q)
@@ -241,10 +239,7 @@ def dyadic_profile(
     class, and the tail keeps psi(x/2^J) - x/(2^J phi(q)), so the pieces
     sum to psi(x; q, a) - x/phi(q) exactly.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if x <= 1.0:

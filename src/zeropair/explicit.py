@@ -34,6 +34,7 @@ from zeropair.characters import (
     conductor_and_inducer,
     enumerate_characters,
     euler_phi,
+    require_unit,
 )
 from zeropair.sieve import (
     LambdaTable,
@@ -216,10 +217,7 @@ def psi_progression_from_zeros(
     q = 1 this is exactly psi_from_zeros.  The budget shape is
     x log^2(qx) / Z.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     _check_range(x, z)
     if q == 1:
         lab = _ZETA_LABEL

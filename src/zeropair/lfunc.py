@@ -98,6 +98,7 @@ _MAX_BERNOULLI_TERMS = len(_BERNOULLI_EVEN) - 1  # one more is needed for the bo
 
 _BERNOULLI_TERMS = 12  # M used by every precision this module chooses itself
 _EM_CHUNK_ELEMENTS = 1 << 22  # points x residues x N of one direct-sum tensor
+REALNESS_TOL = 1e-8  # largest |Im| of a rotated value, relative to 1 + |value|
 
 
 @dataclass(frozen=True)
@@ -366,12 +367,11 @@ def _phase(params: CompletedLParams, ts: np.ndarray) -> np.ndarray:
     return params.rotation.conjugate() * np.exp(1j * theta)
 
 
-def _rotated_real(chi: DirichletCharacter, ts: np.ndarray, vals: np.ndarray,
-                  realness_tol: float) -> np.ndarray:
+def _rotated_real(chi: DirichletCharacter, ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The real parts of rotated values; RealnessError if any residual imaginary
-    part exceeds realness_tol * (1 + |value|)."""
+    part exceeds REALNESS_TOL * (1 + |value|)."""
     resid = np.abs(vals.imag)
-    allowed = realness_tol * (1.0 + np.abs(vals))
+    allowed = REALNESS_TOL * (1.0 + np.abs(vals))
     if np.any(resid > allowed):
         worst = int(np.argmax(resid - allowed))
         raise RealnessError(
@@ -385,17 +385,16 @@ def hardy_z_batch(
     chi: DirichletCharacter,
     ts: np.ndarray,
     prec: EvalPrecision | None = None,
-    realness_tol: float = 1e-8,
 ) -> np.ndarray:
     """The rotated critical-line values for primitive chi; real by construction.
 
     Conjugate-symmetric in the sense hardy_z(chi, -t) = hardy_z(conj chi, t)
     up to a global sign fixed by the rotation branch.  Raises RealnessError
-    if any residual imaginary part exceeds realness_tol * (1 + |value|).
+    if any residual imaginary part exceeds REALNESS_TOL * (1 + |value|).
     """
     ts = np.asarray(ts, dtype=np.float64)
     vals = _phase(_params_for(chi.label), ts) * l_critical_batch(chi, ts, prec)
-    return _rotated_real(chi, ts, vals, realness_tol)
+    return _rotated_real(chi, ts, vals)
 
 
 @lru_cache(maxsize=4)
@@ -454,16 +453,11 @@ def hardy_z_mesh(
         raise ValueError("hardy_z_mesh requires a primitive character")
     ts, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
     vals = _phase(_params_for(chi.label), ts) * (cols @ _residues(chi.label)[1])
-    return ts, _rotated_real(chi, ts, vals, 1e-8)
+    return ts, _rotated_real(chi, ts, vals)
 
 
-def hardy_z(
-    chi: DirichletCharacter,
-    t: float,
-    prec: EvalPrecision | None = None,
-    realness_tol: float = 1e-8,
-) -> float:
-    return float(hardy_z_batch(chi, np.array([t]), prec, realness_tol)[0])
+def hardy_z(chi: DirichletCharacter, t: float, prec: EvalPrecision | None = None) -> float:
+    return float(hardy_z_batch(chi, np.array([t]), prec)[0])
 
 
 def completed_l(chi: DirichletCharacter, s: complex, prec: EvalPrecision | None = None) -> complex:

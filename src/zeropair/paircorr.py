@@ -23,6 +23,14 @@ classical single-character statistic uses 0 < g <= T.  Both are available
 through the window flag, and the reference ratios scale accordingly: the
 symmetric window carries twice the zeros, so its in-range target is
 phi(q) T log(x) / pi, against T log(x) / (2 pi) for the positive window.
+
+Structure.  Every character-weighted statistic starts from one family,
+_family(q, a, T, zero_sets, window): the list of (conj(chi(a)), windowed
+ordinates) over the characters mod q, each set certified to T.  The
+direct sums go through _pair_value and its per-pair kernel
+_ordered_pair_sum (a tiled pair sum replaces those two); sigma(v) and
+the prime-side R1 both evaluate sum_j c_j e^{i p f_j} through _exp_sums
+(a non-uniform FFT replaces that one).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from zeropair.characters import (
     DirichletCharacter,
     enumerate_characters,
     euler_phi,
+    require_unit,
 )
 from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, shared_table
 from zeropair.zeros import CertificationError, ZeroSet, require_certified
@@ -98,36 +107,42 @@ def _check_window(window: str) -> None:
         raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
 
 
-def _window_ordinates(
-    zs: ZeroSet, T: float, window: str, above: float = 0.0
-) -> np.ndarray:
-    """Ordinates in the window, optionally restricted to |g| > above."""
+def _check_args(x: float, T: float, window: str) -> None:
+    if x <= 0:
+        raise ValueError("x must be positive")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    _check_window(window)
+
+
+def _window_ordinates(zs: ZeroSet, T: float, window: str) -> np.ndarray:
     o = zs.ordinates
     if window == "both":
-        o = o[np.abs(o) <= T]
-    else:
-        o = o[(o > 0.0) & (o <= T)]
-    if above > 0.0:
-        o = o[np.abs(o) > above]
-    return o
+        return o[np.abs(o) <= T]
+    return o[(o > 0.0) & (o <= T)]
 
 
-def _set_for(
-    zero_sets: Mapping[CharacterLabel, ZeroSet], label: CharacterLabel
-) -> ZeroSet:
+def _windowed(
+    zero_sets: Mapping[CharacterLabel, ZeroSet], label: CharacterLabel, T: float, window: str
+) -> np.ndarray:
+    """The windowed ordinates of label's set, certified to height T."""
     try:
-        return zero_sets[label]
+        zs = zero_sets[label]
     except KeyError:
         raise KeyError(f"no zero set supplied for character {label}") from None
+    require_certified(zs, T)
+    return _window_ordinates(zs, T, window)
 
 
-def _character_weights(q: int, a: int) -> list[tuple[DirichletCharacter, complex]]:
-    """(chi, conj(chi(a))) for every character mod q."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
-    return [(chi, chi(a).conjugate()) for chi in enumerate_characters(q)]
+def _family(
+    q: int, a: int, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str
+) -> list[tuple[complex, np.ndarray]]:
+    """[(conj(chi(a)), windowed ordinates of chi)] for every character mod q."""
+    require_unit(q, a)
+    return [
+        (chi(a).conjugate(), _windowed(zero_sets, chi.label, T, window))
+        for chi in enumerate_characters(q)
+    ]
 
 
 def _ordered_pair_sum(o1: np.ndarray, o2: np.ndarray, x: float) -> complex:
@@ -142,6 +157,34 @@ def _ordered_pair_sum(o1: np.ndarray, o2: np.ndarray, x: float) -> complex:
     d = d[np.argsort(np.abs(d), kind="stable")]
     terms = np.exp(1j * math.log(x) * d) * (4.0 / (4.0 + d * d))
     return complex(terms.sum())
+
+
+def _pair_value(family: list[tuple[complex, np.ndarray]], x: float) -> tuple[complex, int]:
+    """Character-weighted pair sum over a family, and its number of terms."""
+    total = complex(0.0)
+    terms = 0
+    for w1, o1 in family:
+        for w2, o2 in family:
+            # conj(chi1(a)) chi2(a) = w1 * conj(w2)
+            total += w1 * w2.conjugate() * _ordered_pair_sum(o1, o2, x)
+            terms += o1.size * o2.size
+    return total, terms
+
+
+def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-zero weights conj(chi(a)) and ordinates, concatenated."""
+    weights = [np.full(o.size, w, dtype=np.complex128) for w, o in family]
+    return np.concatenate(weights), np.concatenate([o for _, o in family])
+
+
+def _exp_sums(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j e^{i p freqs_j} at every p in points, in row blocks of
+    at most 2^22 exponentials."""
+    out = np.empty(points.shape, dtype=np.complex128)
+    step = max(1, (1 << 22) // max(1, freqs.size))
+    for i in range(0, points.size, step):
+        out[i : i + step] = np.exp(1j * np.outer(points[i : i + step], freqs)) @ coeffs
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,16 +202,11 @@ class PairCorrInput:
     zero_sets: Mapping[CharacterLabel, ZeroSet] = field(repr=False)
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("modulus must be positive")
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError(f"a={self.a} must be coprime to q={self.q}")
         if self.x < 2:
             raise ValueError("x must be at least 2")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        for chi in enumerate_characters(self.q):
-            require_certified(_set_for(self.zero_sets, chi.label), self.T)
+        _family(self.q, self.a, self.T, self.zero_sets, "both")
 
 
 @dataclass(frozen=True)
@@ -215,68 +253,35 @@ def g_pair(
     window: str = "both",
 ) -> GPairResult:
     """Unweighted double sum over the two characters' windowed zeros."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    _check_window(window)
-    zs1 = _set_for(zero_sets, chi1.label)
-    zs2 = _set_for(zero_sets, chi2.label)
-    require_certified(zs1, T)
-    require_certified(zs2, T)
-    o1 = _window_ordinates(zs1, T, window)
-    o2 = _window_ordinates(zs2, T, window)
+    _check_args(x, T, window)
+    o1 = _windowed(zero_sets, chi1.label, T, window)
+    o2 = _windowed(zero_sets, chi2.label, T, window)
     return GPairResult(_ordered_pair_sum(o1, o2, x), o1.size * o2.size)
 
 
-def _f_q_value(
-    q: int,
-    a: int,
-    x: float,
-    T: float,
-    zero_sets: Mapping[CharacterLabel, ZeroSet],
-    window: str,
-    above: float = 0.0,
-) -> tuple[complex, int]:
-    """Character-weighted pair sum; with above > 0 only ordinates in
-    (above, T] enter (the increment window)."""
-    pairs = _character_weights(q, a)
-    ords = []
-    for chi, _ in pairs:
-        zs = _set_for(zero_sets, chi.label)
-        require_certified(zs, T)
-        ords.append(_window_ordinates(zs, T, window, above))
-    total = complex(0.0)
-    terms = 0
-    for (chi1, w1), o1 in zip(pairs, ords):
-        for (chi2, w2), o2 in zip(pairs, ords):
-            # conj(chi1(a)) chi2(a) = w1 * conj(w2)
-            total += w1 * w2.conjugate() * _ordered_pair_sum(o1, o2, x)
-            terms += o1.size * o2.size
-    return total, terms
-
-
-def _ratios(
-    q: int, x: float, T: float, window: str, value: complex
-) -> tuple[float | None, float]:
+def _pair_result(
+    q: int, a: int, x: float, T: float, window: str,
+    family: list[tuple[complex, np.ndarray]],
+) -> PairCorrResult:
+    """The family's pair sum with its reference ratios."""
+    value, terms = _pair_value(family, x)
     phi = euler_phi(q)
     lx = math.log(x)
     # positive window carries half the zeros, so the in-range target halves
     normalizer = math.pi if window == "both" else 2.0 * math.pi
     thm = normalizer * value.real / (phi * T * lx) if lx != 0.0 else None
-    denom = T * (phi * math.log(q * T)) ** 2
-    return thm, abs(value.real) / denom
+    trivial = abs(value.real) / (T * (phi * math.log(q * T)) ** 2)
+    return PairCorrResult(
+        q=q, a=a, x=x, T=T, window=window,
+        value=value, term_count=terms, thm_ratio=thm, trivial_ratio=trivial,
+    )
 
 
 def f_q(inp: PairCorrInput, window: str = "both") -> PairCorrResult:
     """Aggregate pair correlation for the progression a mod q."""
     _check_window(window)
-    value, terms = _f_q_value(inp.q, inp.a, inp.x, inp.T, inp.zero_sets, window)
-    thm, trivial = _ratios(inp.q, inp.x, inp.T, window, value)
-    return PairCorrResult(
-        q=inp.q, a=inp.a, x=inp.x, T=inp.T, window=window,
-        value=value, term_count=terms, thm_ratio=thm, trivial_ratio=trivial,
-    )
+    family = _family(inp.q, inp.a, inp.T, inp.zero_sets, window)
+    return _pair_result(inp.q, inp.a, inp.x, inp.T, window, family)
 
 
 def f_zeta_ratio(
@@ -290,40 +295,12 @@ def f_zeta_ratio(
     is returned with the ratio undefined.  Values of x outside [1, T] are
     still computed; in_classical_range flags them as extrapolation.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    _check_window(window)
+    _check_args(x, T, window)
     label = CharacterLabel(1, 1)
     if zeta_set.label != label:
         raise ValueError(f"expected the modulus-one zero set, got {zeta_set.label}")
-    sets = {label: zeta_set}
-    value, terms = _f_q_value(1, 1, x, T, sets, window)
-    thm, trivial = _ratios(1, x, T, window, value)
-    return PairCorrResult(
-        q=1, a=1, x=x, T=T, window=window,
-        value=value, term_count=terms, thm_ratio=thm, trivial_ratio=trivial,
-    )
-
-
-def _flatten(
-    q: int,
-    a: int,
-    T: float,
-    zero_sets: Mapping[CharacterLabel, ZeroSet],
-    window: str,
-    above: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-zero weights conj(chi(a)) and ordinates, concatenated."""
-    ws, gs = [], []
-    for chi, w in _character_weights(q, a):
-        zs = _set_for(zero_sets, chi.label)
-        require_certified(zs, T)
-        o = _window_ordinates(zs, T, window, above)
-        ws.append(np.full(o.size, w, dtype=np.complex128))
-        gs.append(o)
-    return np.concatenate(ws), np.concatenate(gs)
+    family = _family(1, 1, T, {label: zeta_set}, window)
+    return _pair_result(1, 1, x, T, window, family)
 
 
 def _sigma_factory(
@@ -331,16 +308,7 @@ def _sigma_factory(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batched v -> sum_j weights_j x^{i g_j} e^{i v g_j}."""
     wx = weights * np.exp(1j * math.log(x) * gammas)
-
-    def sigma(vs: np.ndarray) -> np.ndarray:
-        out = np.empty(vs.shape, dtype=np.complex128)
-        step = max(1, (1 << 22) // max(1, gammas.size))
-        for i in range(0, vs.size, step):
-            block = vs[i : i + step]
-            out[i : i + step] = np.exp(1j * np.outer(block, gammas)) @ wx
-        return out
-
-    return sigma
+    return lambda vs: _exp_sums(vs, gammas, wx)
 
 
 def sigma_sum(
@@ -353,14 +321,17 @@ def sigma_sum(
     window: str = "both",
 ) -> complex:
     """sum_chi conj(chi(a)) sum_{windowed} x^{ig} e^{ivg}."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    _check_window(window)
-    weights, gammas = _flatten(q, a, T, zero_sets, window)
+    _check_args(x, T, window)
+    weights, gammas = _flatten(_family(q, a, T, zero_sets, window))
     sigma = _sigma_factory(weights, gammas, x)
     return complex(sigma(np.array([float(v)]))[0])
+
+
+# The truncation V meets (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR
+# * max(|target|, 1); each half-line doubles its Simpson mesh at most
+# SIMPSON_REFINEMENT_CAP times before QuadratureError.
+QUAD_BUDGET_FACTOR = 1e-8
+SIMPSON_REFINEMENT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -368,27 +339,18 @@ class QuadSpec:
     """Controls for the e^{-2|v|} quadrature.
 
     v_max None picks the truncation from the a-priori tail bound
-    (zero count)^2 e^{-2V} <= budget_factor * |target|; an explicit v_max
-    that misses that budget is an error, not a silent degradation.
+    (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR * |target|; an explicit
+    v_max that misses that budget is an error, not a silent degradation.
     """
 
     v_max: float | None = None
     rel_tol: float = 1e-6
-    budget_factor: float = 1e-8
-    initial_spacing: float | None = None
-    max_refinements: int = 12
 
     def __post_init__(self):
         if self.v_max is not None and self.v_max <= 0:
             raise ValueError("v_max must be positive")
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0 < self.budget_factor < 1:
-            raise ValueError("budget_factor must lie in (0, 1)")
-        if self.initial_spacing is not None and self.initial_spacing <= 0:
-            raise ValueError("initial_spacing must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
 
 
 def _simpson(ys: np.ndarray, h: float) -> float:
@@ -404,7 +366,6 @@ def _refine_simpson(
     n0: int,
     rel_tol: float,
     abs_floor: float,
-    max_refinements: int,
 ) -> tuple[float, int, int]:
     """Composite Simpson with interval doubling, reusing prior nodes.
 
@@ -414,7 +375,7 @@ def _refine_simpson(
     ys = f(xs)
     nodes = xs.size
     prev = _simpson(ys, (hi - lo) / n)
-    for r in range(1, max_refinements + 1):
+    for r in range(1, SIMPSON_REFINEMENT_CAP + 1):
         mids = 0.5 * (xs[:-1] + xs[1:])
         mys = f(mids)
         nodes += mids.size
@@ -424,12 +385,13 @@ def _refine_simpson(
         ys2[0::2], ys2[1::2] = ys, mys
         n, xs, ys = 2 * n, xs2, ys2
         cur = _simpson(ys, (hi - lo) / n)
-        if abs(cur - prev) <= max(rel_tol * abs(cur), abs_floor):
+        correction = abs(cur - prev)
+        if correction <= max(rel_tol * abs(cur), abs_floor):
             return cur, nodes, r
         prev = cur
     raise QuadratureError(
         f"Simpson refinement stalled on [{lo:g}, {hi:g}]: "
-        f"last correction {abs(cur - prev):.3e} above floor {abs_floor:.3e}"
+        f"last correction {correction:.3e} above floor {abs_floor:.3e}"
     )
 
 
@@ -444,7 +406,7 @@ def _integrate_weighted_square(
     """Integral of |sig(v)|^2 e^{-2|v|} over the real line, truncated.
 
     Returns (value, v_max, truncation bound, nodes, refinements)."""
-    budget = quad.budget_factor * max(abs(target), 1.0)
+    budget = QUAD_BUDGET_FACTOR * max(abs(target), 1.0)
     if count == 0:
         return 0.0, 0.0, 0.0, 0, 0
     if quad.v_max is None:
@@ -463,19 +425,14 @@ def _integrate_weighted_square(
         s = sig(vs)
         return (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
 
-    if quad.initial_spacing is not None:
-        h0 = quad.initial_spacing
-    else:
-        # integrand oscillates at gap frequencies up to 2T
-        h0 = min(0.2 / math.log(max(x * T, 3.0)), math.pi / (4.0 * T), v_max / 8.0)
+    # integrand oscillates at gap frequencies up to 2T
+    h0 = min(0.2 / math.log(max(x * T, 3.0)), math.pi / (4.0 * T), v_max / 8.0)
     n0 = math.ceil(v_max / h0)
     total = 0.0
     nodes = 0
     refinements = 0
     for lo, hi in ((-v_max, 0.0), (0.0, v_max)):
-        val, used, refs = _refine_simpson(
-            integrand, lo, hi, n0, quad.rel_tol, budget / 2.0, quad.max_refinements
-        )
+        val, used, refs = _refine_simpson(integrand, lo, hi, n0, quad.rel_tol, budget / 2.0)
         total += val
         nodes += used
         refinements = max(refinements, refs)
@@ -508,9 +465,9 @@ def f_q_via_integral(
     """Evaluate the aggregate through the e^{-2|v|} integral and compare."""
     if quad is None:
         quad = QuadSpec()
-    _check_window(window)
+    # the public f_q, so that a tracer of f_q counts these pair terms too
     direct = f_q(inp, window)
-    weights, gammas = _flatten(inp.q, inp.a, inp.T, inp.zero_sets, window)
+    weights, gammas = _flatten(_family(inp.q, inp.a, inp.T, inp.zero_sets, window))
     sig = _sigma_factory(weights, gammas, inp.x)
     integral, v_max, bound, nodes, refs = _integrate_weighted_square(
         sig, gammas.size, inp.x, inp.T, direct.real, quad
@@ -571,19 +528,19 @@ def increment_identity_check(
     """Check the increment identity between heights U < T."""
     if quad is None:
         quad = QuadSpec()
-    _check_window(window)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _check_args(x, T, window)
     if not 0 <= U <= T:
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
 
-    rhs, terms = _f_q_value(q, a, x, T, zero_sets, window, above=U)
-    full_t, _ = _f_q_value(q, a, x, T, zero_sets, window)
-    full_u = complex(0.0)
+    family = _family(q, a, T, zero_sets, window)
+    full_t, _ = _pair_value(family, x)
+    full_u, increment = complex(0.0), family
     if U > 0:
-        full_u, _ = _f_q_value(q, a, x, U, zero_sets, window)
+        full_u, _ = _pair_value([(w, o[np.abs(o) <= U]) for w, o in family], x)
+        increment = [(w, o[np.abs(o) > U]) for w, o in family]
+    rhs, terms = _pair_value(increment, x)
 
-    weights, gammas = _flatten(q, a, T, zero_sets, window)
+    weights, gammas = _flatten(family)
     below = np.abs(gammas) <= U
     # difference of the two truncations, literally; only increment
     # ordinates survive, which the direct rhs enumerates independently
@@ -625,8 +582,7 @@ def _r1_terms(
     """Coefficients and log-frequencies of the prime-side sum."""
     if x < 2:
         raise ValueError("x must be at least 2")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     if cutoff is None:
         cutoff = max(100_000, 8 * math.ceil(x)) if table is None else table.limit
     if cutoff < 8 * x:
@@ -657,12 +613,7 @@ def r1_batch(
     ts = np.asarray(ts, dtype=np.float64)
     phi = euler_phi(q)
     scale = -phi / math.sqrt(x)
-    cc = coeff.astype(np.complex128)
-    out = np.empty(ts.shape, dtype=np.complex128)
-    step = max(1, (1 << 22) // max(1, freqs.size))
-    for i in range(0, ts.size, step):
-        block = ts[i : i + step]
-        out[i : i + step] = np.exp(1j * np.outer(block, freqs)) @ cc
+    out = _exp_sums(ts, freqs, coeff.astype(np.complex128))
     tail = _TAIL_CONSTANT * phi * x / math.sqrt(cutoff)
     return scale * out, tail, cutoff, coeff.size
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from zeropair.characters import DirichletCharacter, UnitRoot, euler_phi
+from zeropair.characters import DirichletCharacter, UnitRoot, euler_phi, require_unit
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -120,10 +120,7 @@ def psi(x: float, table: LambdaTable) -> float:
 
 def psi_progression(x: float, q: int, a: int, table: LambdaTable) -> float:
     """sum of log p over prime powers <= x in the class a mod q."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     cut = table.cut(x)
     mask = table.n[:cut] % q == a % q
     return math.fsum(table.logp[:cut][mask])
@@ -162,8 +159,7 @@ def pi_count(x: float, table: LambdaTable) -> int:
 
 
 def pi_progression(x: float, q: int, a: int, table: LambdaTable) -> int:
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     cut = table.cut(x)
     sel = table.k[:cut] == 1
     return int(np.count_nonzero(table.n[:cut][sel] % q == a % q))
@@ -191,8 +187,7 @@ def s_of_x(
 ) -> SOfXResult:
     if x < 2:
         raise ValueError("x must be at least 2")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     if cutoff is None:
         cutoff = 8 * math.ceil(x)
     if cutoff < 8 * x:
@@ -239,8 +234,7 @@ def brun_titchmarsh_check(x: float, y: float, q: int, a: int) -> BrunTitchmarshR
         raise ValueError(f"y must exceed q, got y={y}, q={q}")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} must be coprime to q={q}")
+    require_unit(q, a)
     lo = math.floor(x) + 1
     hi = math.floor(x + y)
     window = primes_in_window(lo, hi)

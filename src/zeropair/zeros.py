@@ -49,7 +49,7 @@ from zeropair.lfunc import (
 )
 
 DEFAULT_TOLERANCE = 1e-10
-DEFAULT_RESIDUAL_TOL = 1e-6
+RESIDUAL_TOL = 1e-6  # largest |Z| at a refined ordinate of a certified set
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
 REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
 
@@ -216,7 +216,6 @@ def scan_zeros(
     T: float,
     mesh_step: float | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     prec: EvalPrecision | None = None,
 ) -> ZeroSet:
     """Scan [-T, T] for zeros of a primitive character's critical line."""
@@ -291,7 +290,7 @@ def scan_zeros(
         _counts_agree(ordinates.size, expected)
         and bool(np.all(np.diff(ordinates) > tolerance))
         and _brackets_certified(ords, blo, bhi, zblo, zbhi, tolerance)
-        and bool(np.all(residual <= residual_tol))
+        and bool(np.all(residual <= RESIDUAL_TOL))
     )
     return ZeroSet(
         label=chi.label,

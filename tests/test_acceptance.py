@@ -18,7 +18,6 @@ import pytest
 from zeropair.characters import (
     CharacterLabel,
     character,
-    conductor_and_inducer,
     enumerate_characters,
     euler_phi,
     gauss_sum,
@@ -93,15 +92,6 @@ def fq_grid(grid_sets):
                 for x in GRID_XS:
                     inp = PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=grid_sets[(q, T)])
                     out[(q, a, x, T)] = f_q(inp)
-    return out
-
-
-def _family(q: int, prim: dict) -> dict:
-    """Zero-set map for every character mod q, riding on primitive scans."""
-    out = {}
-    for chi in enumerate_characters(q):
-        _, ind = conductor_and_inducer(chi)
-        out[chi.label] = prim[ind.label]
     return out
 
 
@@ -276,15 +266,15 @@ def test_criterion_06_brute_force_equivalence(grid_sets):
     _verdict(6, "brute-force equivalence on small instances", ok, detail)
 
 
-def test_criterion_07_explicit_formula(prim100):
+def test_criterion_07_explicit_formula():
     t0 = time.perf_counter()
     table = shared_table(100_000)
     trend_ok = True
     margins = []
     for q in (1, 4):
-        fam = _family(q, prim100)
+        sets = zeros_for_modulus(q, 100.0)
         errs = [
-            psi_progression_from_zeros(1000.5, z, q, 1, fam, table).abs_error
+            psi_progression_from_zeros(1000.5, z, q, 1, sets, table).abs_error
             for z in (30.0, 100.0)
         ]
         trend_ok &= errs[1] < errs[0]

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from zeropair.characters import (
-    CharacterLabel,
     UnitRoot,
     character,
     conductor_and_inducer,
     enumerate_characters,
     gauss_sum,
     orthogonality_matrix,
+    require_unit,
     units,
 )
 
@@ -52,6 +52,14 @@ class TestEnumeration:
         for q in range(2, 61):
             assert units(q) == [a for a in range(1, q + 1) if character(q, 1)(a) != 0]
             assert len(units(q)) == euler_phi(q)
+
+    def test_require_unit(self):
+        require_unit(1, 0)
+        require_unit(12, -7)
+        for q, a, message in ((0, 1, "q must be positive"), (-3, 1, "q must be positive"),
+                              (12, 9, "a=9 must be coprime to q=12")):
+            with pytest.raises(ValueError, match=message):
+                require_unit(q, a)
 
     def test_principal_first(self):
         for q in (1, 2, 8, 30):

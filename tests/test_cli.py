@@ -7,14 +7,12 @@ path under realistic conditions.
 """
 
 import json
-import math
-from pathlib import Path
 
 import pytest
 
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
-from zeropair.lfunc import EvalPrecision
+from zeropair.lfunc import EvalPrecision, PrecisionError, RealnessError
 from zeropair.paircorr import PairCorrInput, f_q
 from zeropair.sieve import psi_character, psi_progression, shared_table
 from zeropair.store import read_zero_set
@@ -162,6 +160,17 @@ class TestZeros:
         assert summary["rows"] and all("em" not in row for row in summary["rows"])
         _, table = run(capsys, cache_dir, "zeros", "--q", "5", "--T", "30")
         assert "em" not in table.splitlines()[0].split(",")
+
+    @pytest.mark.parametrize("error", [PrecisionError, RealnessError])
+    def test_numeric_budget_failure_exits_3(self, capsys, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("remainder bound above target")
+
+        monkeypatch.setattr("zeropair.store.scan_zeros", fail)
+        code = main(["zeros", "--q", "5", "--T", "10", "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "certification failure: remainder bound above target\n"
 
     def test_needs_q_or_chi(self, capsys, cache_dir):
         code, _ = run(capsys, cache_dir, "zeros", "--T", "30")

@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zeropair import paircorr
 from zeropair.characters import CharacterLabel, character, enumerate_characters
 from zeropair.paircorr import (
     CertificationError,
@@ -19,7 +21,6 @@ from zeropair.paircorr import (
     increment_identity_check,
     mean_value_check,
     r1,
-    r1_batch,
     r1_mean_square,
     sigma_sum,
     spacing_histogram,
@@ -260,8 +261,15 @@ class TestIntegralRoute:
             QuadSpec(v_max=-1.0)
         with pytest.raises(ValueError):
             QuadSpec(rel_tol=2.0)
-        with pytest.raises(ValueError):
-            QuadSpec(max_refinements=0)
+
+    def test_stalled_refinement_quotes_last_correction(self, sets4, monkeypatch):
+        monkeypatch.setattr(paircorr, "SIMPSON_REFINEMENT_CAP", 1)
+        inp = PairCorrInput(4, 1, 3.0, 15.0, sets4)
+        with pytest.raises(QuadratureError) as info:
+            f_q_via_integral(inp, QuadSpec(rel_tol=1e-12))
+        found = re.search(r"last correction (\S+) above floor (\S+)$", str(info.value))
+        correction, floor = map(float, found.groups())
+        assert correction > floor > 0.0
 
 
 class TestIncrementIdentity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zeropair.characters import character, enumerate_characters, euler_phi
+from zeropair.paircorr import r1
 from zeropair.sieve import (
     BrunTitchmarshResult,
     LambdaTable,
@@ -242,3 +243,20 @@ class TestBrunTitchmarsh:
     def test_bound_formula(self):
         r = brun_titchmarsh_check(0, 30, 3, 2)
         assert abs(r.bound - 2 * 30 / (2 * math.log(10))) <= 1e-12
+
+
+class TestModulusValidation:
+    """Progression entry points reject q < 1 instead of dividing by it."""
+
+    CALLS = {
+        "pi_progression": lambda q, t: pi_progression(100, q, 1, t),
+        "s_of_x": lambda q, t: s_of_x(10.0, q, 1, table=t),
+        "brun_titchmarsh_check": lambda q, t: brun_titchmarsh_check(100.0, 50.0, q, 1),
+        "r1": lambda q, t: r1(10.0, 0.5, q, 1, table=t),
+    }
+
+    @pytest.mark.parametrize("q", [0, -3])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_nonpositive_modulus_raises(self, table_1e5, name, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            self.CALLS[name](q, table_1e5)
