@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from zeropair.characters import (
@@ -60,18 +60,20 @@ __all__ = ["RunConfig", "main"]
 
 _ZETA = CharacterLabel(1, 1)
 
-# fixed grids behind `report`; documented in the README so the bundle is
-# reproducible without reading this file
-_REPORT_ZETA_XS = (2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 500.0)
-_REPORT_THM_QS = (1, 3, 4, 5, 8, 12)
-_REPORT_THM_XS = (2.0, 3.0, 5.0, 10.0)
-_REPORT_THM_TS = (15.0, 30.0, 60.0)
-_REPORT_X_LADDER = (1000.0, 10000.0, 100000.0, 1000000.0)
-_REPORT_MONT_QS = (1, 3, 4, 5, 8, 12, 101)
-_REPORT_EH_QS = (1, 10, 50, 100)
-_REPORT_WEAK_ALPHAS = (0.0, 0.5, 1.0)
-_REPORT_WEAK_QS = (3, 4, 5, 8, 12, 101)
-_REPORT_HIST = (0.0, 3.0, 30)  # alpha, beta, bins
+# fixed grids behind `report`, written verbatim to its manifest.json and
+# documented in the README so the bundle is reproducible without reading this file
+_REPORT_GRIDS = {
+    "zeta_xs": [2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 500.0],
+    "thm_qs": [1, 3, 4, 5, 8, 12],
+    "thm_xs": [2.0, 3.0, 5.0, 10.0],
+    "thm_Ts": [15.0, 30.0, 60.0],
+    "histogram": {"alpha": 0.0, "beta": 3.0, "bins": 30},
+    "x_ladder": [1000.0, 10000.0, 100000.0, 1000000.0],
+    "montgomery_qs": [1, 3, 4, 5, 8, 12, 101],
+    "eh_Qs": [1, 10, 50, 100],
+    "weak_alphas": [0.0, 0.5, 1.0],
+    "weak_qs": [3, 4, 5, 8, 12, 101],
+}
 
 _SUITE_TOL = {"integral": 1e-4, "increment": 1e-4, "orthogonality": 1e-8}
 
@@ -96,15 +98,7 @@ class RunConfig:
     format: str = "csv"
 
     def manifest(self) -> dict:
-        return {
-            "cache_dir": str(self.cache_dir),
-            "tolerance": self.tolerance,
-            "rel_tol": self.rel_tol,
-            "mesh_step": self.mesh_step,
-            "threads": self.threads,
-            "format": self.format,
-            "deterministic": True,
-        }
+        return {**asdict(self), "cache_dir": str(self.cache_dir), "deterministic": True}
 
 
 _CONFIG_COERCERS = {
@@ -160,7 +154,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 @dataclass
 class _Result:
     rows: list | None
-    header: list | None
     summary: dict
     exit_code: int = 0
     lines: list = field(default_factory=list)
@@ -208,12 +201,6 @@ def _montgomery_rows(xs, qs, a, table) -> list:
     return rows
 
 
-_MONT_HEADER = [
-    "x", "q", "a", "error", "normalizer", "normalized",
-    "impliedEpsilon", "grhRatio", "regime",
-]
-
-
 def _dyadic_rows(prof) -> list:
     rows = []
     base = {"x": prof.x, "q": prof.q, "a": prof.a, "eps": prof.eps, "J": prof.depth}
@@ -230,11 +217,6 @@ def _dyadic_rows(prof) -> list:
          "normalized": prof.total_error / math.sqrt(prof.x / prof.q)}
     )
     return rows
-
-
-_DYADIC_HEADER = ["x", "q", "a", "eps", "J", "piece", "j", "error", "normalized"]
-
-_PAIRCORR_HEADER = ["q", "a", "x", "T", "ReF", "ImF", "ratio_to_thm15", "trivialBoundRatio"]
 
 
 def _paircorr_row(res) -> dict:
@@ -265,11 +247,9 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
         chars = enumerate_characters(args.q)
     else:
         raise ValueError("zeros needs --q or --chi")
-    header = ["q", "index", "conductor", "inducer", "T", "count", "expected",
-              "certified", "file"]
     params = {"T": args.T, "characters": [str(c.label) for c in chars]}
     if args.dry_run:
-        return _Result([], header, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     cache = ZeroCache(cfg.cache_dir)
     if args.chi is not None:
         _, ind = conductor_and_inducer(chars[0])
@@ -307,7 +287,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
     }
     code = 0 if all_certified else 3
     summary = {"params": params, "certified": all_certified, "em": em}
-    return _Result(rows, header, summary, code)
+    return _Result(rows, summary, code)
 
 
 def _cmd_psi(args, cfg: RunConfig) -> _Result:
@@ -317,29 +297,26 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
         raise ValueError("--chi excludes --q/--a")
     if args.chi is not None:
         label = _parse_chi(args.chi)
-        header = ["x", "q", "index", "re", "im"]
         params = {"x": args.x, "chi": str(label)}
         if args.dry_run:
-            return _Result([], header, {"dry_run": True, "params": params})
+            return _Result([], {"dry_run": True, "params": params})
         chi = character(label.modulus, label.index)
         val = psi_character(args.x, chi, table_for(args.x))
         rows = [{"x": args.x, "q": label.modulus, "index": label.index,
                  "re": val.real, "im": val.imag}]
-        return _Result(rows, header, {"params": params})
+        return _Result(rows, {"params": params})
     q = args.q if args.q is not None else 1
     a = args.a if args.a is not None else 1
     require_unit(q, a)
-    header = ["x", "q", "a", "psi"]
     params = {"x": args.x, "q": q, "a": a}
     if args.dry_run:
-        return _Result([], header, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     val = psi_progression(args.x, q, a, table_for(args.x))
-    return _Result([{"x": args.x, "q": q, "a": a, "psi": val}], header, {"params": params})
+    return _Result([{"x": args.x, "q": q, "a": a, "psi": val}], {"params": params})
 
 
 def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
-    q = args.q if args.q is not None else 1
-    a = args.a if args.a is not None else 1
+    q, a = args.q, args.a
     require_unit(q, a)
     xs = sorted(set(args.x or ()))
     ts = sorted(set(args.T or ()))
@@ -351,19 +328,18 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
         raise ValueError("T must be positive")
     params = {"q": q, "a": a, "x": xs, "T": ts, "window": args.window}
     if args.dry_run:
-        return _Result([], _PAIRCORR_HEADER, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     rows = []
     for T in ts:
         sets = _zero_sets(cfg, q, T)
         for x in xs:
             res = f_q(PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), window=args.window)
             rows.append(_paircorr_row(res))
-    return _Result(rows, _PAIRCORR_HEADER, {"params": params})
+    return _Result(rows, {"params": params})
 
 
 def _cmd_explicit(args, cfg: RunConfig) -> _Result:
-    q = args.q if args.q is not None else 1
-    a = args.a if args.a is not None else 1
+    q, a = args.q, args.a
     require_unit(q, a)
     xs = sorted(set(args.x or ()))
     zs = sorted(set(args.Z or ()))
@@ -373,10 +349,9 @@ def _cmd_explicit(args, cfg: RunConfig) -> _Result:
         for x in xs:
             if not 2.0 <= z <= x:
                 raise ValueError(f"need 2 <= Z <= x, got Z={z:g}, x={x:g}")
-    header = ["x", "Z", "q", "a", "reconstructed", "exact", "absError", "budget"]
     params = {"q": q, "a": a, "x": xs, "Z": zs}
     if args.dry_run:
-        return _Result([], header, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     sets = _zero_sets(cfg, q, max(zs))
     table = table_for(max(xs))
     rows = []
@@ -389,17 +364,13 @@ def _cmd_explicit(args, cfg: RunConfig) -> _Result:
                     "Z": run.z,
                     "q": run.q,
                     "a": run.a,
-                    "reconstructed": float(run.reconstructed.real)
-                    if isinstance(run.reconstructed, complex)
-                    else run.reconstructed,
-                    "exact": float(run.exact.real)
-                    if isinstance(run.exact, complex)
-                    else run.exact,
+                    "reconstructed": run.reconstructed,
+                    "exact": run.exact,
                     "absError": run.abs_error,
                     "budget": run.error_budget,
                 }
             )
-    return _Result(rows, header, {"params": params})
+    return _Result(rows, {"params": params})
 
 
 def _mont_moduli(args) -> list:
@@ -426,13 +397,10 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
             require_unit(q, args.a)
     params = {"x": xs, "q": qs, "a": args.a}
     if args.dry_run:
-        return _Result([], _MONT_HEADER, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     table = table_for(max(xs))
     rows = _montgomery_rows(xs, qs, args.a, table)
-    return _Result(rows, _MONT_HEADER, {"params": params})
-
-
-_EH_HEADER = ["x", "Q", "value", "valueOverX"]
+    return _Result(rows, {"params": params})
 
 
 def _eh_rows(xs, Qs, table) -> list:
@@ -454,11 +422,8 @@ def _cmd_eh(args, cfg: RunConfig) -> _Result:
         raise ValueError("need 1 <= Q < x")
     params = {"x": args.x, "Q": qs}
     if args.dry_run:
-        return _Result([], _EH_HEADER, {"dry_run": True, "params": params})
-    return _Result(_eh_rows((args.x,), qs, table_for(args.x)), _EH_HEADER, {"params": params})
-
-
-_WEAK_HEADER = ["x", "q", "a", "alpha", "error", "normalizer", "normalized"]
+        return _Result([], {"dry_run": True, "params": params})
+    return _Result(_eh_rows((args.x,), qs, table_for(args.x)), {"params": params})
 
 
 def _weak_rows(x, qs, alphas, a, table) -> list:
@@ -490,16 +455,15 @@ def _cmd_weak(args, cfg: RunConfig) -> _Result:
             require_unit(q, args.a)
     params = {"x": args.x, "q": qs, "a": args.a, "alpha": alphas}
     if args.dry_run:
-        return _Result([], _WEAK_HEADER, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     rows = _weak_rows(args.x, qs, alphas, args.a, table_for(args.x))
-    return _Result(rows, _WEAK_HEADER, {"params": params})
+    return _Result(rows, {"params": params})
 
 
 def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
     if args.x is None or args.x <= 1:
         raise ValueError("--x must exceed 1")
-    q = args.q if args.q is not None else 1
-    a = args.a if args.a is not None else 1
+    q, a = args.q, args.a
     require_unit(q, a)
     eps = args.eps
     if not 0.0 < eps < 1.0:
@@ -508,10 +472,10 @@ def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
         raise ValueError(f"need q <= x^(1-eps) = {args.x ** (1.0 - eps):g}, got q={q}")
     params = {"x": args.x, "q": q, "a": a, "eps": eps}
     if args.dry_run:
-        return _Result([], _DYADIC_HEADER, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     table = table_for(args.x)
     prof = dyadic_profile(args.x, q, a, eps, table=table)
-    return _Result(_dyadic_rows(prof), _DYADIC_HEADER, {"params": params})
+    return _Result(_dyadic_rows(prof), {"params": params})
 
 
 def _check_grid(args, key, default):
@@ -590,7 +554,7 @@ _SUITES = {
 
 def _cmd_check(args, cfg: RunConfig) -> _Result:
     suite = args.suite
-    a = args.a if args.a is not None else 1
+    a = args.a
     tol = args.tol if args.tol is not None else _SUITE_TOL.get(suite)
     qs = _check_grid(args, "q", (4,))
     for q in qs:
@@ -602,7 +566,7 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     if suite in _SUITE_TOL:
         params["tol"] = tol
     if args.dry_run:
-        return _Result([], None, {"dry_run": True, "params": params})
+        return _Result([], {"dry_run": True, "params": params})
     rows: list = []
     lines: list = []
     failed = False
@@ -618,49 +582,51 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
             rows.append({"suite": suite, "q": q, "a": a, **fields, "passed": ok})
             lines.extend(f"{head} {note}" for note in notes)
             lines.append(f"{head} {text} {'PASS' if ok else 'FAIL'}")
-    header = list(rows[0].keys()) if rows else None
     summary = {"params": params, "passed": not failed}
-    return _Result(rows, header, summary, 3 if failed else 0, lines)
+    return _Result(rows, summary, 3 if failed else 0, lines)
 
 
 def _cmd_report(args, cfg: RunConfig) -> _Result:
     out_dir = args.out if args.out is not None else Path("report")
     params = {"out": str(out_dir)}
     if args.dry_run:
-        return _Result(None, None, {"dry_run": True, "params": params})
+        return _Result(None, {"dry_run": True, "params": params})
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
 
-    def write(name: str, rows: list, header: list) -> None:
-        emit_table(rows, out_dir / name, "csv", header=header)
+    grids = _REPORT_GRIDS
+
+    def write(name: str, rows: list) -> None:
+        emit_table(rows, out_dir / name, "csv")
         files.append(name)
 
     # single-modulus ratio ladder, positive window
     zset = _zero_sets(cfg, 1, 100.0)[_ZETA]
     zrows = []
-    for x in _REPORT_ZETA_XS:
+    for x in grids["zeta_xs"]:
         res = f_zeta_ratio(x, 100.0, zset)
         row = _paircorr_row(res)
         row["window"] = res.window
         row["regime"] = "in-range" if res.in_classical_range else "extrapolated"
         zrows.append(row)
-    write("zeta_ratio_T100.csv", zrows, _PAIRCORR_HEADER + ["window", "regime"])
+    write("zeta_ratio_T100.csv", zrows)
 
     # character-weighted ratio grid, symmetric window
     trows = []
-    for q in _REPORT_THM_QS:
-        for T in _REPORT_THM_TS:
+    for q in grids["thm_qs"]:
+        for T in grids["thm_Ts"]:
             sets = _zero_sets(cfg, q, T)
-            for x in _REPORT_THM_XS:
+            for x in grids["thm_xs"]:
                 res = f_q(PairCorrInput(q=q, a=1, x=x, T=T, zero_sets=sets))
                 row = _paircorr_row(res)
                 row["window"] = res.window
                 row["regime"] = "in-range" if res.in_classical_range else "extrapolated"
                 trows.append(row)
-    write("thm_ratio.csv", trows, _PAIRCORR_HEADER + ["window", "regime"])
+    write("thm_ratio.csv", trows)
 
     # scaled-gap histogram with the conjectured overlay
-    alpha, beta, bins = _REPORT_HIST
+    hist_grid = grids["histogram"]
+    alpha, beta, bins = hist_grid["alpha"], hist_grid["beta"], hist_grid["bins"]
     hist = spacing_histogram(zset, 100.0, alpha, beta, bins)
     width = (beta - alpha) / bins
     hrows = []
@@ -681,50 +647,29 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
                 "diagonalBin": lo <= 0.0 < hi,
             }
         )
-    write(
-        "gue_histogram_q1_T100.csv",
-        hrows,
-        ["lo", "hi", "mid", "count", "expected", "observedDensity", "gueDensity",
-         "diagonalBin"],
-    )
+    write("gue_histogram_q1_T100.csv", hrows)
 
-    table = table_for(max(max(_REPORT_X_LADDER), float(2**20)))
-    write(
-        "montgomery.csv",
-        _montgomery_rows(_REPORT_X_LADDER, _REPORT_MONT_QS, None, table),
-        _MONT_HEADER,
-    )
-
-    write("eh.csv", _eh_rows(_REPORT_X_LADDER, _REPORT_EH_QS, table), _EH_HEADER)
-    write("weak.csv", _weak_rows(1_000_000.0, _REPORT_WEAK_QS, _REPORT_WEAK_ALPHAS, 1, table),
-          _WEAK_HEADER)
+    ladder = grids["x_ladder"]
+    table = table_for(max(max(ladder), float(2**20)))
+    write("montgomery.csv", _montgomery_rows(ladder, grids["montgomery_qs"], None, table))
+    write("eh.csv", _eh_rows(ladder, grids["eh_Qs"], table))
+    write("weak.csv", _weak_rows(1_000_000.0, grids["weak_qs"], grids["weak_alphas"], 1, table))
 
     drows = []
     for x, q in ((float(2**20), 8), (1_000_000.0, 101)):
         drows.extend(_dyadic_rows(dyadic_profile(x, q, 1, 0.1, table=table)))
-    write("dyadic.csv", drows, _DYADIC_HEADER)
+    write("dyadic.csv", drows)
 
     manifest = {
         "command": "report",
         "files": files,
         "config": cfg.manifest(),
-        "grids": {
-            "zeta_xs": list(_REPORT_ZETA_XS),
-            "thm_qs": list(_REPORT_THM_QS),
-            "thm_xs": list(_REPORT_THM_XS),
-            "thm_Ts": list(_REPORT_THM_TS),
-            "histogram": {"alpha": alpha, "beta": beta, "bins": bins},
-            "x_ladder": list(_REPORT_X_LADDER),
-            "montgomery_qs": list(_REPORT_MONT_QS),
-            "eh_Qs": list(_REPORT_EH_QS),
-            "weak_alphas": list(_REPORT_WEAK_ALPHAS),
-            "weak_qs": list(_REPORT_WEAK_QS),
-        },
+        "grids": grids,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     files.append("manifest.json")
     lines = [f"wrote {out_dir / name}" for name in files]
-    return _Result(None, None, {"params": params, "files": files}, 0, lines)
+    return _Result(None, {"params": params, "files": files}, 0, lines)
 
 
 _HANDLERS = {
@@ -776,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", help="character sum instead, as q:index")
 
     p = sub.add_parser("paircorr", parents=[common], help="pair correlation table")
-    p.add_argument("--q", type=int, help="modulus (default 1)")
-    p.add_argument("--a", type=int, help="residue class (default 1)")
+    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
+    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
     p.add_argument("--x", type=float, action="append", help="repeatable")
     p.add_argument("--T", type=float, action="append", help="repeatable")
     p.add_argument("--window", choices=("both", "positive"), default="both")
@@ -785,8 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explicit", parents=[common], help="zero-sum reconstructions")
     p.add_argument("--x", type=float, action="append", help="repeatable")
     p.add_argument("--Z", type=float, action="append", help="truncation height, repeatable")
-    p.add_argument("--q", type=int, help="modulus (default 1)")
-    p.add_argument("--a", type=int, help="residue class (default 1)")
+    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
+    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
 
     p = sub.add_parser("montgomery", parents=[common], help="normalized class errors")
     p.add_argument("--x", type=float, action="append", help="repeatable")
@@ -807,15 +752,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyadic", parents=[common], help="halving-block error profile")
     p.add_argument("--x", type=float, help="evaluation point")
-    p.add_argument("--q", type=int, help="modulus")
-    p.add_argument("--a", type=int, help="residue class (default 1)")
+    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
+    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
     p.add_argument("--eps", type=float, default=0.1, help="depth exponent (default 0.1)")
 
     p = sub.add_parser("check", parents=[common], help="identity suites")
     p.add_argument("--suite", required=True,
                    choices=("integral", "increment", "orthogonality", "reconstruction"))
     p.add_argument("--q", type=int, action="append", help="moduli, repeatable (default 4)")
-    p.add_argument("--a", type=int, help="residue class (default 1)")
+    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
     p.add_argument("--x", type=float, action="append", help="repeatable")
     p.add_argument("--T", type=float, action="append", help="repeatable")
     p.add_argument("--U", type=float, action="append", help="increment suite lower heights")
@@ -859,7 +804,7 @@ def main(argv=None) -> int:
 
     wrote = None
     if result.rows is not None and args.out is not None and args.command != "report":
-        emit_table(result.rows, args.out, cfg.format, header=result.header)
+        emit_table(result.rows, args.out, cfg.format)
         wrote = args.out
         summary["out"] = str(args.out)
         summary["row_count"] = len(result.rows)
@@ -871,7 +816,7 @@ def main(argv=None) -> int:
     for line in result.lines:
         print(line)
     if result.rows is not None and wrote is None and not result.lines:
-        emit_table(result.rows, sys.stdout, cfg.format, header=result.header)
+        emit_table(result.rows, sys.stdout, cfg.format)
     elif wrote is not None:
         print(f"wrote {wrote} ({len(result.rows)} rows)")
     return result.exit_code

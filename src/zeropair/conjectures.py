@@ -108,6 +108,22 @@ def _class_errors(x: float, q: int, table: LambdaTable) -> dict[int, float]:
     return {a: math.fsum(logs[residues == a % q]) - main for a in units(q)}
 
 
+def _classes_by_modulus(q_list, a: int | None) -> dict[int, list[int]]:
+    """Sorted distinct moduli, each mapped to the unit classes it reports.
+
+    A given a must be a unit for every q and stands alone (reduced mod q);
+    without it every unit class of q is reported.
+    """
+    qs = sorted(set(int(q) for q in q_list))
+    if not qs or qs[0] < 1:
+        raise ValueError("moduli must be positive")
+    if a is None:
+        return {q: units(q) for q in qs}
+    for q in qs:
+        require_unit(q, a)
+    return {q: [1] if q == 1 else [a % q] for q in qs}
+
+
 def _implied_epsilon(normalized: float, x: float) -> float:
     if abs(normalized) <= 1.0:
         return 0.0
@@ -126,22 +142,15 @@ def montgomery_table(
     otherwise all unit classes of each q are enumerated.
     """
     xs = sorted(set(float(x) for x in x_list))
-    qs = sorted(set(int(q) for q in q_list))
     if not xs or xs[0] <= 1.0:
         raise ValueError("x values must exceed 1")
-    if not qs or qs[0] < 1:
-        raise ValueError("moduli must be positive")
+    class_sets = _classes_by_modulus(q_list, a)
     table = table_for(xs[-1], table)
     rows = []
     for x in xs:
         grh_env = math.sqrt(x) * math.log(x) ** 2
-        for q in qs:
+        for q, classes in class_sets.items():
             errors = _class_errors(x, q, table)
-            if a is not None:
-                require_unit(q, a)
-                classes = [1] if q == 1 else [a % q]
-            else:
-                classes = units(q)
             normalizer = math.sqrt(x / q)
             for cls in classes:
                 err = errors[cls]
@@ -195,18 +204,11 @@ def weak_form_table(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if x <= 1.0:
         raise ValueError("x must exceed 1")
-    qs = sorted(set(int(q) for q in q_list))
-    if not qs or qs[0] < 1:
-        raise ValueError("moduli must be positive")
+    class_sets = _classes_by_modulus(q_list, a)
     table = table_for(x, table)
     rows = []
-    for q in qs:
+    for q, classes in class_sets.items():
         errors = _class_errors(x, q, table)
-        if a is not None:
-            require_unit(q, a)
-            classes = [1] if q == 1 else [a % q]
-        else:
-            classes = units(q)
         normalizer = math.sqrt(x * euler_phi(q) ** alpha / q)
         for cls in classes:
             err = errors[cls]

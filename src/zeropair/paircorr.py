@@ -48,7 +48,7 @@ from zeropair.characters import (
     euler_phi,
     require_unit,
 )
-from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, shared_table
+from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, table_for
 from zeropair.zeros import CertificationError, ZeroSet, require_certified
 
 __all__ = [
@@ -477,14 +477,12 @@ def f_q_via_integral(
 
 @dataclass(frozen=True)
 class IncrementCheckResult:
-    """Both routes of the increment identity, plus the unrestricted
-    difference of aggregates for reference.
+    """Both routes of the increment identity.
 
     lhs integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|}; rhs is the direct
     pair sum over ordinates in (U, T].  These agree identically.  The
-    plain difference f_q(T) - f_q(U) also includes cross pairs (one
-    ordinate below U, one above), so it is reported separately rather
-    than compared at tolerance.
+    plain difference f_q(T) - f_q(U) is not the same quantity: it also
+    includes cross pairs (one ordinate below U, one above).
     """
 
     q: int
@@ -495,7 +493,6 @@ class IncrementCheckResult:
     window: str
     lhs: float
     rhs: complex
-    unrestricted_difference: complex
     term_count: int
     v_max: float
     truncation_bound: float
@@ -509,10 +506,6 @@ class IncrementCheckResult:
     @property
     def rel_residual(self) -> float:
         return self.abs_residual / max(abs(self.rhs.real), 1e-12)
-
-    @property
-    def cross_term(self) -> complex:
-        return self.unrestricted_difference - self.rhs
 
 
 def increment_identity_check(
@@ -533,10 +526,8 @@ def increment_identity_check(
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
 
     family = _family(q, a, T, zero_sets, window)
-    full_t, _ = _pair_value(family, x)
-    full_u, increment = complex(0.0), family
+    increment = family
     if U > 0:
-        full_u, _ = _pair_value([(w, o[np.abs(o) <= U]) for w, o in family], x)
         increment = [(w, o[np.abs(o) > U]) for w, o in family]
     rhs, terms = _pair_value(increment, x)
 
@@ -556,8 +547,7 @@ def increment_identity_check(
     )
     return IncrementCheckResult(
         q=q, a=a, x=x, U=U, T=T, window=window,
-        lhs=lhs, rhs=rhs, unrestricted_difference=full_t - full_u,
-        term_count=terms, v_max=v_max, truncation_bound=bound,
+        lhs=lhs, rhs=rhs, term_count=terms, v_max=v_max, truncation_bound=bound,
         node_count=nodes, refinements=refs,
     )
 
@@ -587,10 +577,7 @@ def _r1_terms(
         cutoff = max(100_000, 8 * math.ceil(x)) if table is None else table.limit
     if cutoff < 8 * x:
         raise ValueError(f"cutoff {cutoff} is below 8x = {8 * x:g}")
-    if table is None:
-        table = shared_table(int(cutoff))
-    if table.limit < cutoff:
-        raise ValueError(f"table limit {table.limit} is below cutoff {cutoff}")
+    table = table_for(cutoff, table)
     hi = table.cut(cutoff)
     sel = table.n[:hi] % q == a % q
     ns = table.n[:hi][sel].astype(np.float64)

@@ -192,10 +192,7 @@ def s_of_x(
         cutoff = 8 * math.ceil(x)
     if cutoff < 8 * x:
         raise ValueError("cutoff must be at least 8x")
-    if table is None:
-        table = shared_table(cutoff)
-    if table.limit < cutoff:
-        raise ValueError(f"table limit {table.limit} is below cutoff {cutoff}")
+    table = table_for(cutoff, table)
 
     lo = table.cut(x)
     hi = table.cut(cutoff)

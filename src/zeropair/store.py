@@ -40,7 +40,8 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from zeropair.characters import CharacterLabel, DirichletCharacter
-from zeropair.zeros import ZeroSet, scan_zeros
+from zeropair.lfunc import ROTATION_BRANCH
+from zeropair.zeros import ZeroSet, default_mesh_step, scan_zeros
 
 MAGIC = b"ZPZC"
 VERSION = 1
@@ -223,9 +224,6 @@ class ZeroCache:
         path = self.path_for(chi.label, T)
         if path.exists() and not force:
             zs = read_zero_set(path)
-            from zeropair.lfunc import ROTATION_BRANCH
-            from zeropair.zeros import default_mesh_step
-
             want_mesh = mesh_step if mesh_step is not None else default_mesh_step(chi.modulus, T)
             if (
                 zs.label == chi.label
@@ -273,14 +271,13 @@ def emit_table(
     rows: Iterable[Mapping[str, object]],
     dest: Path | str | IO[str],
     fmt: str = "csv",
-    header: list[str] | None = None,
 ) -> None:
     """Stream rows (dicts sharing a key set) to CSV or JSON.
 
     Floats are rendered with 17 significant digits, so values round-trip
-    exactly and repeated runs emit byte-identical output.  header fixes
-    the column set up front; without it the first row decides, and an
-    empty CSV stays headerless because no key set is known.
+    exactly and repeated runs emit byte-identical output.  The first row's
+    keys, in their order, are the columns; an empty CSV stays headerless
+    because no key set is known.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported format {fmt!r}")
@@ -296,14 +293,10 @@ def emit_table(
         it = iter(rows)
         first = next(it, None)
         if fmt == "csv":
-            keys = header if header is not None else (
-                list(first.keys()) if first is not None else None
-            )
-            if keys is None:
-                return
-            fh.write(",".join(keys) + "\n")
             if first is None:
                 return
+            keys = list(first.keys())
+            fh.write(",".join(keys) + "\n")
             for row in _chain_one(first, it):
                 if set(row.keys()) != set(keys):
                     raise ValueError("rows do not share a common key set")

@@ -39,7 +39,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from zeropair.characters import CharacterLabel, DirichletCharacter, conductor_and_inducer, enumerate_characters
+from zeropair.characters import (
+    CharacterLabel,
+    DirichletCharacter,
+    character,
+    conductor_and_inducer,
+    enumerate_characters,
+)
 from zeropair.lfunc import (
     EvalPrecision,
     PrecisionError,
@@ -116,7 +122,7 @@ class ZeroSet:
         if T > self.height + 1e-12:
             raise ValueError(f"cannot truncate to {T}: set only reaches {self.height}")
         keep = np.abs(self.ordinates) <= T
-        chi = _character_of(self.label)
+        chi = character(self.label.modulus, self.label.index)
         expected = count_expected(chi, T)
         certified = self.certified and _counts_agree(int(np.count_nonzero(keep)), expected)
         return replace(
@@ -134,12 +140,6 @@ def require_certified(zs: ZeroSet, T: float) -> None:
         raise CertificationError(
             f"zero set {zs.label} reaches only height {zs.height:g}, need {T:g}"
         )
-
-
-def _character_of(label: CharacterLabel) -> DirichletCharacter:
-    from zeropair.characters import character
-
-    return character(label.modulus, label.index)
 
 
 def _counts_agree(found: int, expected: float) -> bool:

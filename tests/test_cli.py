@@ -390,6 +390,40 @@ class TestOutputPlumbing:
             assert "dry-run ok" in out, argv
 
 
+class TestHeaders:
+    """Column order of every table, as the rows a command builds lay it out."""
+
+    CASES = {
+        "zeros-q": (["zeros", "--q", "4", "--T", "15"],
+                    "q,index,conductor,inducer,T,count,expected,certified,file"),
+        "zeros-chi": (["zeros", "--chi", "4:3", "--T", "15"],
+                      "q,index,conductor,inducer,T,count,expected,certified,file"),
+        "psi-class": (["psi", "--x", "100", "--q", "4", "--a", "3"], "x,q,a,psi"),
+        "psi-chi": (["psi", "--x", "100", "--chi", "4:3"], "x,q,index,re,im"),
+        "paircorr": (["paircorr", "--q", "4", "--x", "3", "--T", "15"],
+                     "q,a,x,T,ReF,ImF,ratio_to_thm15,trivialBoundRatio"),
+        "explicit": (["explicit", "--q", "4", "--a", "3", "--x", "100", "--Z", "15"],
+                     "x,Z,q,a,reconstructed,exact,absError,budget"),
+        "montgomery": (["montgomery", "--x", "1000", "--q", "4", "--q", "5"],
+                       "x,q,a,error,normalizer,normalized,impliedEpsilon,grhRatio,regime"),
+        "eh": (["eh", "--x", "1000", "--Q", "10"], "x,Q,value,valueOverX"),
+        "weak": (["weak", "--x", "1000", "--q", "4", "--alpha", "0.5"],
+                 "x,q,a,alpha,error,normalizer,normalized"),
+        "dyadic": (["dyadic", "--x", "1000", "--q", "4", "--a", "3"],
+                   "x,q,a,eps,J,piece,j,error,normalized"),
+        "check": (["check", "--suite", "orthogonality", "--q", "4"],
+                  "suite,q,a,x,residual,tol,passed"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_csv_header(self, case, capsys, cache_dir, tmp_path):
+        argv, header = self.CASES[case]
+        dest = tmp_path / "table.csv"
+        code, _ = run(capsys, cache_dir, *argv, "--out", str(dest))
+        assert code == 0
+        assert dest.read_text().splitlines()[0] == header
+
+
 class TestReport:
     EXPECTED = [
         "zeta_ratio_T100.csv", "thm_ratio.csv", "gue_histogram_q1_T100.csv",
@@ -409,7 +443,43 @@ class TestReport:
         manifest = json.loads((first / "manifest.json").read_text())
         data_files = [n for n in self.EXPECTED if n != "manifest.json"]
         assert sorted(manifest["files"]) == sorted(data_files)
-        eh_lines = (first / "eh.csv").read_text().strip().splitlines()
-        assert eh_lines[0] == "x,Q,value,valueOverX"
+        assert manifest["grids"] == {
+            "zeta_xs": [2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 500.0],
+            "thm_qs": [1, 3, 4, 5, 8, 12],
+            "thm_xs": [2.0, 3.0, 5.0, 10.0],
+            "thm_Ts": [15.0, 30.0, 60.0],
+            "histogram": {"alpha": 0.0, "beta": 3.0, "bins": 30},
+            "x_ladder": [1000.0, 10000.0, 100000.0, 1000000.0],
+            "montgomery_qs": [1, 3, 4, 5, 8, 12, 101],
+            "eh_Qs": [1, 10, 50, 100],
+            "weak_alphas": [0.0, 0.5, 1.0],
+            "weak_qs": [3, 4, 5, 8, 12, 101],
+        }
+        assert list(manifest["grids"]) == [
+            "zeta_xs", "thm_qs", "thm_xs", "thm_Ts", "histogram", "x_ladder",
+            "montgomery_qs", "eh_Qs", "weak_alphas", "weak_qs",
+        ]
+        assert manifest["config"] == {
+            "cache_dir": str(cache_dir), "tolerance": 1e-10, "rel_tol": 1e-06,
+            "mesh_step": None, "threads": 1, "format": "csv", "deterministic": True,
+        }
+        assert list(manifest["config"]) == [
+            "cache_dir", "tolerance", "rel_tol", "mesh_step", "threads", "format",
+            "deterministic",
+        ]
+        paircorr_cols = "q,a,x,T,ReF,ImF,ratio_to_thm15,trivialBoundRatio,window,regime"
+        headers = {
+            "zeta_ratio_T100.csv": paircorr_cols,
+            "thm_ratio.csv": paircorr_cols,
+            "gue_histogram_q1_T100.csv":
+                "lo,hi,mid,count,expected,observedDensity,gueDensity,diagonalBin",
+            "montgomery.csv": "x,q,a,error,normalizer,normalized,impliedEpsilon,grhRatio,regime",
+            "eh.csv": "x,Q,value,valueOverX",
+            "weak.csv": "x,q,a,alpha,error,normalizer,normalized",
+            "dyadic.csv": "x,q,a,eps,J,piece,j,error,normalized",
+        }
+        assert sorted(headers) == sorted(data_files)
+        for name, header in headers.items():
+            assert (first / name).read_text().splitlines()[0] == header, name
         hist_lines = (first / "gue_histogram_q1_T100.csv").read_text().splitlines()
         assert len(hist_lines) == 1 + 30

@@ -1,9 +1,11 @@
-"""Every top-level import in src/ and tests/ is used.
+"""Every top-level import in src/ and tests/ is used, and src/ imports
+only at module level.
 
 A static check over the syntax tree, standing in for a linter: a name bound
 by a module-level import must be read somewhere in that module or be listed
 in its __all__ (a re-export).  `from __future__` imports and star imports
-bind no checkable name and are skipped.
+bind no checkable name and are skipped.  Inside src/, no function body may
+import: every dependency of a module is stated at its top.
 """
 
 import ast
@@ -57,3 +59,42 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def function_imports(source: str) -> list:
+    """(line, function name) of each import inside a function, once per enclosing function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((node.lineno, fn.name))
+    return sorted(found)
+
+
+def test_detector_flags_only_function_imports():
+    source = (
+        "import math\n"
+        "from os import path\n"
+        "def f():\n"
+        "    import json\n"
+        "    return json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        if True:\n"
+        "            from json import dumps\n"
+        "    def n(self):\n"
+        "        return math.pi\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        import re\n"
+    )
+    assert function_imports(source) == [(4, "f"), (9, "m"), (14, "inner"), (14, "outer")]
+
+
+def test_no_function_imports_in_src():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in function_imports(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}: inside {name}()")
+    assert not found, "imports inside functions:\n" + "\n".join(found)

@@ -198,16 +198,9 @@ class TestEmitTable:
         p = tmp_path / "empty.csv"
         emit_table([], p, "csv")
         assert p.read_text() == ""
-        emit_table([], p, "csv", header=["x", "y"])
-        assert p.read_text() == "x,y\n"
         pj = tmp_path / "empty.json"
         emit_table([], pj, "json")
         assert json.loads(pj.read_text()) == []
-
-    def test_header_pins_column_order(self, tmp_path):
-        p = tmp_path / "ordered.csv"
-        emit_table([{"x": 1, "y": 2}], p, "csv", header=["y", "x"])
-        assert p.read_text().splitlines()[0] == "y,x"
 
     def test_streaming_many_rows(self, tmp_path):
         def gen():
