@@ -813,11 +813,14 @@ def main(argv=None) -> int:
             summary["rows"] = result.rows
         print(json.dumps(summary))
         return result.exit_code
+    if result.rows is not None and wrote is None and (cfg.format == "json" or not result.lines):
+        # a JSON table stands alone on stdout so that it parses; its rows
+        # carry the verdicts the text lines would repeat
+        emit_table(result.rows, sys.stdout, cfg.format)
+        return result.exit_code
     for line in result.lines:
         print(line)
-    if result.rows is not None and wrote is None and not result.lines:
-        emit_table(result.rows, sys.stdout, cfg.format)
-    elif wrote is not None:
+    if wrote is not None:
         print(f"wrote {wrote} ({len(result.rows)} rows)")
     return result.exit_code
 

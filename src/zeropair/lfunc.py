@@ -28,11 +28,11 @@ bounded.
 A zero scan needs the same columns for every character mod q on the same
 mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
 keeps the last few meshes, so each further character costs one
-matrix-vector product.  Its mesh is blocked, t = t_b + j h, so that
-(n + a)^(-it) = e^(-i t_b log(n+a)) e^(-i j h log(n+a)) and the direct sums
-of a block of columns are one batched matrix product (the Odlyzko-Schonhage
-factorisation), the blocks chunked like the kernel's; the Euler-Maclaurin
-tail and the remainder check are the kernel's own, at the same points.
+matrix-vector product.  The direct sums on the mesh come from
+mesh_exp_sums, the blocked exponential-sum kernel for equispaced points
+(the Odlyzko-Schonhage factorisation), which also serves the sigma(v)
+quadrature of paircorr; the Euler-Maclaurin tail and the remainder check
+are the evaluator's own, at the same points.
 
 Imprimitive values are obtained from the inducing character by stripping
 Euler factors.  hardy_z rotates the critical line by a unimodular
@@ -97,8 +97,59 @@ _MAX_BERNOULLI_TERMS = len(_BERNOULLI_EVEN) - 1  # one more is needed for the bo
 
 
 _BERNOULLI_TERMS = 12  # M used by every precision this module chooses itself
-_EM_CHUNK_ELEMENTS = 1 << 22  # points x residues x N of one direct-sum tensor
+# elements of one direct-sum tensor: points x residues x N in the
+# Euler-Maclaurin kernel, rows x N x (block bases + block width) for the two
+# operands of one mesh_exp_sums product
+_EM_CHUNK_ELEMENTS = 1 << 22
 REALNESS_TOL = 1e-8  # largest |Im| of a rotated value, relative to 1 + |value|
+
+
+def mesh_exp_sums(
+    start: float, step: float, count: int, freqs: np.ndarray, log_coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential sums on an equispaced mesh.
+
+    Returns the points v_m, m < count, and an array of shape (count, R) whose
+    column r holds sum_n exp(log_coeffs[r, n] + i v_m freqs[r, n]); freqs is
+    real and log_coeffs real or complex, both of shape (R, N).  A coefficient
+    of -inf contributes nothing.
+
+    The points are v = v_b + j h with h = step, block bases
+    v_b = start + b B h and offsets j < B = ceil(sqrt(count)).  On that grid
+    the exponential factors as
+
+        exp(c + i v f) = exp(c + i v_b f) exp(i j h f),
+
+    so the sums of every block are one batched matrix product
+    (R', P/B, N) @ (R', N, B), with about 2 sqrt(P) R N exponentials instead
+    of P R N for P = count points (Odlyzko and Schonhage, Trans. AMS 309,
+    1988).  The coefficients enter through the exponent, so a caller can pass
+    logarithms and receive the same floats as a dense exp(c + i v f).  Each
+    product keeps R' N (bases + B) within _EM_CHUNK_ELEMENTS: rows and block
+    bases are chunked, and B shrinks when N B alone would exceed the budget.
+    """
+    rows, n = freqs.shape
+    width = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
+    if n:
+        width = min(width, max(1, _EM_CHUNK_ELEMENTS // n - 1))
+    bases = start + np.arange(-(-count // width)) * (width * step)
+    offsets = np.arange(width) * step
+    points = (bases[:, None] + offsets).ravel()[:count]
+    out = np.zeros((count, rows), dtype=np.complex128)
+    if n == 0:
+        return points, out
+    chunk = min(bases.size, max(1, _EM_CHUNK_ELEMENTS // n - width))
+    row_step = max(1, _EM_CHUNK_ELEMENTS // (n * (chunk + width)))
+    for r in range(0, rows, row_step):
+        f = freqs[r : r + row_step, None, :]
+        c = log_coeffs[r : r + row_step, None, :]
+        offs = np.exp(1j * (offsets * f.transpose(0, 2, 1)))  # (R', N, B)
+        for b in range(0, bases.size, chunk):
+            lead = np.exp(c + 1j * (bases[b : b + chunk, None] * f))  # (R', P/B, N)
+            block = np.matmul(lead, offs).reshape(f.shape[0], -1)
+            m = b * width
+            out[m : m + block.shape[1], r : r + row_step] = block[:, : count - m].T
+    return points, out
 
 
 @dataclass(frozen=True)
@@ -402,37 +453,19 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     """The scan mesh of [-T, T] and the columns q^-s zeta(s, a/q), s = 1/2 + it,
     of the units a mod q on it, as read-only arrays of shapes (P,) and (P, k).
 
-    The P = 2 ceil(T / mesh_step) + 1 points are t = t_b + j h with
-    h = T / ceil(T / mesh_step), block bases t_b = -T + b B h and offsets
-    j < B = ceil(sqrt(P)).  On that grid (n + a)^(-it) factors as
-    e^(-i t_b log(n+a)) e^(-i j h log(n+a)), so the direct sums of a block of
-    columns are one batched matrix product (k', P/B, N) @ (k', N, B), with
-    about 2 sqrt(P) k N exponentials instead of P k N; the column blocks keep
-    k' N (P/B + B) within the chunk budget.  The Euler-Maclaurin tail and the
-    remainder check use the same floats t.
+    The P = 2 ceil(T / mesh_step) + 1 points step by h = T / ceil(T / mesh_step)
+    from -T, in the blocked layout of mesh_exp_sums, which forms the direct
+    sums sum_{n<N} (n + a)^(-1/2) e^(-i t log(n+a)) of every column.  The
+    Euler-Maclaurin tail and the remainder check use the same floats t.
     """
     half = math.ceil(T / mesh_step)
-    size = 2 * half + 1
-    h = T / half
-    width = math.isqrt(size - 1) + 1  # ceil(sqrt(size))
-    bases = -T + np.arange(-(-size // width)) * (width * h)
-    offsets = np.arange(width) * h
-    ts = (bases[:, None] + offsets).ravel()[:size]
-    s = 0.5 + 1j * ts[:, None]
-
     shifts = _unit_shifts(q)
     n = prec.direct_terms
+    logs = np.log(shifts[:, None] + np.arange(n, dtype=np.float64))
+    ts, cols = mesh_exp_sums(-T, T / half, 2 * half + 1, -logs, -0.5 * logs)
+    s = 0.5 + 1j * ts[:, None]
     _certify(s, float(shifts[0]), prec)
-    cols = np.empty((size, shifts.size), dtype=np.complex128)
-    step = max(1, _EM_CHUNK_ELEMENTS // (n * (bases.size + width)))
-    for c in range(0, shifts.size, step):
-        a = shifts[c : c + step]
-        logs = np.log(a[:, None] + np.arange(n, dtype=np.float64))
-        lead = np.exp(logs[:, None, :] * (-0.5 - 1j * bases[:, None]))  # (k', P/B, N)
-        offs = np.exp(logs[:, :, None] * (-1j * offsets))  # (k', N, B)
-        block = np.matmul(lead, offs).reshape(a.size, -1)[:, :size].T
-        _add_em_tail(block, s, n + a, prec.bernoulli_terms)
-        cols[:, c : c + step] = block
+    _add_em_tail(cols, s, n + shifts, prec.bernoulli_terms)
     if q > 1:
         cols *= np.exp(-s * math.log(q))
     ts.flags.writeable = cols.flags.writeable = False

@@ -28,9 +28,13 @@ Structure.  Every character-weighted statistic starts from one family,
 _family(q, a, T, zero_sets, window): the list of (conj(chi(a)), windowed
 ordinates) over the characters mod q, each set certified to T.  The
 direct sums go through _pair_value and its per-pair kernel
-_ordered_pair_sum (a tiled pair sum replaces those two); sigma(v) and
-the prime-side R1 both evaluate sum_j c_j e^{i p f_j} through _exp_sums
-(a non-uniform FFT replaces that one).
+_ordered_pair_sum (a tiled pair sum replaces those two).  The quadrature
+samples sigma(v) only on equispaced Simpson meshes, so it evaluates
+sum_j c_j e^{i v g_j} with lfunc.mesh_exp_sums, the blocked kernel of the
+scan mesh; the direct sums never use it, so the two routes stay
+independent.  Scattered points (sigma_sum at one v, the prime-side R1 at
+arbitrary t) go through the dense _exp_sums; a non-uniform FFT would
+replace that one only if scattered nodes became costly.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from zeropair.characters import (
     euler_phi,
     require_unit,
 )
+from zeropair.lfunc import mesh_exp_sums
 from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, table_for
 from zeropair.zeros import CertificationError, ZeroSet, require_certified
 
@@ -303,12 +308,9 @@ def f_zeta_ratio(
     return _pair_result(1, 1, x, T, window, family)
 
 
-def _sigma_factory(
-    weights: np.ndarray, gammas: np.ndarray, x: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched v -> sum_j weights_j x^{i g_j} e^{i v g_j}."""
-    wx = weights * np.exp(1j * math.log(x) * gammas)
-    return lambda vs: _exp_sums(vs, gammas, wx)
+def _sigma_exponent(weights: np.ndarray, gammas: np.ndarray, x: float) -> np.ndarray:
+    """log(weights_j) + i g_j log x, so that sigma(v) = sum_j e^{exponent_j + i v g_j}."""
+    return np.log(weights) + 1j * math.log(x) * gammas
 
 
 def sigma_sum(
@@ -323,8 +325,8 @@ def sigma_sum(
     """sum_chi conj(chi(a)) sum_{windowed} x^{ig} e^{ivg}."""
     _check_args(x, T, window)
     weights, gammas = _flatten(_family(q, a, T, zero_sets, window))
-    sigma = _sigma_factory(weights, gammas, x)
-    return complex(sigma(np.array([float(v)]))[0])
+    coeffs = np.exp(_sigma_exponent(weights, gammas, x))
+    return complex(_exp_sums(np.array([float(v)]), gammas, coeffs)[0])
 
 
 # The truncation V meets (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR
@@ -360,7 +362,7 @@ def _simpson(ys: np.ndarray, h: float) -> float:
 
 
 def _refine_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[float, float, int], np.ndarray],
     lo: float,
     hi: float,
     n0: int,
@@ -369,22 +371,22 @@ def _refine_simpson(
 ) -> tuple[float, int, int]:
     """Composite Simpson with interval doubling, reusing prior nodes.
 
-    Returns (value, nodes evaluated, refinements used)."""
+    f(start, step, count) samples the integrand at start + m step, m < count:
+    the first mesh is (lo, h, n + 1), each refinement's midpoints
+    (lo + h/2, h, n).  Returns (value, nodes evaluated, refinements used)."""
     n = max(2, n0 + (n0 % 2))
-    xs = np.linspace(lo, hi, n + 1)
-    ys = f(xs)
-    nodes = xs.size
-    prev = _simpson(ys, (hi - lo) / n)
+    h = (hi - lo) / n
+    ys = f(lo, h, n + 1)
+    nodes = ys.size
+    prev = _simpson(ys, h)
     for r in range(1, SIMPSON_REFINEMENT_CAP + 1):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        mys = f(mids)
-        nodes += mids.size
-        xs2 = np.empty(2 * n + 1)
+        mys = f(lo + 0.5 * h, h, n)
+        nodes += mys.size
         ys2 = np.empty(2 * n + 1)
-        xs2[0::2], xs2[1::2] = xs, mids
         ys2[0::2], ys2[1::2] = ys, mys
-        n, xs, ys = 2 * n, xs2, ys2
-        cur = _simpson(ys, (hi - lo) / n)
+        n, ys = 2 * n, ys2
+        h = (hi - lo) / n
+        cur = _simpson(ys, h)
         correction = abs(cur - prev)
         if correction <= max(rel_tol * abs(cur), abs_floor):
             return cur, nodes, r
@@ -396,7 +398,7 @@ def _refine_simpson(
 
 
 def _integrate_weighted_square(
-    sig: Callable[[np.ndarray], np.ndarray],
+    sig: Callable[[float, float, int], tuple[np.ndarray, np.ndarray]],
     count: int,
     x: float,
     T: float,
@@ -405,6 +407,7 @@ def _integrate_weighted_square(
 ) -> tuple[float, float, float, int, int]:
     """Integral of |sig(v)|^2 e^{-2|v|} over the real line, truncated.
 
+    sig(start, step, count) returns the mesh points and sig at them.
     Returns (value, v_max, truncation bound, nodes, refinements)."""
     budget = QUAD_BUDGET_FACTOR * max(abs(target), 1.0)
     if count == 0:
@@ -421,8 +424,8 @@ def _integrate_weighted_square(
             f"{budget:.3e}; enlarge v_max"
         )
 
-    def integrand(vs: np.ndarray) -> np.ndarray:
-        s = sig(vs)
+    def integrand(start: float, step: float, count: int) -> np.ndarray:
+        vs, s = sig(start, step, count)
         return (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
 
     # integrand oscillates at gap frequencies up to 2T
@@ -468,7 +471,12 @@ def f_q_via_integral(
     # the public f_q, so that a tracer of f_q counts these pair terms too
     direct = f_q(inp, window)
     weights, gammas = _flatten(_family(inp.q, inp.a, inp.T, inp.zero_sets, window))
-    sig = _sigma_factory(weights, gammas, inp.x)
+    exponent = _sigma_exponent(weights, gammas, inp.x)
+
+    def sig(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+        vs, sums = mesh_exp_sums(start, step, count, gammas[None], exponent[None])
+        return vs, sums[:, 0]
+
     integral, v_max, bound, nodes, refs = _integrate_weighted_square(
         sig, gammas.size, inp.x, inp.T, direct.real, quad
     )
@@ -534,13 +542,17 @@ def increment_identity_check(
     weights, gammas = _flatten(family)
     below = np.abs(gammas) <= U
     # difference of the two truncations, literally; only increment
-    # ordinates survive, which the direct rhs enumerates independently
-    sig_t = _sigma_factory(weights, gammas, x)
-    sig_u = _sigma_factory(weights[below], gammas[below], x)
+    # ordinates survive, which the direct rhs enumerates independently.
+    # Row 0 is sig_T, row 1 sig_U (the ordinates above U weighted by
+    # e^-inf = 0); one kernel call samples both at the same points.
+    exponent = _sigma_exponent(weights, gammas, x)
+    rows = np.stack([exponent, np.where(below, exponent, -np.inf)])
+    freqs = np.broadcast_to(gammas, rows.shape)
     inc_count = int(gammas.size - np.count_nonzero(below))
 
-    def g_fn(vs: np.ndarray) -> np.ndarray:
-        return sig_t(vs) - sig_u(vs)
+    def g_fn(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+        vs, sums = mesh_exp_sums(start, step, count, freqs, rows)
+        return vs, sums[:, 0] - sums[:, 1]
 
     lhs, v_max, bound, nodes, refs = _integrate_weighted_square(
         g_fn, inc_count, x, T, rhs.real, quad

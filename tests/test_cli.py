@@ -342,6 +342,17 @@ class TestCheck:
         assert summary["ok"] is True
         assert summary["rows"][0]["passed"] is True
 
+    def test_json_format_prints_the_rows_alone(self, capsys, cache_dir):
+        code, out = run(capsys, cache_dir, "check", "--suite", "orthogonality",
+                        "--q", "4", "--q", "5", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [(r["q"], r["passed"]) for r in rows] == [(4, True), (5, True)]
+        code, out = run(capsys, cache_dir, "check", "--suite", "orthogonality",
+                        "--q", "4", "--tol", "0", "--format", "json")
+        assert code == 3
+        assert [r["passed"] for r in json.loads(out)] == [False]
+
 
 class TestOutputPlumbing:
     def test_out_file_matches_stdout(self, capsys, cache_dir, tmp_path):

@@ -24,6 +24,7 @@ from zeropair.lfunc import (
     hurwitz_zeta_batch,
     l_critical_batch,
     l_value,
+    mesh_exp_sums,
     root_number,
     _em_remainder_bound,
 )
@@ -283,6 +284,47 @@ class TestMeshEvaluator:
         lfunc._mesh_columns.cache_clear()
         assert len(sizes) > 1 and max(sizes) <= 5000
         assert np.array_equal(blocked_ts, ts) and np.array_equal(blocked, whole)
+
+
+class TestMeshExpSums:
+    def _case(self, count=10_000, n=50):
+        rng = np.random.default_rng(11)
+        freqs = rng.uniform(-20.0, 20.0, (1, n))
+        log_coeffs = rng.uniform(-1.0, 0.0, (1, n)) + 1j * rng.uniform(-3.0, 3.0, (1, n))
+        return -5.0, 1e-3, count, freqs, log_coeffs
+
+    def test_matches_the_dense_sum_at_its_points(self):
+        start, step, count, freqs, log_coeffs = self._case(count=2_000)
+        vs, sums = mesh_exp_sums(start, step, count, freqs, log_coeffs)
+        assert vs.shape == (count,) and sums.shape == (count, 1)
+        assert vs[0] == start and np.max(np.abs(vs - (start + np.arange(count) * step))) <= 1e-14
+        dense = np.exp(log_coeffs[0] + 1j * np.outer(vs, freqs[0])).sum(axis=1)
+        assert np.max(np.abs(sums[:, 0] - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_empty_frequency_set_gives_zeros(self):
+        vs, sums = mesh_exp_sums(-1.0, 0.25, 9, np.empty((2, 0)), np.empty((2, 0)))
+        assert vs.size == 9 and vs[-1] == 1.0
+        assert sums.shape == (9, 2) and not np.any(sums)
+
+    @pytest.mark.parametrize("budget, same_width", [(6000, True), (3000, False)])
+    def test_products_stay_within_the_element_budget(self, monkeypatch, budget, same_width):
+        start, step, count, freqs, log_coeffs = self._case()
+        whole_vs, whole = mesh_exp_sums(start, step, count, freqs, log_coeffs)
+        sizes = []
+        matmul = np.matmul
+
+        def recording(lead, offs):
+            sizes.append(lead.size + offs.size)
+            return matmul(lead, offs)
+
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(lfunc.np, "matmul", recording)
+        vs, sums = mesh_exp_sums(start, step, count, freqs, log_coeffs)
+        # one row of N = 50 over a 100 x 100 mesh needs 50 * (100 + 100) elements
+        assert len(sizes) > 1 and max(sizes) <= budget
+        assert np.max(np.abs(sums - whole)) <= 1e-13 * np.max(np.abs(whole))
+        if same_width:
+            assert np.array_equal(vs, whole_vs) and np.array_equal(sums, whole)
 
 
 class TestLValues:

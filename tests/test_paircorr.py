@@ -8,6 +8,7 @@ import pytest
 
 from zeropair import paircorr
 from zeropair.characters import CharacterLabel, character, enumerate_characters
+from zeropair.lfunc import mesh_exp_sums
 from zeropair.paircorr import (
     CertificationError,
     PairCorrInput,
@@ -33,6 +34,11 @@ from zeropair.zeros import zeros_for_modulus
 @pytest.fixture(scope="module")
 def sets1():
     return zeros_for_modulus(1, 30.0)
+
+
+@pytest.fixture(scope="module")
+def sets1_1000():
+    return zeros_for_modulus(1, 1000.0)
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +276,31 @@ class TestIntegralRoute:
         found = re.search(r"last correction (\S+) above floor (\S+)$", str(info.value))
         correction, floor = map(float, found.groups())
         assert correction > floor > 0.0
+
+
+class TestMeshSigma:
+    def test_blocked_sigma_matches_the_dense_sum(self, sets1_1000):
+        x, T = 10.0, 1000.0
+        weights, gammas = paircorr._flatten(paircorr._family(1, 1, T, sets1_1000, "both"))
+        exponent = paircorr._sigma_exponent(weights, gammas, x)
+        vs, sums = mesh_exp_sums(-13.4, math.pi / 4000.0, 34_141, gammas[None], exponent[None])
+        dense = paircorr._exp_sums(vs, gammas, weights * np.exp(1j * math.log(x) * gammas))
+        assert gammas.size > 1000 and vs.size == 34_141
+        assert np.max(np.abs(sums[:, 0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    # node counts and refinements of the parent's linspace meshes: the
+    # blocked points differ from them in the last bits, the work must not
+    @pytest.mark.parametrize("case, nodes, refinements", [
+        ("q4", 4994, 4),
+        ("q1_1000", 69378, 1),
+    ])
+    def test_quadrature_work_is_pinned(self, sets4, sets1_1000, case, nodes, refinements):
+        if case == "q4":
+            inp = PairCorrInput(4, 3, 3.0, 15.0, sets4)
+        else:
+            inp = PairCorrInput(1, 1, 10.0, 1000.0, sets1_1000)
+        chk = f_q_via_integral(inp)
+        assert (chk.node_count, chk.refinements) == (nodes, refinements)
 
 
 class TestIncrementIdentity:
