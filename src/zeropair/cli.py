@@ -555,6 +555,8 @@ _SUITES = {
 def _cmd_check(args, cfg: RunConfig) -> _Result:
     suite = args.suite
     a = args.a
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     tol = args.tol if args.tol is not None else _SUITE_TOL.get(suite)
     qs = _check_grid(args, "q", (4,))
     for q in qs:

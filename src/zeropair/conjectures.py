@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from zeropair.characters import euler_phi, require_unit, units
-from zeropair.sieve import LambdaTable, psi_progression, table_for
+from zeropair.sieve import LambdaTable, logp_sums, psi_progression, table_for
 
 __all__ = [
     "MontgomeryRow",
@@ -101,11 +101,9 @@ class DyadicProfile:
 
 def _class_errors(x: float, q: int, table: LambdaTable) -> dict[int, float]:
     """psi(x; q, a) - x/phi(q) for every unit a, in one table pass."""
-    cut = table.cut(x)
-    residues = table.n[:cut] % q
-    logs = table.logp[:cut]
+    sums = logp_sums(x, q, table)
     main = x / euler_phi(q)
-    return {a: math.fsum(logs[residues == a % q]) - main for a in units(q)}
+    return {a: sums[a % q] - main for a in units(q)}
 
 
 def _classes_by_modulus(q_list, a: int | None) -> dict[int, list[int]]:

@@ -3,16 +3,18 @@
 The central object tags every prime power n = p^k in a range with its base
 and exponent, so set-level statements (which n land in which residue
 class, how psi decomposes over characters) can be tested exactly on
-integers.  Floats enter only when a sum is finally rendered, and renders
-go through math.fsum on a fixed ordering, so repeated runs agree bit for
-bit.
+integers.  Sums of log p are exact too: each float64 weight log p >= log 2
+is an integer multiple of 2^-53, so logp_sums adds those integers in
+narrow limbs that no float64 total can round, and rounds each group's
+exact sum once.  A rendered sum therefore equals math.fsum of the same
+tags, whatever their order, and repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +45,14 @@ def primes_in_window(lo: int, hi: int) -> np.ndarray:
         if lo <= p <= hi:
             mask[p - lo] = True
     return np.nonzero(mask)[0].astype(np.int64) + lo
+
+
+# For log 2 <= logp < 32, logp * 2^53 is an integer below 2^58, held as a low
+# and a high limb of _LIMB_BITS bits.  A float64 total of fewer than
+# _EXACT_TAGS limbs stays an integer below 2^53, so np.bincount adds them
+# without rounding.
+_LIMB_BITS = 29
+_EXACT_TAGS = 2 ** (53 - _LIMB_BITS)
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,22 @@ class LambdaTable:
             raise ValueError(f"x={x} exceeds table limit {self.limit}")
         return int(np.searchsorted(self.n, math.floor(x), side="right"))
 
+    @cached_property
+    def _limbs(self) -> np.ndarray:
+        """(2, size) float64 low and high limbs of logp * 2^53."""
+        if self.n.size >= _EXACT_TAGS:
+            raise ValueError(f"{self.n.size} tags exceed the exact-sum budget of {_EXACT_TAGS}")
+        top = 2.0 ** (2 * _LIMB_BITS - 53)
+        if self.logp.size and not (self.logp.min() >= 0.5 and self.logp.max() < top):
+            raise ValueError(f"exact sums need every logp in [1/2, {top:g})")
+        # limb i = floor(logp * 2^(53 - i * _LIMB_BITS)) mod 2^_LIMB_BITS; ldexp,
+        # floor and fmod are exact in float64 and need no temporaries
+        limbs = np.empty((2, self.logp.size))
+        for i, limb in enumerate(limbs):
+            np.ldexp(self.logp, 53 - i * _LIMB_BITS, out=limb)
+            np.fmod(np.floor(limb, out=limb), 2.0**_LIMB_BITS, out=limb)
+        return limbs
+
     def lambda_at(self, n: int) -> float:
         i = int(np.searchsorted(self.n, n))
         if i < self.n.size and self.n[i] == n:
@@ -113,43 +139,54 @@ def table_for(x: float, table: LambdaTable | None = None) -> LambdaTable:
     return table
 
 
+def logp_sums(x: float, q: int, table: LambdaTable, group: np.ndarray | None = None) -> list[float]:
+    """Sums of log p over the prime powers n <= x, one per class n mod q.
+
+    With group, class r adds to entry group[r] instead.  Every entry is the
+    correctly rounded value of its exact sum (an empty class gives 0.0).
+    """
+    cut = table.cut(x)
+    keys = table.n[:cut] % q
+    size = q
+    if group is not None:
+        keys = group[keys]
+        size = int(group.max()) + 1
+    lo, hi = (np.bincount(keys, weights=limb[:cut], minlength=size).astype(np.int64).tolist()
+              for limb in table._limbs)
+    # int / int is correctly rounded, as math.fsum is
+    return [(a + (b << _LIMB_BITS)) / 2**53 for a, b in zip(lo, hi)]
+
+
 def psi(x: float, table: LambdaTable) -> float:
     """sum of log p over prime powers <= x."""
-    return math.fsum(table.logp[: table.cut(x)])
+    return logp_sums(x, 1, table)[0]
 
 
 def psi_progression(x: float, q: int, a: int, table: LambdaTable) -> float:
     """sum of log p over prime powers <= x in the class a mod q."""
     require_unit(q, a)
-    cut = table.cut(x)
-    mask = table.n[:cut] % q == a % q
-    return math.fsum(table.logp[:cut][mask])
+    return logp_sums(x, q, table)[a % q]
 
 
 def psi_character(x: float, chi: DirichletCharacter, table: LambdaTable) -> complex:
     """sum of chi(n) log p over prime powers n <= x.
 
-    Tags are grouped by the exact angle of chi(n); each group is rendered
-    with fsum and only then multiplied by its root of unity, so the float
-    result is as close to the exact one as the final few operations allow.
+    Tags are grouped by the exact angle of chi(n); each group's sum is exact
+    until it is multiplied by its root of unity, so the float result is as
+    close to the exact one as the final few operations allow.
     """
     q = chi.modulus
-    cut = table.cut(x)
-    ns = table.n[:cut]
-    logs = table.logp[:cut]
     m = chi._group.exponent
-    angle_of = np.full(q if q > 1 else 1, -1, dtype=np.int64)
-    for r in range(q if q > 1 else 1):
+    # residues off the group (chi(n) = 0) land in the dropped entry m
+    angle_of = np.full(q, m, dtype=np.int64)
+    for r in range(q):
         av = chi.angle_numerator(r)
         if av is not None:
             angle_of[r] = av
-    keys = angle_of[ns % q] if q > 1 else np.zeros(ns.size, dtype=np.int64)
     total = complex(0.0, 0.0)
-    for kang in np.unique(keys):
-        if kang < 0:
-            continue
-        group = math.fsum(logs[keys == kang])
-        total += group * UnitRoot.of(int(kang), m).value
+    for kang, group in enumerate(logp_sums(x, q, table, angle_of)[:m]):
+        if group:
+            total += group * UnitRoot.of(kang, m).value
     return total
 
 

@@ -349,9 +349,17 @@ class TestCheck:
         rows = json.loads(out)
         assert [(r["q"], r["passed"]) for r in rows] == [(4, True), (5, True)]
         code, out = run(capsys, cache_dir, "check", "--suite", "orthogonality",
-                        "--q", "4", "--tol", "0", "--format", "json")
+                        "--q", "5", "--x", "1000000", "--tol", "1e-30", "--format", "json")
         assert code == 3
         assert [r["passed"] for r in json.loads(out)] == [False]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, cache_dir, tol):
+        for extra in ((), ("--dry-run",)):
+            code, out = run(capsys, cache_dir, "check", "--suite", "orthogonality",
+                            "--q", "4", "--tol", tol, *extra)
+            assert code == 2
+            assert out == ""
 
 
 class TestOutputPlumbing:

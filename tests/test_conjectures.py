@@ -2,14 +2,15 @@ import math
 
 import pytest
 
-from zeropair.characters import euler_phi
+from zeropair.characters import euler_phi, units
+from zeropair.cli import _REPORT_GRIDS
 from zeropair.conjectures import (
     dyadic_profile,
     eh_sum,
     montgomery_table,
     weak_form_table,
 )
-from zeropair.sieve import psi, psi_progression, shared_table
+from zeropair.sieve import psi, psi_progression, shared_table, table_for
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +193,55 @@ class TestDyadicProfile:
             dyadic_profile(1000.0, 3, 1, 0.0, table=table)
         with pytest.raises(ValueError):
             dyadic_profile(1000.0, 3, 1, 1.0, table=table)
+
+
+def _fsum_class_sum(x, q, a, table):
+    """psi(x; q, a) by the mask-and-fsum formula the tables used to render."""
+    cut = table.cut(x)
+    return math.fsum(table.logp[:cut][table.n[:cut] % q == a % q])
+
+
+def _class_errors(x, q, table):
+    main = x / euler_phi(q)
+    return {a: _fsum_class_sum(x, q, a, table) - main for a in units(q)}
+
+
+class TestReportTablesByteIdentical:
+    """The conjecture tables on the report's grids equal the fsum formula exactly."""
+
+    @pytest.fixture(scope="class")
+    def report_table(self):
+        return table_for(max(max(_REPORT_GRIDS["x_ladder"]), float(2**20)))
+
+    def test_montgomery(self, report_table):
+        rows = montgomery_table(_REPORT_GRIDS["x_ladder"], _REPORT_GRIDS["montgomery_qs"],
+                                table=report_table)
+        want = {(x, q): _class_errors(x, q, report_table)
+                for x in _REPORT_GRIDS["x_ladder"] for q in _REPORT_GRIDS["montgomery_qs"]}
+        assert [r.error for r in rows] == [want[r.x, r.q][r.a] for r in rows]
+
+    def test_eh(self, report_table):
+        for x in _REPORT_GRIDS["x_ladder"]:
+            worst = [max(abs(e) for e in _class_errors(x, q, report_table).values())
+                     for q in range(1, max(_REPORT_GRIDS["eh_Qs"]) + 1)]
+            for Q in _REPORT_GRIDS["eh_Qs"]:
+                if Q < x:
+                    assert eh_sum(x, Q, report_table) == math.fsum(worst[:Q])
+
+    def test_weak(self, report_table):
+        x = 1_000_000.0
+        want = {q: _class_errors(x, q, report_table) for q in _REPORT_GRIDS["weak_qs"]}
+        for alpha in _REPORT_GRIDS["weak_alphas"]:
+            for r in weak_form_table(x, _REPORT_GRIDS["weak_qs"], alpha, 1, report_table):
+                assert r.error == want[r.q][r.a]
+
+    @pytest.mark.parametrize("x, q", [(float(2**20), 8), (1_000_000.0, 101)])
+    def test_dyadic(self, report_table, x, q):
+        prof = dyadic_profile(x, q, 1, 0.1, table=report_table)
+        phi = euler_phi(q)
+        counts = [_fsum_class_sum(x / 2**j, q, 1, report_table) for j in range(prof.depth + 1)]
+        blocks = tuple(counts[j] - counts[j + 1] - x / (2 ** (j + 1) * phi)
+                       for j in range(prof.depth))
+        assert prof.block_errors == blocks
+        assert prof.tail_error == counts[-1] - x / (2**prof.depth * phi)
+        assert prof.total_error == counts[0] - x / phi

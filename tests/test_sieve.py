@@ -1,14 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zeropair.characters import character, enumerate_characters, euler_phi
 from zeropair.paircorr import r1
+from zeropair import sieve
 from zeropair.sieve import (
     BrunTitchmarshResult,
     LambdaTable,
     brun_titchmarsh_check,
+    logp_sums,
     pi_count,
     pi_progression,
     primes_in_window,
@@ -85,6 +88,66 @@ class TestTable:
         window = primes_in_window(lo, hi)
         assert np.array_equal(window, direct[(direct >= lo) & (direct <= hi)])
         assert np.array_equal(primes_in_window(2, 30), primes_up_to(30))
+
+
+# empty table, a small cut, a prime power (3^12, included by the cut), and two large cuts
+EXACT_XS = (1.5, 1000.5, 3.0**12, 1e6, 2.0**21)
+
+
+@pytest.fixture(scope="module")
+def exact_tags():
+    """shared_table(2^21) with each tag's logp as an exact Fraction."""
+    t = shared_table(2**21)
+    return t, t.n.tolist(), [Fraction(v) for v in t.logp.tolist()]
+
+
+class TestExactSums:
+    @pytest.mark.parametrize("q", [1, 7, 12, 101, 997])
+    def test_every_class_matches_fraction_oracle(self, exact_tags, q):
+        # the oracle adds each cut's new tags to exact per-class totals, so
+        # at every x it holds the sum of the masked slice n % q == r
+        t, ns, fracs = exact_tags
+        totals = [Fraction(0)] * q
+        done = 0
+        for x in EXACT_XS:
+            cut = t.cut(x)
+            for n, f in zip(ns[done:cut], fracs[done:cut]):
+                totals[n % q] += f
+            done = cut
+            assert logp_sums(x, q, t) == [float(s) for s in totals]
+
+    def test_empty_classes_are_zero(self, exact_tags):
+        t = exact_tags[0]
+        assert logp_sums(1.5, 7, t) == [0.0] * 7
+        sums = logp_sums(2.0**21, 12, t)
+        # no prime power is 0, 6 or 10 mod 12
+        assert [sums[r] for r in (0, 6, 10)] == [0.0, 0.0, 0.0]
+        assert sums[2] == math.log(2)
+
+    def test_group_map_sums_whole_classes(self, table_1e5):
+        # classes 1, 4 -> group 0; 2, 3 -> group 1; 0 -> group 2; each group
+        # is rounded once, so it equals fsum over its tags, not over its classes
+        t = table_1e5
+        residues = t.n % 5
+        want = [math.fsum(t.logp[np.isin(residues, classes)]) for classes in ((1, 4), (2, 3), (0,))]
+        assert logp_sums(10**5, 5, t, np.array([2, 0, 1, 1, 0])) == want
+
+    @pytest.mark.parametrize("bad", [200.0, 0.25, math.nan])
+    def test_logp_outside_limb_budget_raises(self, bad):
+        n = np.array([2, 3, 4], dtype=np.int64)
+        logp = np.array([math.log(2), bad, math.log(2)])
+        t = LambdaTable(4, n, np.array([2, 3, 2]), np.array([1, 1, 2]), logp)
+        with pytest.raises(ValueError, match="exact sums"):
+            logp_sums(4, 1, t)
+        with pytest.raises(ValueError):
+            psi(4, t)
+
+    def test_table_beyond_tag_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_EXACT_TAGS", 25)
+        with pytest.raises(ValueError, match="exceed the exact-sum budget"):
+            psi(60, LambdaTable.build(60))  # 17 primes and 8 higher powers
+        t = LambdaTable.build(58)  # one tag fewer
+        assert psi(58, t) == math.fsum(t.logp)
 
 
 class TestPsi:
