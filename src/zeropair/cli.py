@@ -34,7 +34,7 @@ from zeropair.characters import (
 )
 from zeropair.conjectures import (
     dyadic_profile,
-    eh_sum,
+    eh_sums,
     montgomery_table,
     weak_form_table,
 )
@@ -54,7 +54,7 @@ from zeropair.paircorr import (
 )
 from zeropair.sieve import psi_character, psi_progression, table_for
 from zeropair.store import ZeroCache, ZeroCacheError, emit_table
-from zeropair.zeros import DEFAULT_TOLERANCE, zeros_for_modulus
+from zeropair.zeros import DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
 
 __all__ = ["RunConfig", "main"]
 
@@ -406,8 +406,7 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
 def _eh_rows(xs, Qs, table) -> list:
     rows = []
     for x in xs:
-        for Q in Qs:
-            val = eh_sum(x, Q, table=table)
+        for Q, val in zip(Qs, eh_sums(x, Qs, table)):
             rows.append({"x": x, "Q": Q, "value": val, "valueOverX": val / x})
     return rows
 
@@ -555,8 +554,8 @@ _SUITES = {
 def _cmd_check(args, cfg: RunConfig) -> _Result:
     suite = args.suite
     a = args.a
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    if args.tol is not None and args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     tol = args.tol if args.tol is not None else _SUITE_TOL.get(suite)
     qs = _check_grid(args, "q", (4,))
     for q in qs:
@@ -727,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
     p.add_argument("--x", type=float, action="append", help="repeatable")
     p.add_argument("--T", type=float, action="append", help="repeatable")
-    p.add_argument("--window", choices=("both", "positive"), default="both")
+    p.add_argument("--window", choices=WINDOWS, default="both")
 
     p = sub.add_parser("explicit", parents=[common], help="zero-sum reconstructions")
     p.add_argument("--x", type=float, action="append", help="repeatable")
@@ -781,6 +780,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        # inf and nan are invalid on every float flag, repeatable ones included
+        for name, value in vars(args).items():
+            for v in value if isinstance(value, list) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"--{name} must be finite, got {v}")
         cfg = resolve_config(args)
         result = _HANDLERS[args.command](args, cfg)
     except (CertificationError, PrecisionError, QuadratureError, ZeroCacheError) as exc:

@@ -7,7 +7,8 @@ exponents rather than a verdict:
 
 - montgomery_table divides by sqrt(x/q) and reports the exponent epsilon
   that the observed ratio would demand, clamped at zero;
-- eh_sum accumulates worst-class errors over all moduli up to Q;
+- eh_sum accumulates worst-class errors over all moduli up to Q, and
+  eh_sums does so for several nested Q in one pass;
 - weak_form_table generalizes the normalizer to sqrt(x phi(q)^alpha / q),
   interpolating between the two scalings above as alpha goes 0 to 1;
 - dyadic_profile splits the error over halving blocks down to the depth
@@ -29,6 +30,7 @@ __all__ = [
     "DyadicProfile",
     "montgomery_table",
     "eh_sum",
+    "eh_sums",
     "weak_form_table",
     "dyadic_profile",
 ]
@@ -168,22 +170,25 @@ def montgomery_table(
     return rows
 
 
+def eh_sums(x: float, Qs, table: LambdaTable | None = None) -> list[float]:
+    """eh_sum(x, Q) for each Q in Qs, with each modulus's worst-class term computed once."""
+    if not Qs or min(Qs) < 1:
+        raise ValueError("Q must be positive")
+    if not max(Qs) < x:
+        raise ValueError(f"need Q < x, got Q={max(Qs)}, x={x:g}")
+    table = table_for(x, table)
+    terms = [max(abs(e) for e in _class_errors(x, q, table).values())
+             for q in range(1, max(Qs) + 1)]
+    return [math.fsum(terms[:Q]) for Q in Qs]
+
+
 def eh_sum(x: float, Q: int, table: LambdaTable | None = None) -> float:
     """Sum over q <= Q of the worst unit-class error at x.
 
     Each term is max over units a of |psi(x; q, a) - x/phi(q)|, so the
     sum is nondecreasing in Q; Q = 1 gives |psi(x) - x|.
     """
-    if Q < 1:
-        raise ValueError("Q must be positive")
-    if not Q < x:
-        raise ValueError(f"need Q < x, got Q={Q}, x={x:g}")
-    table = table_for(x, table)
-    terms = []
-    for q in range(1, Q + 1):
-        errors = _class_errors(x, q, table)
-        terms.append(max(abs(e) for e in errors.values()))
-    return math.fsum(terms)
+    return eh_sums(x, (Q,), table)[0]
 
 
 def weak_form_table(

@@ -14,9 +14,10 @@ as twice the real part over the positive half, which makes the result real
 by construction.  The residue-class count aggregates one zero sum per
 character mod q with weight conj(chi(a)); prime powers sharing a factor
 with q belong to no coprime class, so their exact mass is removed from the
-main term x before dividing by phi(q).  The per-character sums are taken
-over each set's own recorded ordinates, and the small imaginary part left
-over after aggregation is kept as a diagnostic rather than silently lost.
+main term x before dividing by phi(q).  The per-character sums run over
+zeros.character_family, like the pair sums of paircorr, and a run's term
+count is the size of its ZeroSet.window cuts.  The small imaginary part
+left over after aggregation is kept as a diagnostic, not silently lost.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from zeropair.characters import (
     DirichletCharacter,
     _prime_factors,
     conductor_and_inducer,
-    enumerate_characters,
     euler_phi,
-    require_unit,
 )
 from zeropair.sieve import (
     LambdaTable,
@@ -43,7 +42,7 @@ from zeropair.sieve import (
     psi_progression,
     table_for,
 )
-from zeropair.zeros import ZeroSet, require_certified
+from zeropair.zeros import ZeroSet, character_family, zero_set_for
 
 __all__ = [
     "ExplicitFormulaRun",
@@ -92,32 +91,15 @@ def _check_range(x: float, z: float) -> None:
         raise ValueError(f"need 2 <= Z <= x, got Z={z:g}, x={x:g}")
 
 
+def _terms(x: float, o: np.ndarray) -> np.ndarray:
+    """x^(1/2+ig)/(1/2+ig) for every ordinate g in o."""
+    rho = 0.5 + 1j * o
+    return np.exp(math.log(x) * rho) / rho
+
+
 def zero_sum(x: float, zs: ZeroSet, z: float) -> complex:
     """Sum of x^(1/2+ig)/(1/2+ig) over recorded ordinates with |g| <= z."""
-    require_certified(zs, z)
-    o = zs.ordinates
-    o = o[np.abs(o) <= z]
-    if o.size == 0:
-        return 0j
-    rho = 0.5 + 1j * o
-    return complex(np.sum(np.exp(math.log(x) * rho) / rho))
-
-
-def _paired_zeta_sum(x: float, zs: ZeroSet, z: float) -> tuple[float, int]:
-    """The same sum for the self-mirrored zeta set, folded to 2 Re.
-
-    Pairing g with -g exactly keeps the result real regardless of the
-    last-digit noise between the two independently refined halves.
-    """
-    require_certified(zs, z)
-    o = zs.ordinates
-    pos = o[(o > 0.0) & (o <= z)]
-    count = int(np.count_nonzero(np.abs(o) <= z))
-    if pos.size == 0:
-        return 0.0, count
-    rho = 0.5 + 1j * pos
-    total = 2.0 * float(np.sum((np.exp(math.log(x) * rho) / rho).real))
-    return total, count
+    return complex(np.sum(_terms(x, zs.window(z))))
 
 
 def ramified_mass(x: float, q: int) -> float:
@@ -142,7 +124,10 @@ def psi_from_zeros(
     if zeta_set.label != _ZETA_LABEL:
         raise ValueError(f"expected the zeta zero set, got {zeta_set.label}")
     table = table_for(x, table)
-    total, count = _paired_zeta_sum(x, zeta_set, z)
+    o = zeta_set.window(z)
+    # pairing g with -g exactly keeps the result real regardless of the
+    # last-digit noise between the two independently refined halves
+    total = 2.0 * float(np.sum(_terms(x, o[o > 0.0]).real))
     budget = x * math.log(x * z) ** 2 / z
     return ExplicitFormulaRun(
         x=x,
@@ -152,7 +137,7 @@ def psi_from_zeros(
         reconstructed=x - total,
         exact=psi(x, table),
         error_budget=budget,
-        term_count=count,
+        term_count=o.size,
         imag_residue=0.0,
     )
 
@@ -183,18 +168,17 @@ def psi_chi_from_zeros(
         )
     table = table_for(x, table)
     q = chi.modulus
-    o = zero_set.ordinates
-    count = int(np.count_nonzero(np.abs(o) <= z))
+    o = zero_set.window(z)
     budget = x * math.log(q * x) ** 2 / z
     return ExplicitFormulaRun(
         x=x,
         z=z,
         q=q,
         a=0,
-        reconstructed=-zero_sum(x, zero_set, z),
+        reconstructed=-complex(np.sum(_terms(x, o))),
         exact=psi_character(x, chi, table),
         error_budget=budget,
-        term_count=count,
+        term_count=o.size,
         imag_residue=0.0,
     )
 
@@ -217,24 +201,15 @@ def psi_progression_from_zeros(
     q = 1 this is exactly psi_from_zeros.  The budget shape is
     x log^2(qx) / Z.
     """
-    require_unit(q, a)
     _check_range(x, z)
     if q == 1:
-        lab = _ZETA_LABEL
-        if lab not in zero_sets:
-            raise KeyError(f"no zero set supplied for {lab}")
-        return psi_from_zeros(x, z, zero_sets[lab], table)
+        return psi_from_zeros(x, z, zero_set_for(zero_sets, _ZETA_LABEL), table)
+    family = character_family(q, a, z, zero_sets)
     table = table_for(x, table)
     phi = euler_phi(q)
     total = 0j
-    count = 0
-    for chi in enumerate_characters(q):
-        lab = chi.label
-        if lab not in zero_sets:
-            raise KeyError(f"no zero set supplied for {lab}")
-        zs = zero_sets[lab]
-        total += chi(a).conjugate() * zero_sum(x, zs, z)
-        count += int(np.count_nonzero(np.abs(zs.ordinates) <= z))
+    for w, o in family:
+        total += w * complex(np.sum(_terms(x, o)))
     raw = (x - ramified_mass(x, q) - total) / phi
     budget = x * math.log(q * x) ** 2 / z
     return ExplicitFormulaRun(
@@ -245,6 +220,6 @@ def psi_progression_from_zeros(
         reconstructed=raw.real,
         exact=psi_progression(x, q, a, table),
         error_budget=budget,
-        term_count=count,
+        term_count=sum(o.size for _, o in family),
         imag_residue=abs(raw.imag),
     )

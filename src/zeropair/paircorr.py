@@ -25,8 +25,9 @@ symmetric window carries twice the zeros, so its in-range target is
 phi(q) T log(x) / pi, against T log(x) / (2 pi) for the positive window.
 
 Structure.  Every character-weighted statistic starts from one family,
-_family(q, a, T, zero_sets, window): the list of (conj(chi(a)), windowed
-ordinates) over the characters mod q, each set certified to T.  The
+zeros.character_family(q, a, T, zero_sets, window): the list of
+(conj(chi(a)), windowed ordinates) over the characters mod q, each set
+certified to T by ZeroSet.window.  The
 direct sums go through _pair_value and its per-pair kernel
 _ordered_pair_sum (a tiled pair sum replaces those two).  The quadrature
 samples sigma(v) only on equispaced Simpson meshes, so it evaluates
@@ -48,13 +49,12 @@ import numpy as np
 from zeropair.characters import (
     CharacterLabel,
     DirichletCharacter,
-    enumerate_characters,
     euler_phi,
     require_unit,
 )
 from zeropair.lfunc import mesh_exp_sums
 from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, table_for
-from zeropair.zeros import CertificationError, ZeroSet, require_certified
+from zeropair.zeros import CertificationError, ZeroSet, character_family, zero_set_for
 
 __all__ = [
     "CertificationError",
@@ -84,8 +84,6 @@ __all__ = [
     "mean_value_check",
 ]
 
-_WINDOWS = ("both", "positive")
-
 # Sum of Lambda(n)/n^{3/2} over n > C is at most 3.12/sqrt(C): partial
 # summation against psi(u) <= 1.04 u drops the boundary term and leaves
 # (3/2) * 1.04 * 2 / sqrt(C).
@@ -107,47 +105,11 @@ def gue_density(u):
     return 1.0 - s * s
 
 
-def _check_window(window: str) -> None:
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
-
-
-def _check_args(x: float, T: float, window: str) -> None:
+def _check_args(x: float, T: float) -> None:
     if x <= 0:
         raise ValueError("x must be positive")
     if T <= 0:
         raise ValueError("T must be positive")
-    _check_window(window)
-
-
-def _window_ordinates(zs: ZeroSet, T: float, window: str) -> np.ndarray:
-    o = zs.ordinates
-    if window == "both":
-        return o[np.abs(o) <= T]
-    return o[(o > 0.0) & (o <= T)]
-
-
-def _windowed(
-    zero_sets: Mapping[CharacterLabel, ZeroSet], label: CharacterLabel, T: float, window: str
-) -> np.ndarray:
-    """The windowed ordinates of label's set, certified to height T."""
-    try:
-        zs = zero_sets[label]
-    except KeyError:
-        raise KeyError(f"no zero set supplied for character {label}") from None
-    require_certified(zs, T)
-    return _window_ordinates(zs, T, window)
-
-
-def _family(
-    q: int, a: int, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str
-) -> list[tuple[complex, np.ndarray]]:
-    """[(conj(chi(a)), windowed ordinates of chi)] for every character mod q."""
-    require_unit(q, a)
-    return [
-        (chi(a).conjugate(), _windowed(zero_sets, chi.label, T, window))
-        for chi in enumerate_characters(q)
-    ]
 
 
 def _ordered_pair_sum(o1: np.ndarray, o2: np.ndarray, x: float) -> complex:
@@ -174,12 +136,6 @@ def _pair_value(family: list[tuple[complex, np.ndarray]], x: float) -> tuple[com
             total += w1 * w2.conjugate() * _ordered_pair_sum(o1, o2, x)
             terms += o1.size * o2.size
     return total, terms
-
-
-def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-zero weights conj(chi(a)) and ordinates, concatenated."""
-    weights = [np.full(o.size, w, dtype=np.complex128) for w, o in family]
-    return np.concatenate(weights), np.concatenate([o for _, o in family])
 
 
 def _exp_sums(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -211,7 +167,7 @@ class PairCorrInput:
             raise ValueError("x must be at least 2")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        _family(self.q, self.a, self.T, self.zero_sets, "both")
+        character_family(self.q, self.a, self.T, self.zero_sets)
 
 
 @dataclass(frozen=True)
@@ -258,18 +214,17 @@ def g_pair(
     window: str = "both",
 ) -> GPairResult:
     """Unweighted double sum over the two characters' windowed zeros."""
-    _check_args(x, T, window)
-    o1 = _windowed(zero_sets, chi1.label, T, window)
-    o2 = _windowed(zero_sets, chi2.label, T, window)
+    _check_args(x, T)
+    o1 = zero_set_for(zero_sets, chi1.label).window(T, window)
+    o2 = zero_set_for(zero_sets, chi2.label).window(T, window)
     return GPairResult(_ordered_pair_sum(o1, o2, x), o1.size * o2.size)
 
 
 def _pair_result(
-    q: int, a: int, x: float, T: float, window: str,
-    family: list[tuple[complex, np.ndarray]],
+    q: int, a: int, x: float, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str
 ) -> PairCorrResult:
-    """The family's pair sum with its reference ratios."""
-    value, terms = _pair_value(family, x)
+    """The pair sum over the character family of (q, a), with its reference ratios."""
+    value, terms = _pair_value(character_family(q, a, T, zero_sets, window), x)
     phi = euler_phi(q)
     lx = math.log(x)
     # positive window carries half the zeros, so the in-range target halves
@@ -284,9 +239,7 @@ def _pair_result(
 
 def f_q(inp: PairCorrInput, window: str = "both") -> PairCorrResult:
     """Aggregate pair correlation for the progression a mod q."""
-    _check_window(window)
-    family = _family(inp.q, inp.a, inp.T, inp.zero_sets, window)
-    return _pair_result(inp.q, inp.a, inp.x, inp.T, window, family)
+    return _pair_result(inp.q, inp.a, inp.x, inp.T, inp.zero_sets, window)
 
 
 def f_zeta_ratio(
@@ -300,17 +253,21 @@ def f_zeta_ratio(
     is returned with the ratio undefined.  Values of x outside [1, T] are
     still computed; in_classical_range flags them as extrapolation.
     """
-    _check_args(x, T, window)
+    _check_args(x, T)
     label = CharacterLabel(1, 1)
     if zeta_set.label != label:
         raise ValueError(f"expected the modulus-one zero set, got {zeta_set.label}")
-    family = _family(1, 1, T, {label: zeta_set}, window)
-    return _pair_result(1, 1, x, T, window, family)
+    return _pair_result(1, 1, x, T, {label: zeta_set}, window)
 
 
-def _sigma_exponent(weights: np.ndarray, gammas: np.ndarray, x: float) -> np.ndarray:
-    """log(weights_j) + i g_j log x, so that sigma(v) = sum_j e^{exponent_j + i v g_j}."""
-    return np.log(weights) + 1j * math.log(x) * gammas
+def _sigma_exponent(
+    family: list[tuple[complex, np.ndarray]], x: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The family's ordinates g_j, concatenated, and log(conj(chi(a))) + i g_j log x,
+    so that sigma(v) = sum_j e^{exponent_j + i v g_j}."""
+    weights = np.concatenate([np.full(o.size, w, dtype=np.complex128) for w, o in family])
+    gammas = np.concatenate([o for _, o in family])
+    return gammas, np.log(weights) + 1j * math.log(x) * gammas
 
 
 def sigma_sum(
@@ -323,10 +280,9 @@ def sigma_sum(
     window: str = "both",
 ) -> complex:
     """sum_chi conj(chi(a)) sum_{windowed} x^{ig} e^{ivg}."""
-    _check_args(x, T, window)
-    weights, gammas = _flatten(_family(q, a, T, zero_sets, window))
-    coeffs = np.exp(_sigma_exponent(weights, gammas, x))
-    return complex(_exp_sums(np.array([float(v)]), gammas, coeffs)[0])
+    _check_args(x, T)
+    gammas, exponent = _sigma_exponent(character_family(q, a, T, zero_sets, window), x)
+    return complex(_exp_sums(np.array([float(v)]), gammas, np.exp(exponent))[0])
 
 
 # The truncation V meets (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR
@@ -470,8 +426,8 @@ def f_q_via_integral(
         quad = QuadSpec()
     # the public f_q, so that a tracer of f_q counts these pair terms too
     direct = f_q(inp, window)
-    weights, gammas = _flatten(_family(inp.q, inp.a, inp.T, inp.zero_sets, window))
-    exponent = _sigma_exponent(weights, gammas, inp.x)
+    family = character_family(inp.q, inp.a, inp.T, inp.zero_sets, window)
+    gammas, exponent = _sigma_exponent(family, inp.x)
 
     def sig(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
         vs, sums = mesh_exp_sums(start, step, count, gammas[None], exponent[None])
@@ -529,23 +485,22 @@ def increment_identity_check(
     """Check the increment identity between heights U < T."""
     if quad is None:
         quad = QuadSpec()
-    _check_args(x, T, window)
+    _check_args(x, T)
     if not 0 <= U <= T:
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
 
-    family = _family(q, a, T, zero_sets, window)
+    family = character_family(q, a, T, zero_sets, window)
     increment = family
     if U > 0:
         increment = [(w, o[np.abs(o) > U]) for w, o in family]
     rhs, terms = _pair_value(increment, x)
 
-    weights, gammas = _flatten(family)
+    gammas, exponent = _sigma_exponent(family, x)
     below = np.abs(gammas) <= U
     # difference of the two truncations, literally; only increment
     # ordinates survive, which the direct rhs enumerates independently.
     # Row 0 is sig_T, row 1 sig_U (the ordinates above U weighted by
     # e^-inf = 0); one kernel call samples both at the same points.
-    exponent = _sigma_exponent(weights, gammas, x)
     rows = np.stack([exponent, np.where(below, exponent, -np.inf)])
     freqs = np.broadcast_to(gammas, rows.shape)
     inc_count = int(gammas.size - np.count_nonzero(below))
@@ -729,8 +684,7 @@ def spacing_histogram(
         raise ValueError("need at least one bin")
     if T <= 1:
         raise ValueError("T must exceed 1 for the log T scaling")
-    require_certified(zs, T)
-    o = _window_ordinates(zs, T, "positive")
+    o = zs.window(T, "positive")
     scale = math.log(T) / (2.0 * math.pi)
     gaps = np.subtract.outer(o, o).ravel() * scale
     edges = np.linspace(alpha, beta, bins + 1)

@@ -184,7 +184,8 @@ def read_zero_set(path: Path | str) -> ZeroSet:
 
 
 def _height_token(T: float) -> str:
-    return format(float(T), "g")
+    """Shortest round-trip form of T, so distinct heights get distinct files."""
+    return repr(float(T)).removesuffix(".0")
 
 
 class ZeroCache:

@@ -29,22 +29,26 @@ dropped.
 Scans never assume conjugate symmetry of the ordinates; the negative half
 of the window is walked for real characters too, so symmetry stays a
 testable property of the output.
+
+Sums over zeros take their ordinates from ZeroSet.window, which checks the
+certificate first, or from character_family, its character-weighted form.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from zeropair.characters import (
     CharacterLabel,
     DirichletCharacter,
-    character,
     conductor_and_inducer,
     enumerate_characters,
+    require_unit,
 )
 from zeropair.lfunc import (
     EvalPrecision,
@@ -58,6 +62,7 @@ DEFAULT_TOLERANCE = 1e-10
 RESIDUAL_TOL = 1e-6  # largest |Z| at a refined ordinate of a certified set
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
 REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
+WINDOWS = ("both", "positive")  # ordinate windows of ZeroSet.window
 
 
 def default_mesh_step(q: int, T: float) -> float:
@@ -117,19 +122,16 @@ class ZeroSet:
     def count(self) -> int:
         return int(self.ordinates.size)
 
-    def truncated(self, T: float) -> "ZeroSet":
-        """The sub-window |ordinate| <= T, re-certified at the new height."""
-        if T > self.height + 1e-12:
-            raise ValueError(f"cannot truncate to {T}: set only reaches {self.height}")
-        keep = np.abs(self.ordinates) <= T
-        chi = character(self.label.modulus, self.label.index)
-        expected = count_expected(chi, T)
-        certified = self.certified and _counts_agree(int(np.count_nonzero(keep)), expected)
-        return replace(
-            self, height=T, ordinates=self.ordinates[keep], lo=self.lo[keep],
-            hi=self.hi[keep], residual=self.residual[keep], expected_count=expected,
-            certified=certified,
-        )
+    def window(self, T: float, window: str = "both") -> np.ndarray:
+        """Ordinates with |g| <= T ("both") or 0 < g <= T ("positive"),
+        after require_certified(self, T)."""
+        if window not in WINDOWS:
+            raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
+        require_certified(self, T)
+        o = self.ordinates
+        if window == "both":
+            return o[np.abs(o) <= T]
+        return o[(o > 0.0) & (o <= T)]
 
 
 def require_certified(zs: ZeroSet, T: float) -> None:
@@ -140,6 +142,25 @@ def require_certified(zs: ZeroSet, T: float) -> None:
         raise CertificationError(
             f"zero set {zs.label} reaches only height {zs.height:g}, need {T:g}"
         )
+
+
+def zero_set_for(zero_sets: Mapping[CharacterLabel, ZeroSet], label: CharacterLabel) -> ZeroSet:
+    """zero_sets[label], or a KeyError that names the missing character."""
+    try:
+        return zero_sets[label]
+    except KeyError:
+        raise KeyError(f"no zero set supplied for character {label}") from None
+
+
+def character_family(
+    q: int, a: int, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str = "both"
+) -> list[tuple[complex, np.ndarray]]:
+    """[(conj(chi(a)), chi's set windowed to T)] for every character chi mod q."""
+    require_unit(q, a)
+    return [
+        (chi(a).conjugate(), zero_set_for(zero_sets, chi.label).window(T, window))
+        for chi in enumerate_characters(q)
+    ]
 
 
 def _counts_agree(found: int, expected: float) -> bool:

@@ -6,6 +6,7 @@ tests reuse scans from earlier ones, which also exercises the cache-hit
 path under realistic conditions.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -362,6 +363,35 @@ class TestCheck:
             assert out == ""
 
 
+class TestNonFiniteNumbers:
+    """inf and nan on any float flag are invalid input: exit 2, nothing on stdout."""
+
+    ARGS = {
+        "zeros": ["zeros", "--q", "4", "--T={v}"],
+        "psi": ["psi", "--x={v}"],
+        "paircorr": ["paircorr", "--x={v}", "--T", "15"],
+        "explicit": ["explicit", "--x={v}", "--Z", "30"],
+        "montgomery": ["montgomery", "--x={v}", "--Q", "5"],
+        "eh": ["eh", "--x={v}", "--Q", "10"],
+        "weak": ["weak", "--x", "1000", "--alpha={v}", "--Q", "5"],
+        "dyadic": ["dyadic", "--x={v}", "--q", "3"],
+        "check": ["check", "--suite", "integral", "--x={v}"],
+    }
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_exits_2(self, capsys, cache_dir, command, value, dry_run):
+        argv = [arg.format(v=value) for arg in self.ARGS[command]]
+        code, out = run(capsys, cache_dir, *argv, *(["--dry-run"] if dry_run else []))
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("flag", ["--T", "--U", "--Z"])
+    def test_check_grid_flags(self, capsys, cache_dir, flag):
+        code, out = run(capsys, cache_dir, "check", "--suite", "orthogonality", f"{flag}=inf")
+        assert (code, out) == (2, "")
+
+
 class TestOutputPlumbing:
     def test_out_file_matches_stdout(self, capsys, cache_dir, tmp_path):
         _, streamed = run(capsys, cache_dir, "psi", "--x", "300.5")
@@ -448,6 +478,17 @@ class TestReport:
         "zeta_ratio_T100.csv", "thm_ratio.csv", "gue_histogram_q1_T100.csv",
         "montgomery.csv", "eh.csv", "weak.csv", "dyadic.csv", "manifest.json",
     ]
+    # the bundle's bytes; a change that moves a cell updates these and names the cells
+    SHA256 = {
+        "zeta_ratio_T100.csv": "666ebb63f42db1efd9c14a36ca28ffa34c7fdc5e5ef590f8ba5c80804146db1e",
+        "thm_ratio.csv": "972d56aa2dee1e2e87af42ab0dcee8b70146733af5a593656b7bf9e58c105b42",
+        "gue_histogram_q1_T100.csv":
+            "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
+        "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",
+        "eh.csv": "286c820edd38d2bb8349fd0b41716bb5e090a37c8322316a9229c5f0d4c58e1f",
+        "weak.csv": "753b7645e9840cdffbcae47bbf24d9b84978d7ace1ec6b16a57ed34a8a043d7e",
+        "dyadic.csv": "4c80c85a9874b30c704ef0d46622b966a19e29d4eec3d39f6693482f662d8dff",
+    }
 
     def test_bundle_contents_and_determinism(self, capsys, cache_dir, tmp_path):
         first = tmp_path / "b1"
@@ -459,6 +500,8 @@ class TestReport:
         for name in self.EXPECTED:
             assert (first / name).exists(), name
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        for name, digest in self.SHA256.items():
+            assert hashlib.sha256((first / name).read_bytes()).hexdigest() == digest, name
         manifest = json.loads((first / "manifest.json").read_text())
         data_files = [n for n in self.EXPECTED if n != "manifest.json"]
         assert sorted(manifest["files"]) == sorted(data_files)

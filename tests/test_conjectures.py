@@ -7,6 +7,7 @@ from zeropair.cli import _REPORT_GRIDS
 from zeropair.conjectures import (
     dyadic_profile,
     eh_sum,
+    eh_sums,
     montgomery_table,
     weak_form_table,
 )
@@ -224,9 +225,10 @@ class TestReportTablesByteIdentical:
         for x in _REPORT_GRIDS["x_ladder"]:
             worst = [max(abs(e) for e in _class_errors(x, q, report_table).values())
                      for q in range(1, max(_REPORT_GRIDS["eh_Qs"]) + 1)]
-            for Q in _REPORT_GRIDS["eh_Qs"]:
-                if Q < x:
-                    assert eh_sum(x, Q, report_table) == math.fsum(worst[:Q])
+            want = [math.fsum(worst[:Q]) for Q in _REPORT_GRIDS["eh_Qs"]]
+            assert eh_sums(x, _REPORT_GRIDS["eh_Qs"], report_table) == want
+            for Q, value in zip(_REPORT_GRIDS["eh_Qs"], want):
+                assert eh_sum(x, Q, report_table) == value
 
     def test_weak(self, report_table):
         x = 1_000_000.0

@@ -12,7 +12,7 @@ from zeropair.explicit import (
     ramified_mass,
     zero_sum,
 )
-from zeropair.paircorr import CertificationError
+from zeropair.paircorr import CertificationError, PairCorrInput
 from zeropair.sieve import psi, psi_character, psi_progression, shared_table
 from zeropair.zeros import zeros_for_modulus
 
@@ -69,7 +69,7 @@ class TestZeroSum:
             zero_sum(100.5, broken, 30.0)
 
     def test_insufficient_height_rejected(self, sets1):
-        low = sets1[ZETA].truncated(30.0)
+        low = zeros_for_modulus(1, 30.0)[ZETA]
         with pytest.raises(CertificationError):
             zero_sum(100.5, low, 50.0)
 
@@ -210,6 +210,16 @@ class TestPsiProgressionFromZeros:
             psi_progression_from_zeros(1000.5, 0.5, 4, 1, sets4)
         with pytest.raises(KeyError):
             psi_progression_from_zeros(1000.5, 30.0, 8, 1, sets4)
+
+    @pytest.mark.parametrize("q, missing", [(1, ZETA), (4, CharacterLabel(4, 3))])
+    def test_missing_set_message_matches_paircorr(self, sets1, sets4, q, missing):
+        sets = {label: zs for label, zs in {**sets1, **sets4}.items() if label != missing}
+        with pytest.raises(KeyError) as from_zeros:
+            psi_progression_from_zeros(1000.5, 30.0, q, 1, sets)
+        with pytest.raises(KeyError) as from_pairs:
+            PairCorrInput(q, 1, 3.0, 30.0, sets)
+        assert str(from_zeros.value) == str(from_pairs.value)
+        assert f"no zero set supplied for character {missing}" in str(from_zeros.value)
 
     def test_q1_reduces_to_psi_from_zeros(self, sets1, table):
         direct = psi_from_zeros(1000.5, 50.0, sets1[ZETA], table)

@@ -28,7 +28,7 @@ from zeropair.paircorr import (
     weight,
 )
 from zeropair.sieve import LambdaTable
-from zeropair.zeros import zeros_for_modulus
+from zeropair.zeros import character_family, zeros_for_modulus
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +281,9 @@ class TestIntegralRoute:
 class TestMeshSigma:
     def test_blocked_sigma_matches_the_dense_sum(self, sets1_1000):
         x, T = 10.0, 1000.0
-        weights, gammas = paircorr._flatten(paircorr._family(1, 1, T, sets1_1000, "both"))
-        exponent = paircorr._sigma_exponent(weights, gammas, x)
+        family = character_family(1, 1, T, sets1_1000)
+        gammas, exponent = paircorr._sigma_exponent(family, x)
+        weights = np.concatenate([np.full(o.size, w) for w, o in family])
         vs, sums = mesh_exp_sums(-13.4, math.pi / 4000.0, 34_141, gammas[None], exponent[None])
         dense = paircorr._exp_sums(vs, gammas, weights * np.exp(1j * math.log(x) * gammas))
         assert gammas.size > 1000 and vs.size == 34_141

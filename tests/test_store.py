@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zeropair import store
 from zeropair.characters import character
 from zeropair.store import (
     CacheChecksumError,
@@ -142,6 +143,23 @@ class TestCacheDirectory:
         assert p == tmp_path / "zeros" / "q4" / "chi3_T100.zc"
         p2 = cache.path_for(label, 0.5)
         assert p2.name == "chi3_T0.5.zc"
+        assert cache.path_for(label, 40.0).name == "chi3_T40.zc"
+
+    def test_each_height_has_its_own_file(self, tmp_path, monkeypatch):
+        cache = ZeroCache(tmp_path)
+        chi = character(4, 3)
+        low, high = cache.path_for(chi.label, 10.0), cache.path_for(chi.label, 10.000001)
+        assert low != high and high.name == "chi3_T10.000001.zc"
+        cache.load_or_scan(chi, 10.0)
+        cache.load_or_scan(chi, 10.000001)
+        before, stamp = low.read_bytes(), low.stat().st_mtime_ns
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the third run should be a cache hit")
+
+        monkeypatch.setattr(store, "scan_zeros", no_scan)
+        assert cache.load_or_scan(chi, 10.0).height == 10.0
+        assert low.read_bytes() == before and low.stat().st_mtime_ns == stamp
 
     def test_load_or_scan_caches(self, tmp_path):
         cache = ZeroCache(tmp_path)

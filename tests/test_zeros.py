@@ -14,6 +14,7 @@ from zeropair.zeros import (
     ZeroSet,
     _brackets_certified,
     _refine_brackets,
+    character_family,
     count_expected,
     default_mesh_step,
     refine_zero,
@@ -271,31 +272,48 @@ class TestZeroSetArrays:
         assert PairCorrCertificationError is CertificationError
 
 
-class TestTruncation:
-    def test_truncate_recertifies(self):
-        zs = scan_zeros(character(1, 1), 30.0)
-        tr = zs.truncated(20.0)
-        assert tr.height == 20.0
-        assert tr.count == 2  # just +-14.13
-        assert tr.certified
-        assert np.all(np.abs(tr.ordinates) <= 20.0)
+class TestWindow:
+    @pytest.fixture(scope="class")
+    def zs(self):
+        return scan_zeros(character(5, 2), 30.0)
 
-    def test_truncate_keeps_arrays_aligned(self):
-        zs = scan_zeros(character(5, 2), 30.0)
-        tr = zs.truncated(18.0)
-        keep = np.abs(zs.ordinates) <= 18.0
-        assert 0 < tr.count < zs.count
-        for name in ("ordinates", "lo", "hi", "residual"):
-            got = getattr(tr, name)
-            assert got.shape == (tr.count,)
-            assert np.array_equal(got, getattr(zs, name)[keep])
-            assert not got.flags.writeable
-        assert np.all((tr.lo <= tr.ordinates) & (tr.ordinates <= tr.hi))
+    def test_cuts_both_and_positive(self, zs):
+        o = zs.ordinates
+        assert np.array_equal(zs.window(18.0), o[np.abs(o) <= 18.0])
+        assert np.array_equal(zs.window(18.0, "positive"), o[(o > 0.0) & (o <= 18.0)])
+        assert 0 < zs.window(18.0).size < zs.count
+        assert zs.window(30.0).size == zs.count
 
-    def test_truncate_beyond_height_rejected(self):
-        zs = scan_zeros(character(4, 3), 15.0)
+    def test_unknown_window_rejected(self, zs):
+        with pytest.raises(ValueError, match="window must be one of"):
+            zs.window(18.0, "negative")
+
+    def test_uncertified_set_rejected(self, zs):
+        with pytest.raises(CertificationError, match="is not certified"):
+            replace(zs, certified=False).window(18.0)
+
+    def test_short_set_rejected(self, zs):
+        with pytest.raises(CertificationError, match="reaches only height 30, need 31"):
+            zs.window(31.0, "positive")
+
+
+class TestCharacterFamily:
+    def test_weights_and_windows(self):
+        sets = zeros_for_modulus(5, 20.0)
+        family = character_family(5, 2, 15.0, sets, "positive")
+        chars = enumerate_characters(5)
+        assert len(family) == len(chars)
+        for (w, o), chi in zip(family, chars):
+            assert w == chi(2).conjugate()
+            assert np.array_equal(o, sets[chi.label].window(15.0, "positive"))
+
+    def test_missing_set_named(self):
+        sets = zeros_for_modulus(4, 15.0)
+        del sets[character(4, 3).label]
+        with pytest.raises(KeyError, match="no zero set supplied for character 4:3"):
+            character_family(4, 1, 15.0, sets)
         with pytest.raises(ValueError):
-            zs.truncated(16.0)
+            character_family(4, 2, 15.0, sets)  # 2 is not a unit mod 4
 
 
 class TestModulusMap:
