@@ -186,21 +186,6 @@ class UnitRoot:
             return exact
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
 
-    def __mul__(self, other: "UnitRoot") -> "UnitRoot":
-        m = math.lcm(self.denominator, other.denominator)
-        k = self.numerator * (m // self.denominator) + other.numerator * (m // other.denominator)
-        return UnitRoot.of(k, m)
-
-    def __pow__(self, n: int) -> "UnitRoot":
-        return UnitRoot.of(self.numerator * n, self.denominator)
-
-    def conjugate(self) -> "UnitRoot":
-        return UnitRoot.of(-self.numerator, self.denominator)
-
-    @property
-    def is_one(self) -> bool:
-        return self.numerator == 0
-
 
 @dataclass(frozen=True, order=True)
 class CharacterLabel:

@@ -54,7 +54,7 @@ from zeropair.paircorr import (
 )
 from zeropair.sieve import psi_character, psi_progression, table_for
 from zeropair.store import ZeroCache, ZeroCacheError, emit_table
-from zeropair.zeros import DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
+from zeropair.zeros import DEFAULT_MESH_STEP, DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
 
 __all__ = ["RunConfig", "main"]
 
@@ -83,9 +83,9 @@ class RunConfig:
     """Run-wide settings.  Defaults:
 
     cache_dir      "cache" (ZEROPAIR_CACHE_DIR overrides, flag wins)
-    tolerance      1e-10   zero-refinement tolerance
-    rel_tol        1e-6    quadrature relative error target
-    mesh_step      none    scan mesh override; none = per-(q,T) default
+    tolerance      1e-10   zero-refinement tolerance, below the mesh step
+    rel_tol        1e-6    quadrature relative error target, in (0, 1)
+    mesh_step      none    scan mesh override in (0, 0.5]; none = per-(q,T) default
     threads        1       worker pool for independent zero scans
     format         csv     table output format (csv or json)
     """
@@ -96,6 +96,20 @@ class RunConfig:
     mesh_step: float | None = None
     threads: int = 1
     format: str = "csv"
+
+    def __post_init__(self):
+        # the one check of every setting, so that --dry-run rejects what a run rejects
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        if not 0 < self.rel_tol < 1:
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        step = DEFAULT_MESH_STEP if self.mesh_step is None else self.mesh_step
+        if not 0 < step <= 0.5:
+            raise ValueError(f"mesh_step must be none or lie in (0, 0.5], got {self.mesh_step}")
+        if not 0 < self.tolerance < step:
+            raise ValueError(f"tolerance must lie in (0, {step:g}), got {self.tolerance}")
 
     def manifest(self) -> dict:
         return {**asdict(self), "cache_dir": str(self.cache_dir), "deterministic": True}
@@ -135,20 +149,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["cache_dir"] = Path(env_cache)
     if getattr(args, "config", None) is not None:
         values.update(parse_config_file(args.config))
-    for key, flag in (
-        ("cache_dir", "cache_dir"),
-        ("format", "format"),
-        ("threads", "threads"),
-    ):
-        flag_value = getattr(args, flag, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    cfg = RunConfig(**values)
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.threads < 1:
-        raise ValueError("threads must be at least 1")
-    return cfg
+    for key in ("cache_dir", "format", "threads"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return RunConfig(**values)
 
 
 @dataclass
@@ -322,10 +326,7 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
     ts = sorted(set(args.T or ()))
     if not xs or not ts:
         raise ValueError("paircorr needs at least one --x and one --T")
-    if min(xs) < 2.0:
-        raise ValueError("x must be at least 2")
-    if min(ts) <= 0.0:
-        raise ValueError("T must be positive")
+    _pair_grid({"x": xs, "T": ts})
     params = {"q": q, "a": a, "x": xs, "T": ts, "window": args.window}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
@@ -525,25 +526,33 @@ def _reconstruction_rows(q, a, grid, cfg, quad):
         yield fields, notes, text, errs[-1] < errs[0]
 
 
+def _pair_grid(grid: dict) -> dict:
+    """The rule of PairCorrInput, for paircorr and the integral suite."""
+    if min(grid["x"]) < 2 or min(grid["T"]) <= 0:
+        raise ValueError("need every x >= 2 and every T > 0")
+    return grid
+
+
 def _increment_grid(grid: dict) -> dict:
     pairs = [(u, t) for u in grid["U"] for t in grid["T"] if u < t]
-    if not pairs:
-        raise ValueError("increment needs at least one pair with U < T")
+    if not pairs or min(grid["U"]) < 0:
+        raise ValueError("increment needs every U >= 0 and at least one pair with U < T")
     return {"x": grid["x"], "UT": pairs}
 
 
 def _reconstruction_grid(grid: dict) -> dict:
-    if len(grid["Z"]) < 2:
-        raise ValueError("reconstruction needs at least two --Z values")
+    if len(grid["Z"]) < 2 or min(grid["Z"]) < 2 or max(grid["Z"]) > min(grid["x"]):
+        raise ValueError("reconstruction needs two or more --Z values, each with 2 <= Z <= x")
     return grid
 
 
-# suite -> (default grid per flag, grid -> dry-run params, row generator).  A
+# suite -> (default grid per flag, grid -> dry-run params, row generator).  The
+# grid step applies the rules the rows apply at run time, besides x > 0.  A
 # generator yields (row fields, note lines, verdict text, outcome) for one
 # modulus: the outcome is the residual for suites with a tolerance in
 # _SUITE_TOL, and the pass/fail verdict itself otherwise.
 _SUITES = {
-    "integral": ({"x": (3.0,), "T": (15.0,)}, dict, _integral_rows),
+    "integral": ({"x": (3.0,), "T": (15.0,)}, _pair_grid, _integral_rows),
     "increment": ({"x": (3.0,), "U": (5.0,), "T": (15.0,)}, _increment_grid, _increment_rows),
     "orthogonality": ({"x": (1000.5,)}, dict, _orthogonality_rows),
     "reconstruction": ({"x": (1000.5,), "Z": (30.0, 100.0)}, _reconstruction_grid,
@@ -563,6 +572,8 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     quad = QuadSpec(rel_tol=cfg.rel_tol)
     defaults, make_grid, suite_rows = _SUITES[suite]
     grid = make_grid({key: _check_grid(args, key, d) for key, d in defaults.items()})
+    if min(grid["x"]) <= 0:
+        raise ValueError(f"{suite} needs every x > 0")
     params = {"suite": suite, "q": qs, "a": a, **grid}
     if suite in _SUITE_TOL:
         params["tol"] = tol

@@ -27,9 +27,9 @@ phi(q) T log(x) / pi, against T log(x) / (2 pi) for the positive window.
 Structure.  Every character-weighted statistic starts from one family,
 zeros.character_family(q, a, T, zero_sets, window): the list of
 (conj(chi(a)), windowed ordinates) over the characters mod q, each set
-certified to T by ZeroSet.window.  The
-direct sums go through _pair_value and its per-pair kernel
-_ordered_pair_sum (a tiled pair sum replaces those two).  The quadrature
+certified to T by ZeroSet.window and flattened by _flatten.  Every direct
+pair sum is _pair_sum over the row tiles of _difference_tiles, which
+spacing_histogram counts too, so no N x N array is built.  The quadrature
 samples sigma(v) only on equispaced Simpson meshes, so it evaluates
 sum_j c_j e^{i v g_j} with lfunc.mesh_exp_sums, the blocked kernel of the
 scan mesh; the direct sums never use it, so the two routes stay
@@ -52,7 +52,7 @@ from zeropair.characters import (
     euler_phi,
     require_unit,
 )
-from zeropair.lfunc import mesh_exp_sums
+from zeropair import lfunc
 from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, table_for
 from zeropair.zeros import CertificationError, ZeroSet, character_family, zero_set_for
 
@@ -94,8 +94,8 @@ class QuadratureError(RuntimeError):
     """Numerical integration could not meet its error budget."""
 
 
-def weight(u: float) -> float:
-    """The pair weight 4/(4+u^2), in (0, 1]."""
+def weight(u):
+    """The pair weight 4/(4+u^2), in (0, 1]; elementwise on arrays."""
     return 4.0 / (4.0 + u * u)
 
 
@@ -112,30 +112,36 @@ def _check_args(x: float, T: float) -> None:
         raise ValueError("T must be positive")
 
 
-def _ordered_pair_sum(o1: np.ndarray, o2: np.ndarray, x: float) -> complex:
-    """Double sum of x^{i(g1-g2)} w(g1-g2), near-diagonal terms first.
-
-    The x^{i(g1-g2)} factors oscillate and mostly cancel; the weight makes
-    small-gap pairs carry the mass, so they are accumulated first.
-    """
-    if o1.size == 0 or o2.size == 0:
-        return complex(0.0)
-    d = np.subtract.outer(o1, o2).ravel()
-    d = d[np.argsort(np.abs(d), kind="stable")]
-    terms = np.exp(1j * math.log(x) * d) * (4.0 / (4.0 + d * d))
-    return complex(terms.sum())
+def _difference_tiles(rows: np.ndarray, cols: np.ndarray):
+    """Yield (i, rows[i:i+s, None] - cols) over row tiles of at most
+    lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row alone is longer)."""
+    step = max(1, lfunc._EM_CHUNK_ELEMENTS // max(1, cols.size))
+    for i in range(0, rows.size, step):
+        yield i, rows[i : i + step, None] - cols
 
 
-def _pair_value(family: list[tuple[complex, np.ndarray]], x: float) -> tuple[complex, int]:
-    """Character-weighted pair sum over a family, and its number of terms."""
-    total = complex(0.0)
-    terms = 0
-    for w1, o1 in family:
-        for w2, o2 in family:
-            # conj(chi1(a)) chi2(a) = w1 * conj(w2)
-            total += w1 * w2.conjugate() * _ordered_pair_sum(o1, o2, x)
-            terms += o1.size * o2.size
-    return total, terms
+def _pair_sum(
+    g1: np.ndarray, c1: np.ndarray, g2: np.ndarray, c2: np.ndarray, x: float
+) -> tuple[complex, int]:
+    """sum over j, k of c1_j conj(c2_k) x^{i(g1_j - g2_k)} w(g1_j - g2_k), and
+    its number of terms.  The terms are not sorted by gap: against math.fsum
+    that bought no digits of the real part.  One dot product adds the row
+    sums, so the tile size does not change the order in which rows add."""
+    lx = math.log(x)
+    rows = np.empty(g1.size, dtype=np.complex128)
+    for i, d in _difference_tiles(g1, g2):
+        terms = np.exp(1j * lx * d)
+        terms *= weight(d)
+        rows[i : i + d.shape[0]] = terms @ c2.conj()
+    return complex(c1 @ rows), g1.size * g2.size
+
+
+def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The family's ordinates, concatenated, and each ordinate's conj(chi(a)),
+    so that conj(chi1(a)) chi2(a) is weights_j conj(weights_k)."""
+    gammas = np.concatenate([o for _, o in family])
+    weights = np.concatenate([np.full(o.size, w, dtype=np.complex128) for w, o in family])
+    return gammas, weights
 
 
 def _exp_sums(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -217,14 +223,15 @@ def g_pair(
     _check_args(x, T)
     o1 = zero_set_for(zero_sets, chi1.label).window(T, window)
     o2 = zero_set_for(zero_sets, chi2.label).window(T, window)
-    return GPairResult(_ordered_pair_sum(o1, o2, x), o1.size * o2.size)
+    return GPairResult(*_pair_sum(o1, np.ones(o1.size), o2, np.ones(o2.size), x))
 
 
 def _pair_result(
     q: int, a: int, x: float, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str
 ) -> PairCorrResult:
     """The pair sum over the character family of (q, a), with its reference ratios."""
-    value, terms = _pair_value(character_family(q, a, T, zero_sets, window), x)
+    gammas, weights = _flatten(character_family(q, a, T, zero_sets, window))
+    value, terms = _pair_sum(gammas, weights, gammas, weights, x)
     phi = euler_phi(q)
     lx = math.log(x)
     # positive window carries half the zeros, so the in-range target halves
@@ -265,8 +272,7 @@ def _sigma_exponent(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The family's ordinates g_j, concatenated, and log(conj(chi(a))) + i g_j log x,
     so that sigma(v) = sum_j e^{exponent_j + i v g_j}."""
-    weights = np.concatenate([np.full(o.size, w, dtype=np.complex128) for w, o in family])
-    gammas = np.concatenate([o for _, o in family])
+    gammas, weights = _flatten(family)
     return gammas, np.log(weights) + 1j * math.log(x) * gammas
 
 
@@ -277,11 +283,10 @@ def sigma_sum(
     q: int,
     a: int,
     zero_sets: Mapping[CharacterLabel, ZeroSet],
-    window: str = "both",
 ) -> complex:
-    """sum_chi conj(chi(a)) sum_{windowed} x^{ig} e^{ivg}."""
+    """sum_chi conj(chi(a)) sum_{|g| <= T} x^{ig} e^{ivg}."""
     _check_args(x, T)
-    gammas, exponent = _sigma_exponent(character_family(q, a, T, zero_sets, window), x)
+    gammas, exponent = _sigma_exponent(character_family(q, a, T, zero_sets), x)
     return complex(_exp_sums(np.array([float(v)]), gammas, np.exp(exponent))[0])
 
 
@@ -418,19 +423,17 @@ class IntegralCheckResult:
         return self.abs_residual / max(abs(self.direct.real), 1e-12)
 
 
-def f_q_via_integral(
-    inp: PairCorrInput, quad: QuadSpec | None = None, window: str = "both"
-) -> IntegralCheckResult:
+def f_q_via_integral(inp: PairCorrInput, quad: QuadSpec | None = None) -> IntegralCheckResult:
     """Evaluate the aggregate through the e^{-2|v|} integral and compare."""
     if quad is None:
         quad = QuadSpec()
     # the public f_q, so that a tracer of f_q counts these pair terms too
-    direct = f_q(inp, window)
-    family = character_family(inp.q, inp.a, inp.T, inp.zero_sets, window)
+    direct = f_q(inp)
+    family = character_family(inp.q, inp.a, inp.T, inp.zero_sets)
     gammas, exponent = _sigma_exponent(family, inp.x)
 
     def sig(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        vs, sums = mesh_exp_sums(start, step, count, gammas[None], exponent[None])
+        vs, sums = lfunc.mesh_exp_sums(start, step, count, gammas[None], exponent[None])
         return vs, sums[:, 0]
 
     integral, v_max, bound, nodes, refs = _integrate_weighted_square(
@@ -454,7 +457,6 @@ class IncrementCheckResult:
     x: float
     U: float
     T: float
-    window: str
     lhs: float
     rhs: complex
     term_count: int
@@ -480,7 +482,6 @@ def increment_identity_check(
     a: int,
     zero_sets: Mapping[CharacterLabel, ZeroSet],
     quad: QuadSpec | None = None,
-    window: str = "both",
 ) -> IncrementCheckResult:
     """Check the increment identity between heights U < T."""
     if quad is None:
@@ -489,14 +490,13 @@ def increment_identity_check(
     if not 0 <= U <= T:
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
 
-    family = character_family(q, a, T, zero_sets, window)
-    increment = family
-    if U > 0:
-        increment = [(w, o[np.abs(o) > U]) for w, o in family]
-    rhs, terms = _pair_value(increment, x)
-
-    gammas, exponent = _sigma_exponent(family, x)
+    family = character_family(q, a, T, zero_sets)
+    gammas, weights = _flatten(family)
     below = np.abs(gammas) <= U
+    inc, w_inc = gammas[~below], weights[~below]
+    rhs, terms = _pair_sum(inc, w_inc, inc, w_inc, x)
+
+    _, exponent = _sigma_exponent(family, x)
     # difference of the two truncations, literally; only increment
     # ordinates survive, which the direct rhs enumerates independently.
     # Row 0 is sig_T, row 1 sig_U (the ordinates above U weighted by
@@ -506,14 +506,14 @@ def increment_identity_check(
     inc_count = int(gammas.size - np.count_nonzero(below))
 
     def g_fn(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        vs, sums = mesh_exp_sums(start, step, count, freqs, rows)
+        vs, sums = lfunc.mesh_exp_sums(start, step, count, freqs, rows)
         return vs, sums[:, 0] - sums[:, 1]
 
     lhs, v_max, bound, nodes, refs = _integrate_weighted_square(
         g_fn, inc_count, x, T, rhs.real, quad
     )
     return IncrementCheckResult(
-        q=q, a=a, x=x, U=U, T=T, window=window,
+        q=q, a=a, x=x, U=U, T=T,
         lhs=lhs, rhs=rhs, term_count=terms, v_max=v_max, truncation_bound=bound,
         node_count=nodes, refinements=refs,
     )
@@ -686,9 +686,10 @@ def spacing_histogram(
         raise ValueError("T must exceed 1 for the log T scaling")
     o = zs.window(T, "positive")
     scale = math.log(T) / (2.0 * math.pi)
-    gaps = np.subtract.outer(o, o).ravel() * scale
     edges = np.linspace(alpha, beta, bins + 1)
-    counts, _ = np.histogram(gaps, edges)
+    counts = np.zeros(bins, dtype=np.int64)
+    for _, d in _difference_tiles(o, o):
+        counts += np.histogram(d.ravel() * scale, edges)[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
     norm = (T / (2.0 * math.pi)) * math.log(T)
     expected = np.diff(edges) * gue_density(mids) * norm

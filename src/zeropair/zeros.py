@@ -59,6 +59,7 @@ from zeropair.lfunc import (
 )
 
 DEFAULT_TOLERANCE = 1e-10
+DEFAULT_MESH_STEP = 0.05  # largest scan mesh step default_mesh_step picks
 RESIDUAL_TOL = 1e-6  # largest |Z| at a refined ordinate of a certified set
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
 REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
@@ -67,7 +68,7 @@ WINDOWS = ("both", "positive")  # ordinate windows of ZeroSet.window
 
 def default_mesh_step(q: int, T: float) -> float:
     """Mesh fine enough to separate zeros at density ~ log(qT)/pi."""
-    return min(0.05, 0.5 * math.pi / math.log(q * (T + 3)))
+    return min(DEFAULT_MESH_STEP, 0.5 * math.pi / math.log(q * (T + 3)))
 
 
 def count_expected(chi: DirichletCharacter, T: float) -> float:
@@ -248,7 +249,7 @@ def scan_zeros(
         mesh_step = default_mesh_step(chi.modulus, T)
     if not 0 < mesh_step <= 0.5:
         raise ValueError("mesh_step must lie in (0, 0.5]")
-    if tolerance <= 0 or tolerance >= mesh_step:
+    if not 0 < tolerance < mesh_step:
         raise ValueError("tolerance must lie in (0, mesh_step)")
     if prec is None:
         prec = EvalPrecision.for_height(T)

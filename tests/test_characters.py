@@ -168,13 +168,6 @@ class TestUnitRoot:
         assert (r.numerator, r.denominator) == (5, 6)
         assert UnitRoot.of(-1, 4).angle == Fraction(3, 4)
 
-    def test_arithmetic(self):
-        a = UnitRoot.of(1, 3)
-        b = UnitRoot.of(1, 6)
-        assert (a * b).angle == Fraction(1, 2)
-        assert (a**3).is_one
-        assert (a * a.conjugate()).is_one
-
     def test_quarter_turn_values_are_exact(self):
         assert UnitRoot.of(1, 4).value == 1j
         assert UnitRoot.of(2, 4).value == -1

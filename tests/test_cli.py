@@ -112,6 +112,30 @@ class TestConfig:
         assert code == 2
 
 
+class TestConfigValidation:
+    """Every config-file setting is checked before any work, so a dry run
+    rejects what a run rejects and an invalid run writes no cache file."""
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--q", "4", "--T", "10"],
+        ["paircorr", "--q", "4", "--x", "3", "--T", "10"],
+    ])
+    @pytest.mark.parametrize("settings", [
+        "tolerance = nan", "tolerance = nan\nmesh_step = inf", "tolerance = 0.3",
+        "tolerance = 0", "mesh_step = 0.6", "mesh_step = nan", "rel_tol = 1",
+        "rel_tol = nan", "threads = 0", "format = xml",
+    ])
+    def test_exits_2_and_writes_nothing(self, capsys, tmp_path, settings, argv, dry_run):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(settings + "\n")
+        cache = tmp_path / "cache"
+        code = main([*argv, "--config", str(cfgfile), "--cache-dir", str(cache),
+                     *(["--dry-run"] if dry_run else [])])
+        assert (code, capsys.readouterr().out) == (2, "")
+        assert not cache.exists() or not any(cache.rglob("*.zc"))
+
+
 class TestZeros:
     def test_modulus_scan_rows(self, capsys, cache_dir):
         code, out = run(capsys, cache_dir, "zeros", "--q", "4", "--T", "40")
@@ -363,6 +387,21 @@ class TestCheck:
             assert out == ""
 
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "reconstruction", "--x", "10", "--Z", "30", "--Z", "100"],
+        ["--suite", "reconstruction", "--Z", "1", "--Z", "30"],
+        ["--suite", "integral", "--x", "1"],
+        ["--suite", "integral", "--T", "-5"],
+        ["--suite", "increment", "--U", "-2", "--T", "15"],
+        ["--suite", "increment", "--x", "0"],
+        ["--suite", "orthogonality", "--x", "-3"],
+    ])
+    def test_dry_run_rejects_what_the_run_rejects(self, capsys, cache_dir, argv, dry_run):
+        code, out = run(capsys, cache_dir, "check", *argv, *(["--dry-run"] if dry_run else []))
+        assert (code, out) == (2, "")
+
+
 class TestNonFiniteNumbers:
     """inf and nan on any float flag are invalid input: exit 2, nothing on stdout."""
 
@@ -480,8 +519,8 @@ class TestReport:
     ]
     # the bundle's bytes; a change that moves a cell updates these and names the cells
     SHA256 = {
-        "zeta_ratio_T100.csv": "666ebb63f42db1efd9c14a36ca28ffa34c7fdc5e5ef590f8ba5c80804146db1e",
-        "thm_ratio.csv": "972d56aa2dee1e2e87af42ab0dcee8b70146733af5a593656b7bf9e58c105b42",
+        "zeta_ratio_T100.csv": "f6c28bc3e8675aaa7d94863922003f5c57958073cf82be0e9b5be253b02b8ada",
+        "thm_ratio.csv": "c24f38ad9a6aa51aa3dc63a2bab681c20723ae722f7ca3908775c622fd0f09f6",
         "gue_histogram_q1_T100.csv":
             "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
         "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",

@@ -1,12 +1,13 @@
 import cmath
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zeropair import paircorr
+from zeropair import lfunc, paircorr
 from zeropair.characters import CharacterLabel, character, enumerate_characters
 from zeropair.lfunc import mesh_exp_sums
 from zeropair.paircorr import (
@@ -49,6 +50,16 @@ def sets1_100():
 @pytest.fixture(scope="module")
 def sets3():
     return zeros_for_modulus(3, 30.0)
+
+
+@pytest.fixture(scope="module")
+def sets8():
+    return zeros_for_modulus(8, 30.0)
+
+
+@pytest.fixture(scope="module")
+def sets12():
+    return zeros_for_modulus(12, 30.0)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +224,75 @@ class TestFq:
         res = f_q(PairCorrInput(4, 3, 5.0, 15.0, sets4))
         assert (res.q, res.a, res.x, res.T, res.window) == (4, 3, 5.0, 15.0, "both")
         assert res.thm_ratio is not None and math.isfinite(res.thm_ratio)
+
+
+class TestTiledPairSums:
+    """The direct pair sums run over row tiles of at most
+    lfunc._EM_CHUNK_ELEMENTS differences; lowering that budget splits every
+    sum into many tiles and must not move a digit that matters."""
+
+    # (q, a, x, T); the modulus-one cases are the tall set of the benchmark
+    FSUM_CASES = [(1, 1, 2.0, 1000.0), (1, 1, 10.0, 1000.0), (1, 1, 100.0, 1000.0),
+                  (1, 1, 1000.0, 1000.0), (12, 5, 5.0, 30.0), (8, 3, 3.0, 30.0),
+                  (5, 2, 2.0, 20.0)]
+
+    @pytest.fixture
+    def sets_by_q(self, sets1_1000, sets5, sets8, sets12):
+        return {1: sets1_1000, 5: sets5, 8: sets8, 12: sets12}
+
+    @pytest.mark.parametrize("budget", [None, 1 << 10])
+    @pytest.mark.parametrize("case", FSUM_CASES)
+    def test_real_part_matches_fsum(self, sets_by_q, monkeypatch, case, budget):
+        q, a, x, T = case
+        if budget is not None:
+            monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
+        sets = sets_by_q[q]
+        res = f_q(PairCorrInput(q, a, x, T, sets))
+        gammas, weights = paircorr._flatten(character_family(q, a, T, sets))
+        d = np.subtract.outer(gammas, gammas)
+        terms = np.outer(weights, weights.conj()) * np.exp(1j * math.log(x) * d) * weight(d)
+        want = math.fsum(terms.real.ravel())
+        assert abs(res.value.real - want) <= 1e-15 * abs(want)
+        assert abs(res.value.imag) <= 1e-13 * abs(want)
+
+    def test_many_tiles_agree_with_one(self, sets4, sets1_100, monkeypatch):
+        chi1, chi2 = character(4, 1), character(4, 3)
+        inp = PairCorrInput(4, 3, 5.0, 30.0, sets4)
+
+        def sums():
+            return (f_q(inp), g_pair(chi1, chi2, 3.0, 30.0, sets4),
+                    increment_identity_check(2.0, 30.0, 10.0, 4, 3, sets4))
+
+        default = sums()
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 100)
+        tiled = sums()
+        for one, many in zip(default, tiled):
+            assert one.term_count == many.term_count > 100
+        for one, many in ((default[0].value, tiled[0].value), (default[1].value, tiled[1].value),
+                          (default[2].rhs, tiled[2].rhs)):
+            assert abs(one - many) <= 1e-14 * abs(one)
+        zs = sets1_100[CharacterLabel(1, 1)]
+        o = zs.window(100.0, "positive")
+        h = spacing_histogram(zs, 100.0, -1.0, 2.0, 9)
+        scale = math.log(100.0) / (2.0 * math.pi)
+        want, _ = np.histogram(np.subtract.outer(o, o).ravel() * scale, h.bin_edges)
+        assert o.size**2 > 5 * 100 and np.array_equal(h.counts, want)
+
+    def test_memory_is_bounded_by_the_tile_budget(self, sets1_1000, monkeypatch):
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 1 << 16)
+        inp = PairCorrInput(1, 1, 10.0, 1000.0, sets1_1000)
+        tracemalloc.start()
+        try:
+            res = f_q(inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.term_count > 1_000_000  # a full N x N array would be 27 MB
+        assert peak < 8 * 2**20
+
+    def test_empty_window_is_zero(self, sets4):
+        res = f_q(PairCorrInput(4, 3, 3.0, 5.0, sets4))  # first ordinate is 6.02
+        assert res.value == 0 and res.term_count == 0
 
 
 class TestSigma:
