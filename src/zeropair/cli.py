@@ -52,7 +52,7 @@ from zeropair.paircorr import (
     increment_identity_check,
     spacing_histogram,
 )
-from zeropair.sieve import psi_character, psi_progression, table_for
+from zeropair.sieve import psi_character, psi_progression, require_in_range
 from zeropair.store import ZeroCache, ZeroCacheError, emit_table
 from zeropair.zeros import DEFAULT_MESH_STEP, DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
 
@@ -186,9 +186,9 @@ def _mont_regime(x: float, q: int) -> str:
     return "below-sqrt" if q * q <= x else "above-sqrt"
 
 
-def _montgomery_rows(xs, qs, a, table) -> list:
+def _montgomery_rows(xs, qs, a) -> list:
     rows = []
-    for r in montgomery_table(xs, qs, a=a, table=table):
+    for r in montgomery_table(xs, qs, a=a):
         rows.append(
             {
                 "x": r.x,
@@ -242,6 +242,8 @@ def _paircorr_row(res) -> dict:
 def _cmd_zeros(args, cfg: RunConfig) -> _Result:
     if args.T is None or args.T <= 0:
         raise ValueError("--T must be positive")
+    if args.chi is not None and args.q is not None:
+        raise ValueError("--chi excludes --q")
     if args.chi is not None:
         label = _parse_chi(args.chi)
         chars = [character(label.modulus, label.index)]
@@ -297,6 +299,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> _Result:
 def _cmd_psi(args, cfg: RunConfig) -> _Result:
     if args.x is None or args.x <= 0:
         raise ValueError("--x must be positive")
+    require_in_range(args.x)
     if args.chi is not None and (args.q is not None or args.a is not None):
         raise ValueError("--chi excludes --q/--a")
     if args.chi is not None:
@@ -305,7 +308,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
         if args.dry_run:
             return _Result([], {"dry_run": True, "params": params})
         chi = character(label.modulus, label.index)
-        val = psi_character(args.x, chi, table_for(args.x))
+        val = psi_character(args.x, chi)
         rows = [{"x": args.x, "q": label.modulus, "index": label.index,
                  "re": val.real, "im": val.imag}]
         return _Result(rows, {"params": params})
@@ -315,7 +318,7 @@ def _cmd_psi(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": q, "a": a}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
-    val = psi_progression(args.x, q, a, table_for(args.x))
+    val = psi_progression(args.x, q, a)
     return _Result([{"x": args.x, "q": q, "a": a, "psi": val}], {"params": params})
 
 
@@ -350,15 +353,15 @@ def _cmd_explicit(args, cfg: RunConfig) -> _Result:
         for x in xs:
             if not 2.0 <= z <= x:
                 raise ValueError(f"need 2 <= Z <= x, got Z={z:g}, x={x:g}")
+    require_in_range(xs[-1])
     params = {"q": q, "a": a, "x": xs, "Z": zs}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
     sets = _zero_sets(cfg, q, max(zs))
-    table = table_for(max(xs))
     rows = []
     for x in xs:
         for z in zs:
-            run = psi_progression_from_zeros(x, z, q, a, sets, table)
+            run = psi_progression_from_zeros(x, z, q, a, sets)
             rows.append(
                 {
                     "x": run.x,
@@ -392,6 +395,7 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
     xs = sorted(set(args.x or ()))
     if not xs or xs[0] <= 1.0:
         raise ValueError("montgomery needs --x values above 1")
+    require_in_range(xs[-1])
     qs = _mont_moduli(args)
     if args.a is not None:
         for q in qs:
@@ -399,15 +403,14 @@ def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
     params = {"x": xs, "q": qs, "a": args.a}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
-    table = table_for(max(xs))
-    rows = _montgomery_rows(xs, qs, args.a, table)
+    rows = _montgomery_rows(xs, qs, args.a)
     return _Result(rows, {"params": params})
 
 
-def _eh_rows(xs, Qs, table) -> list:
+def _eh_rows(xs, Qs) -> list:
     rows = []
     for x in xs:
-        for Q, val in zip(Qs, eh_sums(x, Qs, table)):
+        for Q, val in zip(Qs, eh_sums(x, Qs)):
             rows.append({"x": x, "Q": Q, "value": val, "valueOverX": val / x})
     return rows
 
@@ -415,6 +418,7 @@ def _eh_rows(xs, Qs, table) -> list:
 def _cmd_eh(args, cfg: RunConfig) -> _Result:
     if args.x is None or args.x <= 1:
         raise ValueError("--x must exceed 1")
+    require_in_range(args.x)
     qs = sorted(set(args.Q or ()))
     if not qs:
         raise ValueError("eh needs at least one --Q")
@@ -423,13 +427,13 @@ def _cmd_eh(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "Q": qs}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
-    return _Result(_eh_rows((args.x,), qs, table_for(args.x)), {"params": params})
+    return _Result(_eh_rows((args.x,), qs), {"params": params})
 
 
-def _weak_rows(x, qs, alphas, a, table) -> list:
+def _weak_rows(x, qs, alphas, a) -> list:
     rows = []
     for alpha in alphas:
-        for r in weak_form_table(x, qs, alpha, a=a, table=table):
+        for r in weak_form_table(x, qs, alpha, a=a):
             rows.append(
                 {
                     "x": r.x, "q": r.q, "a": r.a, "alpha": r.alpha,
@@ -443,6 +447,7 @@ def _weak_rows(x, qs, alphas, a, table) -> list:
 def _cmd_weak(args, cfg: RunConfig) -> _Result:
     if args.x is None or args.x <= 1:
         raise ValueError("--x must exceed 1")
+    require_in_range(args.x)
     alphas = sorted(set(args.alpha or ()))
     if not alphas:
         raise ValueError("weak needs at least one --alpha")
@@ -456,13 +461,14 @@ def _cmd_weak(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": qs, "a": args.a, "alpha": alphas}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
-    rows = _weak_rows(args.x, qs, alphas, args.a, table_for(args.x))
+    rows = _weak_rows(args.x, qs, alphas, args.a)
     return _Result(rows, {"params": params})
 
 
 def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
     if args.x is None or args.x <= 1:
         raise ValueError("--x must exceed 1")
+    require_in_range(args.x)
     q, a = args.q, args.a
     require_unit(q, a)
     eps = args.eps
@@ -473,9 +479,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
     params = {"x": args.x, "q": q, "a": a, "eps": eps}
     if args.dry_run:
         return _Result([], {"dry_run": True, "params": params})
-    table = table_for(args.x)
-    prof = dyadic_profile(args.x, q, a, eps, table=table)
-    return _Result(_dyadic_rows(prof), {"params": params})
+    return _Result(_dyadic_rows(dyadic_profile(args.x, q, a, eps)), {"params": params})
 
 
 def _check_grid(args, key, default):
@@ -502,23 +506,20 @@ def _increment_rows(q, a, grid, cfg, quad):
 
 
 def _orthogonality_rows(q, a, grid, cfg, quad):
-    table = table_for(max(grid["x"]))
     for x in grid["x"]:
         combined = (
-            sum(chi(a).conjugate() * psi_character(x, chi, table)
-                for chi in enumerate_characters(q))
+            sum(chi(a).conjugate() * psi_character(x, chi) for chi in enumerate_characters(q))
             / euler_phi(q)
         )
-        residual = abs(combined - psi_progression(x, q, a, table))
+        residual = abs(combined - psi_progression(x, q, a))
         yield {"x": x}, (), f"x={x:g}", residual
 
 
 def _reconstruction_rows(q, a, grid, cfg, quad):
     zs = grid["Z"]
-    table = table_for(max(grid["x"]))
     sets = _zero_sets(cfg, q, max(zs))
     for x in grid["x"]:
-        errs = [psi_progression_from_zeros(x, z, q, a, sets, table).abs_error for z in zs]
+        errs = [psi_progression_from_zeros(x, z, q, a, sets).abs_error for z in zs]
         notes = [f"x={x:g} Z={z:g} absError={err:.6f}" for z, err in zip(zs, errs)]
         fields = {"x": x, "firstZ": zs[0], "lastZ": zs[-1],
                   "firstErr": errs[0], "lastErr": errs[-1]}
@@ -540,10 +541,16 @@ def _increment_grid(grid: dict) -> dict:
     return {"x": grid["x"], "UT": pairs}
 
 
+def _sieve_grid(grid: dict) -> dict:
+    """The x cap of the sieve, for the suites whose x reaches it."""
+    require_in_range(max(grid["x"]))
+    return grid
+
+
 def _reconstruction_grid(grid: dict) -> dict:
     if len(grid["Z"]) < 2 or min(grid["Z"]) < 2 or max(grid["Z"]) > min(grid["x"]):
         raise ValueError("reconstruction needs two or more --Z values, each with 2 <= Z <= x")
-    return grid
+    return _sieve_grid(grid)
 
 
 # suite -> (default grid per flag, grid -> dry-run params, row generator).  The
@@ -554,7 +561,7 @@ def _reconstruction_grid(grid: dict) -> dict:
 _SUITES = {
     "integral": ({"x": (3.0,), "T": (15.0,)}, _pair_grid, _integral_rows),
     "increment": ({"x": (3.0,), "U": (5.0,), "T": (15.0,)}, _increment_grid, _increment_rows),
-    "orthogonality": ({"x": (1000.5,)}, dict, _orthogonality_rows),
+    "orthogonality": ({"x": (1000.5,)}, _sieve_grid, _orthogonality_rows),
     "reconstruction": ({"x": (1000.5,), "Z": (30.0, 100.0)}, _reconstruction_grid,
                        _reconstruction_rows),
 }
@@ -662,14 +669,13 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
     write("gue_histogram_q1_T100.csv", hrows)
 
     ladder = grids["x_ladder"]
-    table = table_for(max(max(ladder), float(2**20)))
-    write("montgomery.csv", _montgomery_rows(ladder, grids["montgomery_qs"], None, table))
-    write("eh.csv", _eh_rows(ladder, grids["eh_Qs"], table))
-    write("weak.csv", _weak_rows(1_000_000.0, grids["weak_qs"], grids["weak_alphas"], 1, table))
+    write("montgomery.csv", _montgomery_rows(ladder, grids["montgomery_qs"], None))
+    write("eh.csv", _eh_rows(ladder, grids["eh_Qs"]))
+    write("weak.csv", _weak_rows(1_000_000.0, grids["weak_qs"], grids["weak_alphas"], 1))
 
     drows = []
     for x, q in ((float(2**20), 8), (1_000_000.0, 101)):
-        drows.extend(_dyadic_rows(dyadic_profile(x, q, 1, 0.1, table=table)))
+        drows.extend(_dyadic_rows(dyadic_profile(x, q, 1, 0.1)))
     write("dyadic.csv", drows)
 
     manifest = {

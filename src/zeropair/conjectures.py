@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from zeropair.characters import euler_phi, require_unit, units
-from zeropair.sieve import LambdaTable, logp_sums, psi_progression, table_for
+from zeropair.sieve import logp_sums, psi_progression
 
 __all__ = [
     "MontgomeryRow",
@@ -101,9 +101,9 @@ class DyadicProfile:
         return math.fsum(self.block_errors) + self.tail_error
 
 
-def _class_errors(x: float, q: int, table: LambdaTable) -> dict[int, float]:
+def _class_errors(x: float, q: int) -> dict[int, float]:
     """psi(x; q, a) - x/phi(q) for every unit a, in one table pass."""
-    sums = logp_sums(x, q, table)
+    sums = logp_sums(x, q)
     main = x / euler_phi(q)
     return {a: sums[a % q] - main for a in units(q)}
 
@@ -130,12 +130,7 @@ def _implied_epsilon(normalized: float, x: float) -> float:
     return math.log(abs(normalized)) / math.log(x)
 
 
-def montgomery_table(
-    x_list,
-    q_list,
-    a: int | None = None,
-    table: LambdaTable | None = None,
-) -> list[MontgomeryRow]:
+def montgomery_table(x_list, q_list, a: int | None = None) -> list[MontgomeryRow]:
     """Rows for every x in x_list, q in q_list, and unit class a.
 
     Passing a fixes the residue class (it must be a unit for every q);
@@ -145,12 +140,11 @@ def montgomery_table(
     if not xs or xs[0] <= 1.0:
         raise ValueError("x values must exceed 1")
     class_sets = _classes_by_modulus(q_list, a)
-    table = table_for(xs[-1], table)
     rows = []
     for x in xs:
         grh_env = math.sqrt(x) * math.log(x) ** 2
         for q, classes in class_sets.items():
-            errors = _class_errors(x, q, table)
+            errors = _class_errors(x, q)
             normalizer = math.sqrt(x / q)
             for cls in classes:
                 err = errors[cls]
@@ -170,34 +164,27 @@ def montgomery_table(
     return rows
 
 
-def eh_sums(x: float, Qs, table: LambdaTable | None = None) -> list[float]:
+def eh_sums(x: float, Qs) -> list[float]:
     """eh_sum(x, Q) for each Q in Qs, with each modulus's worst-class term computed once."""
     if not Qs or min(Qs) < 1:
         raise ValueError("Q must be positive")
     if not max(Qs) < x:
         raise ValueError(f"need Q < x, got Q={max(Qs)}, x={x:g}")
-    table = table_for(x, table)
-    terms = [max(abs(e) for e in _class_errors(x, q, table).values())
+    terms = [max(abs(e) for e in _class_errors(x, q).values())
              for q in range(1, max(Qs) + 1)]
     return [math.fsum(terms[:Q]) for Q in Qs]
 
 
-def eh_sum(x: float, Q: int, table: LambdaTable | None = None) -> float:
+def eh_sum(x: float, Q: int) -> float:
     """Sum over q <= Q of the worst unit-class error at x.
 
     Each term is max over units a of |psi(x; q, a) - x/phi(q)|, so the
     sum is nondecreasing in Q; Q = 1 gives |psi(x) - x|.
     """
-    return eh_sums(x, (Q,), table)[0]
+    return eh_sums(x, (Q,))[0]
 
 
-def weak_form_table(
-    x: float,
-    q_list,
-    alpha: float,
-    a: int | None = None,
-    table: LambdaTable | None = None,
-) -> list[WeakFormRow]:
+def weak_form_table(x: float, q_list, alpha: float, a: int | None = None) -> list[WeakFormRow]:
     """Error rows on the sqrt(x phi(q)^alpha / q) scale.
 
     alpha = 0 reproduces the montgomery_table normalizer, alpha = 1
@@ -208,10 +195,9 @@ def weak_form_table(
     if x <= 1.0:
         raise ValueError("x must exceed 1")
     class_sets = _classes_by_modulus(q_list, a)
-    table = table_for(x, table)
     rows = []
     for q, classes in class_sets.items():
-        errors = _class_errors(x, q, table)
+        errors = _class_errors(x, q)
         normalizer = math.sqrt(x * euler_phi(q) ** alpha / q)
         for cls in classes:
             err = errors[cls]
@@ -229,13 +215,7 @@ def weak_form_table(
     return rows
 
 
-def dyadic_profile(
-    x: float,
-    q: int,
-    a: int,
-    eps: float = 0.1,
-    table: LambdaTable | None = None,
-) -> DyadicProfile:
+def dyadic_profile(x: float, q: int, a: int, eps: float = 0.1) -> DyadicProfile:
     """Split the class error at x into halving blocks down to depth J.
 
     J is the largest integer with (x/2^J)^(1-eps) >= q; the precondition
@@ -251,12 +231,11 @@ def dyadic_profile(
         raise ValueError("x must exceed 1")
     if q > x ** (1.0 - eps):
         raise ValueError(f"need q <= x^(1-eps) = {x ** (1.0 - eps):g}, got q={q}")
-    table = table_for(x, table)
     phi = euler_phi(q)
     # largest J with (x/2^J)^(1-eps) >= q; the guard absorbs roundoff on
     # exact-power boundaries
     depth = math.floor(math.log2(x) - math.log2(q) / (1.0 - eps) + 1e-12)
-    counts = [psi_progression(x / 2**j, q, a, table) for j in range(depth + 1)]
+    counts = [psi_progression(x / 2**j, q, a) for j in range(depth + 1)]
     blocks = []
     scaled = []
     for j in range(depth):

@@ -28,20 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from zeropair.characters import (
-    CharacterLabel,
-    DirichletCharacter,
-    _prime_factors,
-    conductor_and_inducer,
-    euler_phi,
-)
-from zeropair.sieve import (
-    LambdaTable,
-    psi,
-    psi_character,
-    psi_progression,
-    table_for,
-)
+from zeropair.characters import CharacterLabel, DirichletCharacter, conductor_and_inducer, euler_phi
+from zeropair.sieve import logp_sums, psi, psi_character, psi_progression
 from zeropair.zeros import ZeroSet, character_family, zero_set_for
 
 __all__ = [
@@ -103,19 +91,13 @@ def zero_sum(x: float, zs: ZeroSet, z: float) -> complex:
 
 
 def ramified_mass(x: float, q: int) -> float:
-    """Sum of log p over prime powers <= x whose prime divides q."""
-    total = 0.0
-    for p in _prime_factors(q):
-        pk = p
-        while pk <= x:
-            total += math.log(p)
-            pk *= p
-    return total
+    """Sum of log p over prime powers <= x whose prime divides q, exact and
+    correctly rounded: the classes sharing a factor with q form group 0."""
+    coprime = np.array([math.gcd(r, q) == 1 for r in range(q)], dtype=np.int64)
+    return logp_sums(x, q, coprime)[0]
 
 
-def psi_from_zeros(
-    x: float, z: float, zeta_set: ZeroSet, table: LambdaTable | None = None
-) -> ExplicitFormulaRun:
+def psi_from_zeros(x: float, z: float, zeta_set: ZeroSet) -> ExplicitFormulaRun:
     """Reconstruct psi(x) as x minus the truncated zero sum.
 
     The budget shape is x log^2(xZ) / Z.
@@ -123,7 +105,6 @@ def psi_from_zeros(
     _check_range(x, z)
     if zeta_set.label != _ZETA_LABEL:
         raise ValueError(f"expected the zeta zero set, got {zeta_set.label}")
-    table = table_for(x, table)
     o = zeta_set.window(z)
     # pairing g with -g exactly keeps the result real regardless of the
     # last-digit noise between the two independently refined halves
@@ -135,7 +116,7 @@ def psi_from_zeros(
         q=1,
         a=1,
         reconstructed=x - total,
-        exact=psi(x, table),
+        exact=psi(x),
         error_budget=budget,
         term_count=o.size,
         imag_residue=0.0,
@@ -143,11 +124,7 @@ def psi_from_zeros(
 
 
 def psi_chi_from_zeros(
-    x: float,
-    z: float,
-    chi: DirichletCharacter,
-    zero_set: ZeroSet,
-    table: LambdaTable | None = None,
+    x: float, z: float, chi: DirichletCharacter, zero_set: ZeroSet
 ) -> ExplicitFormulaRun:
     """Reconstruct psi(x, chi) as minus the truncated zero sum.
 
@@ -166,7 +143,6 @@ def psi_chi_from_zeros(
             f"zero set {zero_set.label} matches neither {chi.label} "
             f"nor its inducer {inducer.label}"
         )
-    table = table_for(x, table)
     q = chi.modulus
     o = zero_set.window(z)
     budget = x * math.log(q * x) ** 2 / z
@@ -176,7 +152,7 @@ def psi_chi_from_zeros(
         q=q,
         a=0,
         reconstructed=-complex(np.sum(_terms(x, o))),
-        exact=psi_character(x, chi, table),
+        exact=psi_character(x, chi),
         error_budget=budget,
         term_count=o.size,
         imag_residue=0.0,
@@ -189,7 +165,6 @@ def psi_progression_from_zeros(
     q: int,
     a: int,
     zero_sets: Mapping[CharacterLabel, ZeroSet],
-    table: LambdaTable | None = None,
 ) -> ExplicitFormulaRun:
     """Reconstruct psi(x; q, a) from one zero sum per character mod q.
 
@@ -203,9 +178,8 @@ def psi_progression_from_zeros(
     """
     _check_range(x, z)
     if q == 1:
-        return psi_from_zeros(x, z, zero_set_for(zero_sets, _ZETA_LABEL), table)
+        return psi_from_zeros(x, z, zero_set_for(zero_sets, _ZETA_LABEL))
     family = character_family(q, a, z, zero_sets)
-    table = table_for(x, table)
     phi = euler_phi(q)
     total = 0j
     for w, o in family:
@@ -218,7 +192,7 @@ def psi_progression_from_zeros(
         q=q,
         a=a % q,
         reconstructed=raw.real,
-        exact=psi_progression(x, q, a, table),
+        exact=psi_progression(x, q, a),
         error_budget=budget,
         term_count=sum(o.size for _, o in family),
         imag_residue=abs(raw.imag),

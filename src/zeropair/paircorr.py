@@ -29,13 +29,13 @@ zeros.character_family(q, a, T, zero_sets, window): the list of
 (conj(chi(a)), windowed ordinates) over the characters mod q, each set
 certified to T by ZeroSet.window and flattened by _flatten.  Every direct
 pair sum is _pair_sum over the row tiles of _difference_tiles, which
-spacing_histogram counts too, so no N x N array is built.  The quadrature
-samples sigma(v) only on equispaced Simpson meshes, so it evaluates
-sum_j c_j e^{i v g_j} with lfunc.mesh_exp_sums, the blocked kernel of the
-scan mesh; the direct sums never use it, so the two routes stay
-independent.  Scattered points (sigma_sum at one v, the prime-side R1 at
-arbitrary t) go through the dense _exp_sums; a non-uniform FFT would
-replace that one only if scattered nodes became costly.
+spacing_histogram counts too, so no N x N array is built.  Every
+exponential sum sum_j c_j e^{i v g_j} goes through lfunc.mesh_exp_sums,
+the blocked kernel of the scan mesh: the quadrature samples sigma(v) on
+equispaced Simpson meshes, r1_batch samples the prime side on the
+equispaced mesh that r1_mean_square integrates, and sigma_sum at one v
+and r1 at one t are one-point meshes.  The direct sums never use it, so
+the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from zeropair.characters import (
     require_unit,
 )
 from zeropair import lfunc
-from zeropair.sieve import LambdaTable, SOfXResult, s_of_x, table_for
+from zeropair.sieve import SOfXResult, progression_tags, s_of_x
 from zeropair.zeros import CertificationError, ZeroSet, character_family, zero_set_for
 
 __all__ = [
@@ -142,16 +142,6 @@ def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.n
     gammas = np.concatenate([o for _, o in family])
     weights = np.concatenate([np.full(o.size, w, dtype=np.complex128) for w, o in family])
     return gammas, weights
-
-
-def _exp_sums(points: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j e^{i p freqs_j} at every p in points, in row blocks of
-    at most 2^22 exponentials."""
-    out = np.empty(points.shape, dtype=np.complex128)
-    step = max(1, (1 << 22) // max(1, freqs.size))
-    for i in range(0, points.size, step):
-        out[i : i + step] = np.exp(1j * np.outer(points[i : i + step], freqs)) @ coeffs
-    return out
 
 
 @dataclass(frozen=True)
@@ -287,7 +277,7 @@ def sigma_sum(
     """sum_chi conj(chi(a)) sum_{|g| <= T} x^{ig} e^{ivg}."""
     _check_args(x, T)
     gammas, exponent = _sigma_exponent(character_family(q, a, T, zero_sets), x)
-    return complex(_exp_sums(np.array([float(v)]), gammas, np.exp(exponent))[0])
+    return complex(lfunc.mesh_exp_sums(float(v), 1.0, 1, gammas[None], exponent[None])[1][0, 0])
 
 
 # The truncation V meets (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR
@@ -533,56 +523,44 @@ class R1Result:
     term_count: int
 
 
-def _r1_terms(
-    x: float, q: int, a: int, table: LambdaTable | None, cutoff: int | None
-) -> tuple[np.ndarray, np.ndarray, LambdaTable, int]:
-    """Coefficients and log-frequencies of the prime-side sum."""
+def _r1_terms(x: float, q: int, a: int, cutoff: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Log-coefficients and log-frequencies of the prime-side sum, and its cutoff."""
     if x < 2:
         raise ValueError("x must be at least 2")
     require_unit(q, a)
     if cutoff is None:
-        cutoff = max(100_000, 8 * math.ceil(x)) if table is None else table.limit
+        cutoff = max(100_000, 8 * math.ceil(x))
     if cutoff < 8 * x:
         raise ValueError(f"cutoff {cutoff} is below 8x = {8 * x:g}")
-    table = table_for(cutoff, table)
-    hi = table.cut(cutoff)
-    sel = table.n[:hi] % q == a % q
-    ns = table.n[:hi][sel].astype(np.float64)
-    lp = table.logp[:hi][sel]
+    ns, lp = progression_tags(cutoff, q, a)
     coeff = np.where(ns <= x, lp * np.sqrt(ns / x), lp * (x / ns) ** 1.5)
     freqs = math.log(x) - np.log(ns)
-    return coeff, freqs, table, int(cutoff)
+    return np.log(coeff), freqs, int(cutoff)
 
 
 def r1_batch(
     x: float,
-    ts: np.ndarray,
+    start: float,
+    step: float,
+    count: int,
     q: int,
     a: int,
-    table: LambdaTable | None = None,
     cutoff: int | None = None,
 ) -> tuple[np.ndarray, float, int, int]:
-    """R1 at every t in ts; returns (values, tail bound, cutoff, terms)."""
-    coeff, freqs, table, cutoff = _r1_terms(x, q, a, table, cutoff)
-    ts = np.asarray(ts, dtype=np.float64)
+    """R1 at t = start + m step for m < count; returns (values, tail bound,
+    cutoff, terms)."""
+    log_coeff, freqs, cutoff = _r1_terms(x, q, a, cutoff)
     phi = euler_phi(q)
     scale = -phi / math.sqrt(x)
-    out = _exp_sums(ts, freqs, coeff.astype(np.complex128))
+    _, out = lfunc.mesh_exp_sums(start, step, count, freqs[None], log_coeff[None])
     tail = _TAIL_CONSTANT * phi * x / math.sqrt(cutoff)
-    return scale * out, tail, cutoff, coeff.size
+    return scale * out[:, 0], tail, cutoff, freqs.size
 
 
-def r1(
-    x: float,
-    t: float,
-    q: int,
-    a: int,
-    table: LambdaTable | None = None,
-    cutoff: int | None = None,
-) -> R1Result:
+def r1(x: float, t: float, q: int, a: int, cutoff: int | None = None) -> R1Result:
     """Prime-side expansion at one t: head terms scaled by (x/n)^{-1/2+it},
     tail terms up to the cutoff by (x/n)^{3/2+it}, times -phi(q)/sqrt(x)."""
-    values, tail, cut, terms = r1_batch(x, np.array([float(t)]), q, a, table, cutoff)
+    values, tail, cut, terms = r1_batch(x, float(t), 1.0, 1, q, a, cutoff)
     return R1Result(
         x=float(x), t=float(t), q=q, a=a, cutoff=cut,
         value=complex(values[0]), tail_bound=tail, term_count=terms,
@@ -614,7 +592,6 @@ def r1_mean_square(
     q: int,
     a: int,
     spacing: float | None = None,
-    table: LambdaTable | None = None,
     cutoff: int | None = None,
 ) -> R1MeanSquareResult:
     """Composite-Simpson mean square of the prime-side sum."""
@@ -629,17 +606,17 @@ def r1_mean_square(
             f"need at most {max_spacing:g}"
         )
     intervals = 2 * max(1, math.ceil(T / spacing))
-    ts = np.linspace(-T, T, intervals + 1)
-    values, tail, cut, _ = r1_batch(x, ts, q, a, table, cutoff)
+    h = 2.0 * T / intervals
+    values, tail, cut, _ = r1_batch(x, -T, h, intervals + 1, q, a, cutoff)
     sq = values.real * values.real + values.imag * values.imag
-    integral = _simpson(sq, 2.0 * T / intervals)
-    s_res = s_of_x(x, q, a, table=table, cutoff=cut)
+    integral = _simpson(sq, h)
+    s_res = s_of_x(x, q, a, cutoff=cut)
     phi = euler_phi(q)
     main = 2.0 * T * s_res.value * phi * phi
     return R1MeanSquareResult(
         x=float(x), T=float(T), q=q, a=a,
         integral=integral, main_term=main, ratio=integral / main,
-        spacing=2.0 * T / intervals, node_count=ts.size, cutoff=cut,
+        spacing=h, node_count=intervals + 1, cutoff=cut,
         tail_bound=tail, in_regime=T >= x / phi, s_result=s_res,
     )
 

@@ -8,13 +8,18 @@ is an integer multiple of 2^-53, so logp_sums adds those integers in
 narrow limbs that no float64 total can round, and rounds each group's
 exact sum once.  A rendered sum therefore equals math.fsum of the same
 tags, whatever their order, and repeated runs agree bit for bit.
+
+Callers pass x and never see a table.  The process keeps one, which
+grows only when some x lies beyond it, to the smallest power of two >= x
+(at least 2^17); x above MAX_X is rejected, since a larger table would
+hold more tags than the exact sums allow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -112,39 +117,42 @@ class LambdaTable:
             np.fmod(np.floor(limb, out=limb), 2.0**_LIMB_BITS, out=limb)
         return limbs
 
-    def lambda_at(self, n: int) -> float:
-        i = int(np.searchsorted(self.n, n))
-        if i < self.n.size and self.n[i] == n:
-            return float(self.logp[i])
-        return 0.0
 
-    def tag_at(self, n: int) -> tuple[int, int] | None:
-        i = int(np.searchsorted(self.n, n))
-        if i < self.n.size and self.n[i] == n:
-            return int(self.p[i]), int(self.k[i])
-        return None
+# pi(2^28) = 14,630,843 tags fit _EXACT_TAGS; pi(2^29) is about 28.2 million
+MAX_X = 2**28
+_MIN_LIMIT = 2**17
+_table: LambdaTable | None = None
 
 
-@lru_cache(maxsize=8)
-def shared_table(limit: int) -> LambdaTable:
-    return LambdaTable.build(limit)
+def require_in_range(x: float) -> None:
+    """Reject an x beyond MAX_X, the largest table whose sums stay exact."""
+    if not x <= MAX_X:
+        raise ValueError(f"x={x:g} exceeds MAX_X = 2^28, the largest x with exact prime sums")
 
 
-def table_for(x: float, table: LambdaTable | None = None) -> LambdaTable:
-    """A table reaching x: the shared one of limit max(100000, ceil(x)) by default."""
-    if table is None:
-        return shared_table(max(100_000, math.ceil(x)))
-    if table.limit < x:
-        raise ValueError(f"table covers only {table.limit}, need {x:g}")
-    return table
+def shared_table(limit: float) -> LambdaTable:
+    """The process's one table, kept while it reaches limit and otherwise
+    rebuilt at the smallest power of two >= limit, at least 2^17."""
+    global _table
+    if _table is None or _table.limit < limit:
+        _table = None  # free the smaller table before the build
+        _table = LambdaTable.build(max(_MIN_LIMIT, 1 << (math.ceil(limit) - 1).bit_length()))
+    return _table
 
 
-def logp_sums(x: float, q: int, table: LambdaTable, group: np.ndarray | None = None) -> list[float]:
+def table_for(x: float) -> LambdaTable:
+    """The shared table, reaching x, for any x up to MAX_X."""
+    require_in_range(x)
+    return shared_table(x)
+
+
+def logp_sums(x: float, q: int, group: np.ndarray | None = None) -> list[float]:
     """Sums of log p over the prime powers n <= x, one per class n mod q.
 
     With group, class r adds to entry group[r] instead.  Every entry is the
     correctly rounded value of its exact sum (an empty class gives 0.0).
     """
+    table = table_for(x)
     cut = table.cut(x)
     keys = table.n[:cut] % q
     size = q
@@ -157,18 +165,18 @@ def logp_sums(x: float, q: int, table: LambdaTable, group: np.ndarray | None = N
     return [(a + (b << _LIMB_BITS)) / 2**53 for a, b in zip(lo, hi)]
 
 
-def psi(x: float, table: LambdaTable) -> float:
+def psi(x: float) -> float:
     """sum of log p over prime powers <= x."""
-    return logp_sums(x, 1, table)[0]
+    return logp_sums(x, 1)[0]
 
 
-def psi_progression(x: float, q: int, a: int, table: LambdaTable) -> float:
+def psi_progression(x: float, q: int, a: int) -> float:
     """sum of log p over prime powers <= x in the class a mod q."""
     require_unit(q, a)
-    return logp_sums(x, q, table)[a % q]
+    return logp_sums(x, q)[a % q]
 
 
-def psi_character(x: float, chi: DirichletCharacter, table: LambdaTable) -> complex:
+def psi_character(x: float, chi: DirichletCharacter) -> complex:
     """sum of chi(n) log p over prime powers n <= x.
 
     Tags are grouped by the exact angle of chi(n); each group's sum is exact
@@ -184,19 +192,28 @@ def psi_character(x: float, chi: DirichletCharacter, table: LambdaTable) -> comp
         if av is not None:
             angle_of[r] = av
     total = complex(0.0, 0.0)
-    for kang, group in enumerate(logp_sums(x, q, table, angle_of)[:m]):
+    for kang, group in enumerate(logp_sums(x, q, angle_of)[:m]):
         if group:
             total += group * UnitRoot.of(kang, m).value
     return total
 
 
-def pi_count(x: float, table: LambdaTable) -> int:
+def progression_tags(x: float, q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n <= x with n = a mod q, as float64, and their log p."""
+    table = table_for(x)
     cut = table.cut(x)
-    return int(np.count_nonzero(table.k[:cut] == 1))
+    sel = table.n[:cut] % q == a % q
+    return table.n[:cut][sel].astype(np.float64), table.logp[:cut][sel]
 
 
-def pi_progression(x: float, q: int, a: int, table: LambdaTable) -> int:
+def pi_count(x: float) -> int:
+    table = table_for(x)
+    return int(np.count_nonzero(table.k[: table.cut(x)] == 1))
+
+
+def pi_progression(x: float, q: int, a: int) -> int:
     require_unit(q, a)
+    table = table_for(x)
     cut = table.cut(x)
     sel = table.k[:cut] == 1
     return int(np.count_nonzero(table.n[:cut][sel] % q == a % q))
@@ -219,9 +236,7 @@ class SOfXResult:
         return self.head + self.tail
 
 
-def s_of_x(
-    x: float, q: int, a: int, table: LambdaTable | None = None, cutoff: int | None = None
-) -> SOfXResult:
+def s_of_x(x: float, q: int, a: int, cutoff: int | None = None) -> SOfXResult:
     if x < 2:
         raise ValueError("x must be at least 2")
     require_unit(q, a)
@@ -229,18 +244,11 @@ def s_of_x(
         cutoff = 8 * math.ceil(x)
     if cutoff < 8 * x:
         raise ValueError("cutoff must be at least 8x")
-    table = table_for(cutoff, table)
-
-    lo = table.cut(x)
-    hi = table.cut(cutoff)
-    inside = table.n[:lo] % q == a % q
-    ns_in = table.n[:lo][inside].astype(np.float64)
-    ls_in = table.logp[:lo][inside]
+    ns, ls = progression_tags(cutoff, q, a)
+    inside = ns <= x
+    ns_in, ls_in = ns[inside], ls[inside]
     head = math.fsum(ns_in * ls_in * ls_in) / (x * x)
-
-    between = table.n[lo:hi] % q == a % q
-    ns_out = table.n[lo:hi][between].astype(np.float64)
-    ls_out = table.logp[lo:hi][between]
+    ns_out, ls_out = ns[~inside], ls[~inside]
     tail = math.fsum(ls_out * ls_out / (ns_out * ns_out * ns_out)) * (x * x)
 
     bound = x * x * math.log(cutoff) ** 2 / (2 * cutoff * cutoff)

@@ -40,7 +40,6 @@ from zeropair.sieve import (
     psi_character,
     psi_progression,
     s_of_x,
-    shared_table,
 )
 from zeropair.zeros import scan_zeros, zeros_for_modulus
 
@@ -241,13 +240,12 @@ def test_criterion_06_brute_force_equivalence(grid_sets):
     lam = [0.0] * (x + 1)
     for n in range(2, x + 1):
         lam[n] = _brute_lambda(n)
-    table = shared_table(100_000)
-    rels["psi"] = abs(psi(float(x), table) - math.fsum(lam)) / math.fsum(lam)
+    rels["psi"] = abs(psi(float(x)) - math.fsum(lam)) / math.fsum(lam)
     want = math.fsum(lam[n] for n in range(2, x + 1) if n % 7 == 3)
-    rels["psi_progression"] = abs(psi_progression(float(x), 7, 3, table) - want) / want
+    rels["psi_progression"] = abs(psi_progression(float(x), 7, 3) - want) / want
     chi = character(5, 2)
     wantc = sum(chi(n) * lam[n] for n in range(2, x + 1))
-    rels["psi_character"] = (abs(psi_character(float(x), chi, table) - wantc)
+    rels["psi_character"] = (abs(psi_character(float(x), chi) - wantc)
                              / abs(wantc))
 
     def brute_psi(y, q, a):
@@ -258,7 +256,7 @@ def test_criterion_06_brute_force_equivalence(grid_sets):
         max(abs(brute_psi(2000, q, a) - 2000.0 / euler_phi(q)) for a in _units(q))
         for q in range(1, 11)
     )
-    rels["eh_sum"] = abs(eh_sum(2000.0, 10, table=table) - want) / want
+    rels["eh_sum"] = abs(eh_sum(2000.0, 10) - want) / want
 
     worst = max(rels.values())
     ok = worst < 1e-10
@@ -268,13 +266,12 @@ def test_criterion_06_brute_force_equivalence(grid_sets):
 
 def test_criterion_07_explicit_formula():
     t0 = time.perf_counter()
-    table = shared_table(100_000)
     trend_ok = True
     margins = []
     for q in (1, 4):
         sets = zeros_for_modulus(q, 100.0)
         errs = [
-            psi_progression_from_zeros(1000.5, z, q, 1, sets, table).abs_error
+            psi_progression_from_zeros(1000.5, z, q, 1, sets).abs_error
             for z in (30.0, 100.0)
         ]
         trend_ok &= errs[1] < errs[0]
@@ -284,10 +281,10 @@ def test_criterion_07_explicit_formula():
         phi = euler_phi(q)
         for a in _units(q):
             combined = sum(
-                chi(a).conjugate() * psi_character(1000.5, chi, table)
+                chi(a).conjugate() * psi_character(1000.5, chi)
                 for chi in enumerate_characters(q)
             ) / phi
-            direct = psi_progression(1000.5, q, a, table)
+            direct = psi_progression(1000.5, q, a)
             worst_rec = max(worst_rec, abs(combined - direct))
     elapsed = time.perf_counter() - t0
     ok = trend_ok and worst_rec < 1e-8 and elapsed < 120.0
@@ -313,14 +310,13 @@ def test_criterion_08_brun_titchmarsh():
 
 
 def test_criterion_09_second_moment_normalization():
-    table = shared_table(16_000_000)
     worst_lo, worst_hi, worst_drift = math.inf, 0.0, True
     for q in (1, 3, 4, 5):
-        base = s_of_x(1e6, q, 1, table=table)
+        base = s_of_x(1e6, q, 1)
         ratio = base.value * euler_phi(q) / math.log(1e6)
         worst_lo = min(worst_lo, ratio)
         worst_hi = max(worst_hi, ratio)
-        doubled = s_of_x(1e6, q, 1, table=table, cutoff=16_000_000)
+        doubled = s_of_x(1e6, q, 1, cutoff=16_000_000)
         worst_drift &= abs(doubled.value - base.value) < base.remainder_bound
     ok = 0.8 <= worst_lo and worst_hi <= 1.2 and worst_drift
     _verdict(9, "second-moment sum tracks log x over phi(q)", ok,

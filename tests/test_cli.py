@@ -11,11 +11,12 @@ import json
 
 import pytest
 
+from zeropair import sieve
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
 from zeropair.lfunc import EvalPrecision, PrecisionError, RealnessError
 from zeropair.paircorr import PairCorrInput, f_q
-from zeropair.sieve import psi_character, psi_progression, shared_table
+from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
 from zeropair.store import read_zero_set
 from zeropair.zeros import zeros_for_modulus
 
@@ -208,20 +209,30 @@ class TestZeros:
         assert "dry-run ok" in out
         assert not local.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_chi_excludes_q(self, capsys, tmp_path, dry_run):
+        local = tmp_path / "both"
+        code = main(["zeros", "--q", "5", "--chi", "3:2", "--T", "10", "--cache-dir", str(local),
+                     *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "--chi excludes --q" in captured.err
+        assert not local.exists()
+
 
 class TestPsi:
     def test_progression_matches_library(self, capsys, cache_dir):
         code, out = run(capsys, cache_dir, "psi", "--x", "1000.5", "--q", "4", "--a", "1")
         assert code == 0
         value = float(out.strip().splitlines()[1].split(",")[3])
-        expected = psi_progression(1000.5, 4, 1, shared_table(100_000))
+        expected = psi_progression(1000.5, 4, 1)
         assert value == pytest.approx(expected, rel=1e-15)
 
     def test_character_mode(self, capsys, cache_dir):
         code, out = run(capsys, cache_dir, "psi", "--x", "500.5", "--chi", "5:2")
         assert code == 0
         parts = out.strip().splitlines()[1].split(",")
-        expected = psi_character(500.5, character(5, 2), shared_table(100_000))
+        expected = psi_character(500.5, character(5, 2))
         assert float(parts[3]) == pytest.approx(expected.real, rel=1e-12)
         assert float(parts[4]) == pytest.approx(expected.imag, rel=1e-12)
 
@@ -431,6 +442,38 @@ class TestNonFiniteNumbers:
         assert (code, out) == (2, "")
 
 
+class TestXBeyondTheSieve:
+    """An x beyond sieve.MAX_X is invalid input wherever x reaches the sieve:
+    exit 2 before any table or zero scan, with or without --dry-run."""
+
+    FORMS = {
+        "psi": ["psi", "--x={x}"],
+        "psi_chi": ["psi", "--x={x}", "--chi", "3:2"],
+        "explicit": ["explicit", "--x={x}", "--Z", "30"],
+        "montgomery": ["montgomery", "--x", "1000", "--x={x}", "--q", "3"],
+        "eh": ["eh", "--x={x}", "--Q", "10"],
+        "weak": ["weak", "--x={x}", "--alpha", "0.5", "--q", "3"],
+        "dyadic": ["dyadic", "--x={x}"],
+        "orthogonality": ["check", "--suite", "orthogonality", "--x", "1000", "--x={x}"],
+        "reconstruction": ["check", "--suite", "reconstruction", "--x={x}", "--Z", "30",
+                           "--Z", "100"],
+    }
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("x", ["1e10", str(MAX_X + 1)])
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_exits_2_and_builds_nothing(self, capsys, tmp_path, monkeypatch, form, x, dry_run):
+        monkeypatch.setattr(sieve, "_table", None)
+        monkeypatch.setattr(LambdaTable, "build", staticmethod(lambda limit: pytest.fail("built")))
+        local = tmp_path / "cache"
+        argv = [arg.format(x=x) for arg in self.FORMS[form]]
+        code = main([*argv, "--cache-dir", str(local), *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "exceeds MAX_X = 2^28" in captured.err
+        assert not local.exists()
+
+
 class TestOutputPlumbing:
     def test_out_file_matches_stdout(self, capsys, cache_dir, tmp_path):
         _, streamed = run(capsys, cache_dir, "psi", "--x", "300.5")
@@ -448,7 +491,7 @@ class TestOutputPlumbing:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["psi"] == pytest.approx(
-            psi_progression(10.0, 1, 1, shared_table(100_000)))
+            psi_progression(10.0, 1, 1))
 
     def test_json_summary_shape(self, capsys, cache_dir):
         code = main(["eh", "--x", "2000", "--Q", "5",
@@ -528,6 +571,22 @@ class TestReport:
         "weak.csv": "753b7645e9840cdffbcae47bbf24d9b84978d7ace1ec6b16a57ed34a8a043d7e",
         "dyadic.csv": "4c80c85a9874b30c704ef0d46622b966a19e29d4eec3d39f6693482f662d8dff",
     }
+
+    def test_each_table_limit_built_once(self, capsys, cache_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(sieve, "_table", None)
+        build = LambdaTable.build
+        limits = []
+
+        def counted(limit):
+            limits.append(limit)
+            return build(limit)
+
+        monkeypatch.setattr(LambdaTable, "build", staticmethod(counted))
+        assert main(["report", "--cache-dir", str(cache_dir), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # the montgomery ladder starts at x = 1000 and ends at 10^6; the table
+        # only grows, so nothing after it rebuilds a limit
+        assert limits == [2**17, 2**20]
 
     def test_bundle_contents_and_determinism(self, capsys, cache_dir, tmp_path):
         first = tmp_path / "b1"

@@ -5,7 +5,9 @@ A static check over the syntax tree, standing in for a linter: a name bound
 by a module-level import must be read somewhere in that module or be listed
 in its __all__ (a re-export).  `from __future__` imports and star imports
 bind no checkable name and are skipped.  Inside src/, no function body may
-import: every dependency of a module is stated at its top.
+import: every dependency of a module is stated at its top.  Only the sieve
+sees a prime table: no public function takes a `table`, and no other module
+names LambdaTable or table_for.
 """
 
 import ast
@@ -98,3 +100,54 @@ def test_no_function_imports_in_src():
         for line, name in function_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: inside {name}()")
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+_TABLE_NAMES = {"LambdaTable", "table_for"}
+
+
+def table_leaks(source: str, module: str) -> list:
+    """(line, what) of each place outside the sieve's own internals that sees a
+    prime table: a `table` parameter on a function (a private sieve helper
+    may take one), or, in a module other than sieve, a LambdaTable or
+    table_for name, attribute or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            if "table" in names and (module != "sieve" or not node.name.startswith("_")):
+                found.append((node.lineno, f"{node.name}(table)"))
+        elif module != "sieve":
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in _TABLE_NAMES:
+                found.append((getattr(node, "lineno", 0), name))
+    return sorted(found)
+
+
+def test_detector_flags_table_leaks():
+    source = (
+        "from zeropair.sieve import LambdaTable, psi\n"
+        "from zeropair import sieve\n"
+        "def f(x, table=None):\n"
+        "    return psi(x)\n"
+        "def g(x):\n"
+        "    return sieve.table_for(x)\n"
+        "def _h(x, *, table):\n"
+        "    return x\n"
+        "def k(x, tables):\n"
+        "    return x\n"
+    )
+    assert table_leaks(source, "paircorr") == [
+        (1, "LambdaTable"), (3, "f(table)"), (6, "table_for"), (7, "_h(table)"),
+    ]
+    assert table_leaks(source, "sieve") == [(3, "f(table)")]
+
+
+def test_only_the_sieve_sees_a_table():
+    found = []
+    for path in sorted((ROOT / "src" / "zeropair").glob("*.py")):
+        for line, what in table_leaks(path.read_text(), path.stem):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert not found, "prime tables outside the sieve:\n" + "\n".join(found)

@@ -8,6 +8,7 @@ from zeropair.characters import character, enumerate_characters, euler_phi
 from zeropair.paircorr import r1
 from zeropair import sieve
 from zeropair.sieve import (
+    MAX_X,
     BrunTitchmarshResult,
     LambdaTable,
     brun_titchmarsh_check,
@@ -20,7 +21,6 @@ from zeropair.sieve import (
     psi_character,
     psi_progression,
     s_of_x,
-    shared_table,
     table_for,
 )
 
@@ -55,10 +55,11 @@ class TestTable:
 
     def test_lambda_values(self):
         t = LambdaTable.build(100)
-        assert t.lambda_at(8) == math.log(2)
-        assert t.tag_at(8) == (2, 3)
-        assert t.lambda_at(12) == 0.0 and t.tag_at(12) is None
-        assert t.lambda_at(97) == math.log(97)
+        i = int(np.searchsorted(t.n, 8))
+        assert t.logp[i] == math.log(2)
+        assert (t.p[i], t.k[i]) == (2, 3)
+        assert 12 not in t.n
+        assert t.logp[np.searchsorted(t.n, 97)] == math.log(97)
 
     def test_sorted_strictly(self, table_1e5):
         assert np.all(np.diff(table_1e5.n) > 0)
@@ -74,13 +75,34 @@ class TestTable:
         with pytest.raises(ValueError):
             table_1e5.cut(10**5 + 1)
 
-    def test_table_for_sizes_and_checks(self):
-        assert table_for(3.5) is shared_table(100_000)
-        assert table_for(150_000.5).limit == 150_001
-        small = LambdaTable.build(100)
-        assert table_for(100.0, small) is small
-        with pytest.raises(ValueError, match="table covers only 100"):
-            table_for(100.5, small)
+    def test_table_for_sizes_and_checks(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_table", None)
+        first = table_for(3.5)
+        assert first.limit == 2**17
+        assert table_for(2.0**17) is first
+        grown = table_for(2.0**17 + 0.5)
+        assert grown.limit == 2**18
+        # the table only grows: a smaller x keeps the larger table
+        assert table_for(3.5) is grown
+        assert table_for(150_000.5) is grown
+        with pytest.raises(ValueError, match="MAX_X"):
+            table_for(MAX_X + 1)
+
+    def test_beyond_max_x_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_table", None)
+        monkeypatch.setattr(LambdaTable, "build", staticmethod(lambda limit: pytest.fail("built")))
+        for x in (MAX_X + 0.5, 1e10, math.nan):
+            with pytest.raises(ValueError, match="MAX_X"):
+                psi(x)
+
+    def test_max_x_fits_the_exact_sum_budget(self):
+        # no table is built: Dusart's pi(x) < x/ln x (1 + 1.2762/ln x) for the
+        # primes, at most sqrt(x) log2(x) higher powers, against the tag budget
+        lx = math.log(MAX_X)
+        tags = MAX_X / lx * (1 + 1.2762 / lx) + math.sqrt(MAX_X) * math.log2(MAX_X)
+        assert tags < sieve._EXACT_TAGS
+        # and the next power of two already has pi(2x) >= 2x/ln 2x primes beyond it
+        assert 2 * MAX_X / math.log(2 * MAX_X) >= sieve._EXACT_TAGS
 
     def test_windowed_equals_direct(self):
         direct = primes_up_to(5000)
@@ -96,9 +118,10 @@ EXACT_XS = (1.5, 1000.5, 3.0**12, 1e6, 2.0**21)
 
 @pytest.fixture(scope="module")
 def exact_tags():
-    """shared_table(2^21) with each tag's logp as an exact Fraction."""
-    t = shared_table(2**21)
-    return t, t.n.tolist(), [Fraction(v) for v in t.logp.tolist()]
+    """A table reaching 2^21, with each tag's logp up to 2^21 as an exact Fraction."""
+    t = table_for(2**21)
+    cut = t.cut(2**21)
+    return t, t.n[:cut].tolist(), [Fraction(v) for v in t.logp[:cut].tolist()]
 
 
 class TestExactSums:
@@ -114,12 +137,11 @@ class TestExactSums:
             for n, f in zip(ns[done:cut], fracs[done:cut]):
                 totals[n % q] += f
             done = cut
-            assert logp_sums(x, q, t) == [float(s) for s in totals]
+            assert logp_sums(x, q) == [float(s) for s in totals]
 
-    def test_empty_classes_are_zero(self, exact_tags):
-        t = exact_tags[0]
-        assert logp_sums(1.5, 7, t) == [0.0] * 7
-        sums = logp_sums(2.0**21, 12, t)
+    def test_empty_classes_are_zero(self):
+        assert logp_sums(1.5, 7) == [0.0] * 7
+        sums = logp_sums(2.0**21, 12)
         # no prime power is 0, 6 or 10 mod 12
         assert [sums[r] for r in (0, 6, 10)] == [0.0, 0.0, 0.0]
         assert sums[2] == math.log(2)
@@ -130,42 +152,44 @@ class TestExactSums:
         t = table_1e5
         residues = t.n % 5
         want = [math.fsum(t.logp[np.isin(residues, classes)]) for classes in ((1, 4), (2, 3), (0,))]
-        assert logp_sums(10**5, 5, t, np.array([2, 0, 1, 1, 0])) == want
+        assert logp_sums(10**5, 5, np.array([2, 0, 1, 1, 0])) == want
 
     @pytest.mark.parametrize("bad", [200.0, 0.25, math.nan])
-    def test_logp_outside_limb_budget_raises(self, bad):
+    def test_logp_outside_limb_budget_raises(self, bad, monkeypatch):
         n = np.array([2, 3, 4], dtype=np.int64)
         logp = np.array([math.log(2), bad, math.log(2)])
         t = LambdaTable(4, n, np.array([2, 3, 2]), np.array([1, 1, 2]), logp)
         with pytest.raises(ValueError, match="exact sums"):
-            logp_sums(4, 1, t)
+            t._limbs
+        # the shared table covers x = 4, so psi sums over t
+        monkeypatch.setattr(sieve, "_table", t)
         with pytest.raises(ValueError):
-            psi(4, t)
+            psi(4)
 
     def test_table_beyond_tag_budget_raises(self, monkeypatch):
         monkeypatch.setattr(sieve, "_EXACT_TAGS", 25)
         with pytest.raises(ValueError, match="exceed the exact-sum budget"):
-            psi(60, LambdaTable.build(60))  # 17 primes and 8 higher powers
+            LambdaTable.build(60)._limbs  # 17 primes and 8 higher powers
         t = LambdaTable.build(58)  # one tag fewer
-        assert psi(58, t) == math.fsum(t.logp)
+        monkeypatch.setattr(sieve, "_table", t)
+        assert psi(58) == math.fsum(t.logp)
 
 
 class TestPsi:
     def test_psi_100_exact_tag_sum(self):
-        t = LambdaTable.build(100)
         ref = math.fsum(math.log(p) for n in range(2, 101) if (tag := brute_tag(n)) for p in [tag[0]])
-        assert psi(100, t) == ref
+        assert psi(100) == ref
 
-    def test_psi_at_non_integer(self, table_1e5):
-        assert psi(1000.5, table_1e5) == psi(1000, table_1e5)
+    def test_psi_at_non_integer(self):
+        assert psi(1000.5) == psi(1000)
 
     def test_progression_partition(self, table_1e5):
         # classes mod q partition the coprime tags exactly
         t = table_1e5
         x = 10**5
-        total = psi(x, t)
+        total = psi(x)
         for q in (3, 4, 5, 12):
-            parts = [psi_progression(x, q, a, t) for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            parts = [psi_progression(x, q, a) for a in range(1, q + 1) if math.gcd(a, q) == 1]
             ramified = math.fsum(
                 lp for n, lp in zip(t.n, t.logp) if math.gcd(int(n) % q, q) != 1
             )
@@ -185,9 +209,8 @@ class TestPsi:
         assert seen == coprime
 
     def test_character_sum_small_example(self):
-        t = LambdaTable.build(100)
         chi = character(4, 3)
-        got = psi_character(10, chi, t)
+        got = psi_character(10, chi)
         assert got == math.log(5) - math.log(7)
 
     def test_character_sum_matches_brute(self, table_1e5):
@@ -199,49 +222,47 @@ class TestPsi:
             brute = sum(
                 chi(int(n)) * lp for n, lp in zip(t.n[:cut], t.logp[:cut])
             )
-            got = psi_character(x, chi, t)
+            got = psi_character(x, chi)
             assert abs(got - brute) <= 1e-9
 
     def test_principal_character_drops_ramified(self, table_1e5):
         t = table_1e5
         x = 50000
         chi = character(6, 1)
-        got = psi_character(x, chi, t)
+        got = psi_character(x, chi)
         assert abs(got.imag) == 0.0
         direct = math.fsum(
             lp for n, lp in zip(t.n[: t.cut(x)], t.logp[: t.cut(x)]) if int(n) % 6 in (1, 5)
         )
         assert abs(got.real - direct) <= 1e-9
 
-    def test_orthogonality_reconstruction(self, table_1e5):
+    def test_orthogonality_reconstruction(self):
         # (1/phi) sum_chi conj(chi(a)) psi(x, chi) = psi(x; q, a) to 1e-8
-        t = table_1e5
         for q in (3, 4, 5, 12):
             chars = enumerate_characters(q)
             phi = len(chars)
-            per_char = {c.label: psi_character(10**5, c, t) for c in chars}
+            per_char = {c.label: psi_character(10**5, c) for c in chars}
             for a in range(1, q + 1):
                 if math.gcd(a, q) != 1:
                     continue
                 combo = sum(c(a).conjugate() * per_char[c.label] for c in chars) / phi
-                direct = psi_progression(10**5, q, a, t)
+                direct = psi_progression(10**5, q, a)
                 assert abs(combo.real - direct) <= 1e-8
                 assert abs(combo.imag) <= 1e-8
 
-    def test_invalid_progression_rejected(self, table_1e5):
+    def test_invalid_progression_rejected(self):
         with pytest.raises(ValueError):
-            psi_progression(100, 4, 2, table_1e5)
+            psi_progression(100, 4, 2)
 
 
 class TestCounting:
     def test_pi_100_by_class_mod_4(self):
-        t = LambdaTable.build(100)
-        assert pi_count(100, t) == 25
-        assert pi_progression(100, 4, 1, t) == 11
-        assert pi_progression(100, 4, 3, t) == 13
+        assert pi_count(100) == 25
+        assert pi_progression(100, 4, 1) == 11
+        assert pi_progression(100, 4, 3) == 13
 
-    def test_pi_10000(self, table_1e5):
-        assert pi_count(10**4, table_1e5) == 1229
+    def test_pi_10000(self):
+        assert pi_count(10**4) == 1229
 
 
 class TestSOfX:
@@ -253,8 +274,7 @@ class TestSOfX:
 
     def test_head_matches_brute(self):
         x = 500
-        t = LambdaTable.build(8 * 500)
-        r = s_of_x(x, 3, 1, table=t)
+        r = s_of_x(x, 3, 1)
         brute = math.fsum(
             n * math.log(tag[0]) ** 2
             for n in range(2, x + 1)
@@ -312,14 +332,14 @@ class TestModulusValidation:
     """Progression entry points reject q < 1 instead of dividing by it."""
 
     CALLS = {
-        "pi_progression": lambda q, t: pi_progression(100, q, 1, t),
-        "s_of_x": lambda q, t: s_of_x(10.0, q, 1, table=t),
-        "brun_titchmarsh_check": lambda q, t: brun_titchmarsh_check(100.0, 50.0, q, 1),
-        "r1": lambda q, t: r1(10.0, 0.5, q, 1, table=t),
+        "pi_progression": lambda q: pi_progression(100, q, 1),
+        "s_of_x": lambda q: s_of_x(10.0, q, 1),
+        "brun_titchmarsh_check": lambda q: brun_titchmarsh_check(100.0, 50.0, q, 1),
+        "r1": lambda q: r1(10.0, 0.5, q, 1),
     }
 
     @pytest.mark.parametrize("q", [0, -3])
     @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_nonpositive_modulus_raises(self, table_1e5, name, q):
+    def test_nonpositive_modulus_raises(self, name, q):
         with pytest.raises(ValueError, match="q must be positive"):
-            self.CALLS[name](q, table_1e5)
+            self.CALLS[name](q)
