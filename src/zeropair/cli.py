@@ -42,8 +42,6 @@ from zeropair.explicit import psi_progression_from_zeros
 from zeropair.lfunc import EvalPrecision, PrecisionError
 from zeropair.paircorr import (
     CertificationError,
-    PairCorrInput,
-    QuadSpec,
     QuadratureError,
     f_q,
     f_q_via_integral,
@@ -232,7 +230,7 @@ def _paircorr_row(res) -> dict:
         "ReF": res.value.real,
         "ImF": res.value.imag,
         "ratio_to_thm15": res.thm_ratio if res.thm_ratio is not None else math.nan,
-        "trivialBoundRatio": res.trivial_ratio,
+        "trivialBoundRatio": res.trivial_ratio if res.trivial_ratio is not None else math.nan,
     }
 
 
@@ -337,7 +335,7 @@ def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
     for T in ts:
         sets = _zero_sets(cfg, q, T)
         for x in xs:
-            res = f_q(PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), window=args.window)
+            res = f_q(q, a, x, T, sets, window=args.window)
             rows.append(_paircorr_row(res))
     return _Result(rows, {"params": params})
 
@@ -487,25 +485,23 @@ def _check_grid(args, key, default):
     return sorted(set(values)) if values else list(default)
 
 
-def _integral_rows(q, a, grid, cfg, quad):
+def _integral_rows(q, a, grid, cfg):
     for T in grid["T"]:
         sets = _zero_sets(cfg, q, T)
         for x in grid["x"]:
-            res = f_q_via_integral(
-                PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=sets), quad=quad
-            )
+            res = f_q_via_integral(q, a, x, T, sets, cfg.rel_tol)
             yield {"x": x, "T": T}, (), f"x={x:g} T={T:g}", res.rel_residual
 
 
-def _increment_rows(q, a, grid, cfg, quad):
+def _increment_rows(q, a, grid, cfg):
     for u, t in grid["UT"]:
         sets = _zero_sets(cfg, q, t)
         for x in grid["x"]:
-            res = increment_identity_check(x, t, u, q, a, sets, quad=quad)
+            res = increment_identity_check(x, t, u, q, a, sets, cfg.rel_tol)
             yield {"x": x, "U": u, "T": t}, (), f"x={x:g} U={u:g} T={t:g}", res.rel_residual
 
 
-def _orthogonality_rows(q, a, grid, cfg, quad):
+def _orthogonality_rows(q, a, grid, cfg):
     for x in grid["x"]:
         combined = (
             sum(chi(a).conjugate() * psi_character(x, chi) for chi in enumerate_characters(q))
@@ -515,7 +511,7 @@ def _orthogonality_rows(q, a, grid, cfg, quad):
         yield {"x": x}, (), f"x={x:g}", residual
 
 
-def _reconstruction_rows(q, a, grid, cfg, quad):
+def _reconstruction_rows(q, a, grid, cfg):
     zs = grid["Z"]
     sets = _zero_sets(cfg, q, max(zs))
     for x in grid["x"]:
@@ -528,7 +524,7 @@ def _reconstruction_rows(q, a, grid, cfg, quad):
 
 
 def _pair_grid(grid: dict) -> dict:
-    """The rule of PairCorrInput, for paircorr and the integral suite."""
+    """The x and T rule of f_q, for paircorr and the integral suite."""
     if min(grid["x"]) < 2 or min(grid["T"]) <= 0:
         raise ValueError("need every x >= 2 and every T > 0")
     return grid
@@ -576,7 +572,6 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     qs = _check_grid(args, "q", (4,))
     for q in qs:
         require_unit(q, a)
-    quad = QuadSpec(rel_tol=cfg.rel_tol)
     defaults, make_grid, suite_rows = _SUITES[suite]
     grid = make_grid({key: _check_grid(args, key, d) for key, d in defaults.items()})
     if min(grid["x"]) <= 0:
@@ -591,7 +586,7 @@ def _cmd_check(args, cfg: RunConfig) -> _Result:
     failed = False
     for q in qs:
         head = f"{suite} q={q} a={a}"
-        for fields, notes, text, outcome in suite_rows(q, a, grid, cfg, quad):
+        for fields, notes, text, outcome in suite_rows(q, a, grid, cfg):
             ok = outcome
             if suite in _SUITE_TOL:
                 ok = outcome < tol
@@ -636,7 +631,7 @@ def _cmd_report(args, cfg: RunConfig) -> _Result:
         for T in grids["thm_Ts"]:
             sets = _zero_sets(cfg, q, T)
             for x in grids["thm_xs"]:
-                res = f_q(PairCorrInput(q=q, a=1, x=x, T=T, zero_sets=sets))
+                res = f_q(q, 1, x, T, sets)
                 row = _paircorr_row(res)
                 row["window"] = res.window
                 row["regime"] = "in-range" if res.in_classical_range else "extrapolated"

@@ -28,20 +28,23 @@ Structure.  Every character-weighted statistic starts from one family,
 zeros.character_family(q, a, T, zero_sets, window): the list of
 (conj(chi(a)), windowed ordinates) over the characters mod q, each set
 certified to T by ZeroSet.window and flattened by _flatten.  Every direct
-pair sum is _pair_sum over the row tiles of _difference_tiles, which
-spacing_histogram counts too, so no N x N array is built.  Every
-exponential sum sum_j c_j e^{i v g_j} goes through lfunc.mesh_exp_sums,
-the blocked kernel of the scan mesh: the quadrature samples sigma(v) on
-equispaced Simpson meshes, r1_batch samples the prime side on the
-equispaced mesh that r1_mean_square integrates, and sigma_sum at one v
-and r1 at one t are one-point meshes.  The direct sums never use it, so
-the two routes stay independent.
+pair sum is _pair_sum over row tiles, so no N x N array is built.  Both
+identity checks are one path: f_q_via_integral (U = 0) and
+increment_identity_check compute their direct sum, and _identity_check
+integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} against it by adaptive
+Simpson into one IdentityCheckResult.  Every exponential sum
+sum_j c_j e^{i v g_j} goes through lfunc.mesh_exp_sums, the blocked
+kernel of the scan mesh: the quadrature samples sigma(v) on equispaced
+Simpson meshes, r1_batch samples the prime side on the equispaced mesh
+that r1_mean_square integrates, and sigma_sum at one v and r1 at one t
+are one-point meshes.  The direct sums never use it, so the two routes
+stay independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,12 +64,9 @@ __all__ = [
     "QuadratureError",
     "weight",
     "gue_density",
-    "PairCorrInput",
     "GPairResult",
     "PairCorrResult",
-    "QuadSpec",
-    "IntegralCheckResult",
-    "IncrementCheckResult",
+    "IdentityCheckResult",
     "R1Result",
     "R1MeanSquareResult",
     "SpacingHistogram",
@@ -145,28 +145,6 @@ def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.n
 
 
 @dataclass(frozen=True)
-class PairCorrInput:
-    """A pair-correlation instance: progression (q, a), scale x, height T.
-
-    zero_sets maps every character label mod q to a certified zero set of
-    height at least T (imprimitive labels point at their inducer's set).
-    """
-
-    q: int
-    a: int
-    x: float
-    T: float
-    zero_sets: Mapping[CharacterLabel, ZeroSet] = field(repr=False)
-
-    def __post_init__(self):
-        if self.x < 2:
-            raise ValueError("x must be at least 2")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        character_family(self.q, self.a, self.T, self.zero_sets)
-
-
-@dataclass(frozen=True)
 class GPairResult:
     value: complex
     term_count: int
@@ -190,7 +168,7 @@ class PairCorrResult:
     value: complex
     term_count: int
     thm_ratio: float | None
-    trivial_ratio: float
+    trivial_ratio: float | None
 
     @property
     def real(self) -> float:
@@ -227,16 +205,32 @@ def _pair_result(
     # positive window carries half the zeros, so the in-range target halves
     normalizer = math.pi if window == "both" else 2.0 * math.pi
     thm = normalizer * value.real / (phi * T * lx) if lx != 0.0 else None
-    trivial = abs(value.real) / (T * (phi * math.log(q * T)) ** 2)
+    ceiling = T * (phi * math.log(q * T)) ** 2
+    trivial = abs(value.real) / ceiling if ceiling != 0.0 else None
     return PairCorrResult(
         q=q, a=a, x=x, T=T, window=window,
         value=value, term_count=terms, thm_ratio=thm, trivial_ratio=trivial,
     )
 
 
-def f_q(inp: PairCorrInput, window: str = "both") -> PairCorrResult:
-    """Aggregate pair correlation for the progression a mod q."""
-    return _pair_result(inp.q, inp.a, inp.x, inp.T, inp.zero_sets, window)
+def f_q(
+    q: int,
+    a: int,
+    x: float,
+    T: float,
+    zero_sets: Mapping[CharacterLabel, ZeroSet],
+    window: str = "both",
+) -> PairCorrResult:
+    """Aggregate pair correlation for the progression a mod q.
+
+    zero_sets maps every character label mod q to a certified zero set of
+    height at least T (imprimitive labels point at their inducer's set).
+    """
+    if x < 2:
+        raise ValueError("x must be at least 2")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    return _pair_result(q, a, x, T, zero_sets, window)
 
 
 def f_zeta_ratio(
@@ -287,25 +281,6 @@ QUAD_BUDGET_FACTOR = 1e-8
 SIMPSON_REFINEMENT_CAP = 12
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Controls for the e^{-2|v|} quadrature.
-
-    v_max None picks the truncation from the a-priori tail bound
-    (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR * |target|; an explicit
-    v_max that misses that budget is an error, not a silent degradation.
-    """
-
-    v_max: float | None = None
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.v_max is not None and self.v_max <= 0:
-            raise ValueError("v_max must be positive")
-        if not 0 < self.rel_tol < 1:
-            raise ValueError("rel_tol must lie in (0, 1)")
-
-
 def _simpson(ys: np.ndarray, h: float) -> float:
     return (h / 3.0) * float(
         ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
@@ -348,105 +323,17 @@ def _refine_simpson(
     )
 
 
-def _integrate_weighted_square(
-    sig: Callable[[float, float, int], tuple[np.ndarray, np.ndarray]],
-    count: int,
-    x: float,
-    T: float,
-    target: float,
-    quad: QuadSpec,
-) -> tuple[float, float, float, int, int]:
-    """Integral of |sig(v)|^2 e^{-2|v|} over the real line, truncated.
-
-    sig(start, step, count) returns the mesh points and sig at them.
-    Returns (value, v_max, truncation bound, nodes, refinements)."""
-    budget = QUAD_BUDGET_FACTOR * max(abs(target), 1.0)
-    if count == 0:
-        return 0.0, 0.0, 0.0, 0, 0
-    if quad.v_max is None:
-        # +0.5 keeps the realized bound a factor e below the budget
-        v_max = max(2.0, 0.5 * math.log(count * count / budget) + 0.5)
-    else:
-        v_max = quad.v_max
-    bound = count * count * math.exp(-2.0 * v_max)
-    if bound > budget:
-        raise QuadratureError(
-            f"truncation bound {bound:.3e} at V={v_max:g} exceeds budget "
-            f"{budget:.3e}; enlarge v_max"
-        )
-
-    def integrand(start: float, step: float, count: int) -> np.ndarray:
-        vs, s = sig(start, step, count)
-        return (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
-
-    # integrand oscillates at gap frequencies up to 2T
-    h0 = min(0.2 / math.log(max(x * T, 3.0)), math.pi / (4.0 * T), v_max / 8.0)
-    n0 = math.ceil(v_max / h0)
-    total = 0.0
-    nodes = 0
-    refinements = 0
-    for lo, hi in ((-v_max, 0.0), (0.0, v_max)):
-        val, used, refs = _refine_simpson(integrand, lo, hi, n0, quad.rel_tol, budget / 2.0)
-        total += val
-        nodes += used
-        refinements = max(refinements, refs)
-    return total, v_max, bound, nodes, refinements
-
-
 @dataclass(frozen=True)
-class IntegralCheckResult:
-    """Quadrature route vs the direct double sum for the same aggregate."""
+class IdentityCheckResult:
+    """Both routes of the e^{-2|v|} identity between heights U <= T.
 
-    direct: PairCorrResult
-    integral: float
-    v_max: float
-    truncation_bound: float
-    node_count: int
-    refinements: int
-
-    @property
-    def abs_residual(self) -> float:
-        return abs(self.integral - self.direct.real)
-
-    @property
-    def rel_residual(self) -> float:
-        return self.abs_residual / max(abs(self.direct.real), 1e-12)
-
-
-def f_q_via_integral(inp: PairCorrInput, quad: QuadSpec | None = None) -> IntegralCheckResult:
-    """Evaluate the aggregate through the e^{-2|v|} integral and compare."""
-    if quad is None:
-        quad = QuadSpec()
-    # the public f_q, so that a tracer of f_q counts these pair terms too
-    direct = f_q(inp)
-    family = character_family(inp.q, inp.a, inp.T, inp.zero_sets)
-    gammas, exponent = _sigma_exponent(family, inp.x)
-
-    def sig(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        vs, sums = lfunc.mesh_exp_sums(start, step, count, gammas[None], exponent[None])
-        return vs, sums[:, 0]
-
-    integral, v_max, bound, nodes, refs = _integrate_weighted_square(
-        sig, gammas.size, inp.x, inp.T, direct.real, quad
-    )
-    return IntegralCheckResult(direct, integral, v_max, bound, nodes, refs)
-
-
-@dataclass(frozen=True)
-class IncrementCheckResult:
-    """Both routes of the increment identity.
-
-    lhs integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|}; rhs is the direct
-    pair sum over ordinates in (U, T].  These agree identically.  The
-    plain difference f_q(T) - f_q(U) is not the same quantity: it also
-    includes cross pairs (one ordinate below U, one above).
+    lhs integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} over |v| <= v_max, with
+    S(x,U,v) = 0 for the full aggregate; rhs is the direct pair sum over
+    ordinates in (U, T], of term_count pairs.  These agree identically.
+    truncation_bound is (zero count)^2 e^{-2 v_max}, the a-priori bound on
+    the integral beyond v_max.
     """
 
-    q: int
-    a: int
-    x: float
-    U: float
-    T: float
     lhs: float
     rhs: complex
     term_count: int
@@ -464,6 +351,71 @@ class IncrementCheckResult:
         return self.abs_residual / max(abs(self.rhs.real), 1e-12)
 
 
+def _identity_check(
+    family: list[tuple[complex, np.ndarray]],
+    x: float,
+    T: float,
+    below: np.ndarray | None,
+    rhs: complex,
+    terms: int,
+    rel_tol: float,
+) -> IdentityCheckResult:
+    """The quadrature side of the identity for the family, against the
+    direct sum rhs of `terms` pairs.
+
+    below masks the flattened ordinates with |g| <= U; None is U = 0.  The
+    truncation v_max is derived from the count of ordinates above U."""
+    if not 0 < rel_tol < 1:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    gammas, exponent = _sigma_exponent(family, x)
+    rows = exponent[None]
+    count = gammas.size
+    if below is not None and below.any():
+        # row 1 is S(x,U,v): the ordinates above U weighted by e^-inf = 0,
+        # so one kernel call samples both sums at the same points.  An empty
+        # row would double the exponentials for nothing.
+        rows = np.stack([exponent, np.where(below, exponent, -np.inf)])
+        count -= int(np.count_nonzero(below))
+    if count == 0:
+        return IdentityCheckResult(0.0, rhs, terms, 0.0, 0.0, 0, 0)
+    budget = QUAD_BUDGET_FACTOR * max(abs(rhs.real), 1.0)
+    # +0.5 keeps the realized bound a factor e below the budget
+    v_max = max(2.0, 0.5 * math.log(count * count / budget) + 0.5)
+    freqs = np.broadcast_to(gammas, rows.shape)
+
+    def integrand(start: float, step: float, n: int) -> np.ndarray:
+        vs, sums = lfunc.mesh_exp_sums(start, step, n, freqs, rows)
+        s = sums[:, 0] if rows.shape[0] == 1 else sums[:, 0] - sums[:, 1]
+        return (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
+
+    # integrand oscillates at gap frequencies up to 2T
+    h0 = min(0.2 / math.log(max(x * T, 3.0)), math.pi / (4.0 * T), v_max / 8.0)
+    n0 = math.ceil(v_max / h0)
+    lhs, nodes, refinements = 0.0, 0, 0
+    for lo, hi in ((-v_max, 0.0), (0.0, v_max)):
+        val, used, refs = _refine_simpson(integrand, lo, hi, n0, rel_tol, budget / 2.0)
+        lhs += val
+        nodes += used
+        refinements = max(refinements, refs)
+    bound = count * count * math.exp(-2.0 * v_max)
+    return IdentityCheckResult(lhs, rhs, terms, v_max, bound, nodes, refinements)
+
+
+def f_q_via_integral(
+    q: int,
+    a: int,
+    x: float,
+    T: float,
+    zero_sets: Mapping[CharacterLabel, ZeroSet],
+    rel_tol: float = 1e-6,
+) -> IdentityCheckResult:
+    """Evaluate the aggregate through the e^{-2|v|} integral and compare."""
+    # the public f_q, so that a tracer of f_q counts these pair terms too
+    direct = f_q(q, a, x, T, zero_sets)
+    family = character_family(q, a, T, zero_sets)
+    return _identity_check(family, x, T, None, direct.value, direct.term_count, rel_tol)
+
+
 def increment_identity_check(
     x: float,
     T: float,
@@ -471,42 +423,22 @@ def increment_identity_check(
     q: int,
     a: int,
     zero_sets: Mapping[CharacterLabel, ZeroSet],
-    quad: QuadSpec | None = None,
-) -> IncrementCheckResult:
-    """Check the increment identity between heights U < T."""
-    if quad is None:
-        quad = QuadSpec()
+    rel_tol: float = 1e-6,
+) -> IdentityCheckResult:
+    """Check the increment identity between heights U < T.
+
+    The plain difference f_q(T) - f_q(U) is not the rhs: it also includes
+    cross pairs (one ordinate below U, one above).
+    """
     _check_args(x, T)
     if not 0 <= U <= T:
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
-
     family = character_family(q, a, T, zero_sets)
     gammas, weights = _flatten(family)
     below = np.abs(gammas) <= U
     inc, w_inc = gammas[~below], weights[~below]
     rhs, terms = _pair_sum(inc, w_inc, inc, w_inc, x)
-
-    _, exponent = _sigma_exponent(family, x)
-    # difference of the two truncations, literally; only increment
-    # ordinates survive, which the direct rhs enumerates independently.
-    # Row 0 is sig_T, row 1 sig_U (the ordinates above U weighted by
-    # e^-inf = 0); one kernel call samples both at the same points.
-    rows = np.stack([exponent, np.where(below, exponent, -np.inf)])
-    freqs = np.broadcast_to(gammas, rows.shape)
-    inc_count = int(gammas.size - np.count_nonzero(below))
-
-    def g_fn(start: float, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        vs, sums = lfunc.mesh_exp_sums(start, step, count, freqs, rows)
-        return vs, sums[:, 0] - sums[:, 1]
-
-    lhs, v_max, bound, nodes, refs = _integrate_weighted_square(
-        g_fn, inc_count, x, T, rhs.real, quad
-    )
-    return IncrementCheckResult(
-        q=q, a=a, x=x, U=U, T=T,
-        lhs=lhs, rhs=rhs, term_count=terms, v_max=v_max, truncation_bound=bound,
-        node_count=nodes, refinements=refs,
-    )
+    return _identity_check(family, x, T, below, rhs, terms, rel_tol)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ uncertainty of a stored ordinate is the set-level tolerance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -239,6 +240,9 @@ class ZeroCache:
         return zs
 
 
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -254,18 +258,9 @@ def _format_value(v) -> str:
 
 
 def _json_token(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float) or isinstance(v, np.floating):
-        f = float(v)
-        if math.isnan(f) or math.isinf(f):
-            return json.dumps(str(f))
-        return format(f, ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"unsupported table value {v!r} of type {type(v).__name__}")
+    """The CSV token, quoted where it is no JSON literal: strings, nan and inf."""
+    token = _format_value(v)
+    return json.dumps(token) if isinstance(v, str) or token in _NON_FINITE else token
 
 
 def emit_table(
@@ -277,8 +272,9 @@ def emit_table(
 
     Floats are rendered with 17 significant digits, so values round-trip
     exactly and repeated runs emit byte-identical output.  The first row's
-    keys, in their order, are the columns; an empty CSV stays headerless
-    because no key set is known.
+    keys, in their order, are the columns, and every row is written in that
+    order; an empty CSV stays headerless because no key set is known.  A
+    JSON cell is the CSV cell, quoted where it is not a JSON literal.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported format {fmt!r}")
@@ -293,33 +289,25 @@ def emit_table(
     try:
         it = iter(rows)
         first = next(it, None)
-        if fmt == "csv":
-            if first is None:
-                return
-            keys = list(first.keys())
-            fh.write(",".join(keys) + "\n")
-            for row in _chain_one(first, it):
-                if set(row.keys()) != set(keys):
-                    raise ValueError("rows do not share a common key set")
-                fh.write(",".join(_format_value(row[k]) for k in keys) + "\n")
-        else:
+        if fmt == "json":
             fh.write("[")
-            if first is not None:
-                keys = list(first.keys())
-                for i, row in enumerate(_chain_one(first, it)):
-                    if list(row.keys()) != keys:
-                        raise ValueError("rows do not share a common key set")
-                    body = ", ".join(
-                        f"{json.dumps(k)}: {_json_token(row[k])}" for k in keys
-                    )
+        if first is not None:
+            keys = list(first.keys())
+            key_set = set(keys)
+            if fmt == "csv":
+                fh.write(",".join(keys) + "\n")
+            for i, row in enumerate(itertools.chain([first], it)):
+                if set(row.keys()) != key_set:
+                    raise ValueError("rows do not share a common key set")
+                if fmt == "csv":
+                    fh.write(",".join(_format_value(row[k]) for k in keys) + "\n")
+                else:
+                    body = ", ".join(f"{json.dumps(k)}: {_json_token(row[k])}" for k in keys)
                     fh.write(("\n" if i == 0 else ",\n") + "  {" + body + "}")
+            if fmt == "json":
                 fh.write("\n")
+        if fmt == "json":
             fh.write("]\n")
     finally:
         if own:
             fh.close()
-
-
-def _chain_one(first, rest):
-    yield first
-    yield from rest

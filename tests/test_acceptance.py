@@ -26,7 +26,6 @@ from zeropair.characters import (
 from zeropair.cli import main as cli_main
 from zeropair.explicit import psi_progression_from_zeros
 from zeropair.paircorr import (
-    PairCorrInput,
     f_q,
     f_q_via_integral,
     g_pair,
@@ -89,8 +88,7 @@ def fq_grid(grid_sets):
         for T in GRID_TS:
             for a in _units(q):
                 for x in GRID_XS:
-                    inp = PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=grid_sets[(q, T)])
-                    out[(q, a, x, T)] = f_q(inp)
+                    out[(q, a, x, T)] = f_q(q, a, x, T, grid_sets[(q, T)])
     return out
 
 
@@ -148,9 +146,8 @@ def test_criterion_03_integral_representation(grid_sets, fq_grid):
         for T in GRID_TS:
             for a in _units(q):
                 for x in GRID_XS:
-                    inp = PairCorrInput(q=q, a=a, x=x, T=T, zero_sets=grid_sets[(q, T)])
-                    res = f_q_via_integral(inp)
-                    rel = abs(res.integral - res.direct.real) / abs(res.direct.real)
+                    res = f_q_via_integral(q, a, x, T, grid_sets[(q, T)])
+                    rel = abs(res.lhs - res.rhs.real) / abs(res.rhs.real)
                     worst = max(worst, rel)
     elapsed = _TIMINGS["grid_sets"] + (time.perf_counter() - t0)
     ok = worst < 1e-4 and elapsed < 600.0
@@ -218,7 +215,7 @@ def test_criterion_06_brute_force_equivalence(grid_sets):
             want += (chi1(3).conjugate() * chi2(3)
                      * _brute_pair(window(sets4[chi1.label], 15.0),
                                    window(sets4[chi2.label], 15.0), 10.0))
-    got = f_q(PairCorrInput(q=4, a=3, x=10.0, T=15.0, zero_sets=sets4)).value
+    got = f_q(4, 3, 10.0, 15.0, sets4).value
     rels["f_q"] = abs(got - want) / abs(want)
 
     # single character pair

@@ -15,7 +15,7 @@ from zeropair import sieve
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
 from zeropair.lfunc import EvalPrecision, PrecisionError, RealnessError
-from zeropair.paircorr import PairCorrInput, f_q
+from zeropair.paircorr import f_q
 from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
 from zeropair.store import read_zero_set
 from zeropair.zeros import zeros_for_modulus
@@ -249,7 +249,7 @@ class TestPairCorr:
         header, row = out.strip().splitlines()
         assert header == "q,a,x,T,ReF,ImF,ratio_to_thm15,trivialBoundRatio"
         sets = zeros_for_modulus(4, 15.0)
-        res = f_q(PairCorrInput(q=4, a=1, x=3.0, T=15.0, zero_sets=sets))
+        res = f_q(4, 1, 3.0, 15.0, sets)
         cells = row.split(",")
         assert float(cells[4]) == pytest.approx(res.value.real, rel=1e-9)
         assert float(cells[6]) == pytest.approx(res.thm_ratio, rel=1e-9)
@@ -265,6 +265,17 @@ class TestPairCorr:
         code, _ = run(capsys, cache_dir, "paircorr", "--q", "4", "--x", "1.5",
                       "--T", "15")
         assert code == 2
+
+    def test_unit_height_has_no_trivial_ratio(self, capsys, cache_dir):
+        # at qT = 1 the ceiling T (phi(q) log qT)^2 is 0
+        code, out = run(capsys, cache_dir, "paircorr", "--q", "1", "--x", "3", "--T", "1")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["trivialBoundRatio"] == "nan"
+        code, out = run(capsys, cache_dir, "check", "--suite", "integral",
+                        "--q", "1", "--x", "3", "--T", "1")
+        assert code == 0
+        assert "PASS" in out and "FAIL" not in out
 
 
 class TestExplicit:

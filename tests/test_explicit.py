@@ -12,7 +12,7 @@ from zeropair.explicit import (
     ramified_mass,
     zero_sum,
 )
-from zeropair.paircorr import CertificationError, PairCorrInput
+from zeropair.paircorr import CertificationError, f_q
 from zeropair.sieve import psi, psi_character, psi_progression
 from zeropair.zeros import zeros_for_modulus
 
@@ -220,7 +220,7 @@ class TestPsiProgressionFromZeros:
         with pytest.raises(KeyError) as from_zeros:
             psi_progression_from_zeros(1000.5, 30.0, q, 1, sets)
         with pytest.raises(KeyError) as from_pairs:
-            PairCorrInput(q, 1, 3.0, 30.0, sets)
+            f_q(q, 1, 3.0, 30.0, sets)
         assert str(from_zeros.value) == str(from_pairs.value)
         assert f"no zero set supplied for character {missing}" in str(from_zeros.value)
 

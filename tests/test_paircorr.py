@@ -12,8 +12,6 @@ from zeropair.characters import CharacterLabel, character, enumerate_characters
 from zeropair.lfunc import mesh_exp_sums
 from zeropair.paircorr import (
     CertificationError,
-    PairCorrInput,
-    QuadSpec,
     QuadratureError,
     f_q,
     f_q_via_integral,
@@ -180,29 +178,29 @@ class TestGPair:
 class TestFq:
     def test_input_validation(self, sets4):
         with pytest.raises(ValueError):
-            PairCorrInput(4, 2, 3.0, 15.0, sets4)  # a not a unit
-        with pytest.raises(ValueError):
-            PairCorrInput(4, 1, 1.5, 15.0, sets4)  # x below 2
-        with pytest.raises(ValueError):
-            PairCorrInput(4, 1, 3.0, 0.0, sets4)
+            f_q(4, 2, 3.0, 15.0, sets4)  # a not a unit
+        with pytest.raises(ValueError, match="x must be at least 2"):
+            f_q(4, 1, 1.5, 15.0, sets4)
+        with pytest.raises(ValueError, match="T must be positive"):
+            f_q(4, 1, 3.0, 0.0, sets4)
         with pytest.raises(CertificationError):
-            PairCorrInput(4, 1, 3.0, 60.0, sets4)  # sets reach only 30
+            f_q(4, 1, 3.0, 60.0, sets4)  # sets reach only 30
 
     def test_missing_character_set(self, sets4):
         partial = {k: v for k, v in sets4.items() if k != CharacterLabel(4, 3)}
         with pytest.raises(KeyError):
-            PairCorrInput(4, 1, 3.0, 15.0, partial)
+            f_q(4, 1, 3.0, 15.0, partial)
 
     def test_modulus_one_reduces_to_single_pair(self, sets1):
         chi = character(1, 1)
-        res = f_q(PairCorrInput(1, 1, 2.0, 30.0, sets1))
+        res = f_q(1, 1, 2.0, 30.0, sets1)
         single = g_pair(chi, chi, 2.0, 30.0, sets1)
         assert res.value == single.value
         assert res.term_count == single.term_count
 
     def test_brute_force_quadruple_loop(self, sets4):
         for a in (1, 3):
-            res = f_q(PairCorrInput(4, a, 3.0, 15.0, sets4))
+            res = f_q(4, a, 3.0, 15.0, sets4)
             want = brute_f_q(4, a, 3.0, 15.0, sets4)
             assert abs(res.value - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -213,15 +211,15 @@ class TestFq:
                 if math.gcd(a, q) != 1:
                     continue
                 for x in (2.0, 3.0, 10.0):
-                    res = f_q(PairCorrInput(q, a, x, T, sets))
+                    res = f_q(q, a, x, T, sets)
                     assert abs(res.value.imag) <= 1e-9 * (1 + abs(res.value.real))
 
     def test_trivial_ratio_below_one(self, sets4):
-        res = f_q(PairCorrInput(4, 1, 3.0, 15.0, sets4))
+        res = f_q(4, 1, 3.0, 15.0, sets4)
         assert 0.0 <= res.trivial_ratio <= 1.0
 
     def test_ratio_echo_fields(self, sets4):
-        res = f_q(PairCorrInput(4, 3, 5.0, 15.0, sets4))
+        res = f_q(4, 3, 5.0, 15.0, sets4)
         assert (res.q, res.a, res.x, res.T, res.window) == (4, 3, 5.0, 15.0, "both")
         assert res.thm_ratio is not None and math.isfinite(res.thm_ratio)
 
@@ -247,7 +245,7 @@ class TestTiledPairSums:
         if budget is not None:
             monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
         sets = sets_by_q[q]
-        res = f_q(PairCorrInput(q, a, x, T, sets))
+        res = f_q(q, a, x, T, sets)
         gammas, weights = paircorr._flatten(character_family(q, a, T, sets))
         d = np.subtract.outer(gammas, gammas)
         terms = np.outer(weights, weights.conj()) * np.exp(1j * math.log(x) * d) * weight(d)
@@ -257,10 +255,9 @@ class TestTiledPairSums:
 
     def test_many_tiles_agree_with_one(self, sets4, sets1_100, monkeypatch):
         chi1, chi2 = character(4, 1), character(4, 3)
-        inp = PairCorrInput(4, 3, 5.0, 30.0, sets4)
 
         def sums():
-            return (f_q(inp), g_pair(chi1, chi2, 3.0, 30.0, sets4),
+            return (f_q(4, 3, 5.0, 30.0, sets4), g_pair(chi1, chi2, 3.0, 30.0, sets4),
                     increment_identity_check(2.0, 30.0, 10.0, 4, 3, sets4))
 
         default = sums()
@@ -280,10 +277,9 @@ class TestTiledPairSums:
 
     def test_memory_is_bounded_by_the_tile_budget(self, sets1_1000, monkeypatch):
         monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 1 << 16)
-        inp = PairCorrInput(1, 1, 10.0, 1000.0, sets1_1000)
         tracemalloc.start()
         try:
-            res = f_q(inp)
+            res = f_q(1, 1, 10.0, 1000.0, sets1_1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,7 +287,7 @@ class TestTiledPairSums:
         assert peak < 8 * 2**20
 
     def test_empty_window_is_zero(self, sets4):
-        res = f_q(PairCorrInput(4, 3, 3.0, 5.0, sets4))  # first ordinate is 6.02
+        res = f_q(4, 3, 3.0, 5.0, sets4)  # first ordinate is 6.02
         assert res.value == 0 and res.term_count == 0
 
 
@@ -319,17 +315,19 @@ class TestSigma:
 
 class TestIntegralRoute:
     def test_zeta_explicit_v(self, sets1):
-        inp = PairCorrInput(1, 1, 2.0, 30.0, sets1)
-        chk = f_q_via_integral(inp, QuadSpec(v_max=20.0))
+        chk = f_q_via_integral(1, 1, 2.0, 30.0, sets1)
         assert chk.rel_residual < 1e-4
-        assert chk.v_max == 20.0
+        # v_max is derived from the zero count and the budget, a factor e inside it
+        count = len(window_ordinates(sets1[CharacterLabel(1, 1)], 30.0))
+        budget = paircorr.QUAD_BUDGET_FACTOR * max(abs(chk.rhs.real), 1.0)
+        assert chk.v_max == max(2.0, 0.5 * math.log(count * count / budget) + 0.5)
+        assert chk.truncation_bound == pytest.approx(budget / math.e)
         assert chk.node_count > 0 and chk.refinements >= 1
 
     def test_mod4_auto_v(self, sets4):
-        inp = PairCorrInput(4, 3, 3.0, 15.0, sets4)
-        chk = f_q_via_integral(inp)
+        chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
         assert chk.rel_residual < 1e-4
-        assert chk.truncation_bound < 1e-8 * max(1.0, abs(chk.direct.real))
+        assert chk.truncation_bound < 1e-8 * max(1.0, abs(chk.rhs.real))
 
     def test_integrand_at_origin_is_count_squared(self, sets1):
         # at x = 1, v = 0 every term is 1
@@ -337,22 +335,16 @@ class TestIntegralRoute:
         val = sigma_sum(1.0, 30.0, 0.0, 1, 1, sets1)
         assert abs(abs(val) ** 2 - count**2) < 1e-9
 
-    def test_truncation_budget_unmet(self, sets4):
-        inp = PairCorrInput(4, 1, 3.0, 15.0, sets4)
-        with pytest.raises(QuadratureError):
-            f_q_via_integral(inp, QuadSpec(v_max=2.0))
-
-    def test_quadspec_validation(self):
-        with pytest.raises(ValueError):
-            QuadSpec(v_max=-1.0)
-        with pytest.raises(ValueError):
-            QuadSpec(rel_tol=2.0)
+    def test_rel_tol_validation(self, sets4):
+        for check in (lambda tol: f_q_via_integral(4, 1, 3.0, 15.0, sets4, tol),
+                      lambda tol: increment_identity_check(3.0, 15.0, 5.0, 4, 1, sets4, tol)):
+            with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
+                check(2.0)
 
     def test_stalled_refinement_quotes_last_correction(self, sets4, monkeypatch):
         monkeypatch.setattr(paircorr, "SIMPSON_REFINEMENT_CAP", 1)
-        inp = PairCorrInput(4, 1, 3.0, 15.0, sets4)
         with pytest.raises(QuadratureError) as info:
-            f_q_via_integral(inp, QuadSpec(rel_tol=1e-12))
+            f_q_via_integral(4, 1, 3.0, 15.0, sets4, rel_tol=1e-12)
         found = re.search(r"last correction (\S+) above floor (\S+)$", str(info.value))
         correction, floor = map(float, found.groups())
         assert correction > floor > 0.0
@@ -379,10 +371,9 @@ class TestMeshSigma:
     ])
     def test_quadrature_work_is_pinned(self, sets4, sets1_1000, case, nodes, refinements):
         if case == "q4":
-            inp = PairCorrInput(4, 3, 3.0, 15.0, sets4)
+            chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
         else:
-            inp = PairCorrInput(1, 1, 10.0, 1000.0, sets1_1000)
-        chk = f_q_via_integral(inp)
+            chk = f_q_via_integral(1, 1, 10.0, 1000.0, sets1_1000)
         assert (chk.node_count, chk.refinements) == (nodes, refinements)
 
 
@@ -391,11 +382,14 @@ class TestIncrementIdentity:
         res = increment_identity_check(3.0, 15.0, 15.0, 4, 1, sets4)
         assert res.lhs == 0.0 and res.rhs == 0 and res.term_count == 0
 
-    def test_u_zero_matches_full(self, sets4):
-        res = increment_identity_check(3.0, 15.0, 0.0, 4, 1, sets4)
-        full = f_q(PairCorrInput(4, 1, 3.0, 15.0, sets4))
-        assert res.rhs == full.value
-        assert res.rel_residual < 1e-4
+    def test_u_zero_matches_full(self, sets4, sets1_1000):
+        # U = 0 is the integral route itself, field for field
+        for q, a, x, T, sets in ((4, 1, 3.0, 15.0, sets4), (1, 1, 10.0, 1000.0, sets1_1000)):
+            res = increment_identity_check(x, T, 0.0, q, a, sets)
+            full = f_q_via_integral(q, a, x, T, sets)
+            assert res.rhs == f_q(q, a, x, T, sets).value
+            assert res == full  # lhs, rhs, term_count, v_max, bound, nodes, refinements
+            assert res.rel_residual < 1e-4
 
     def test_mod3_example(self, sets3):
         res = increment_identity_check(2.0, 15.0, 5.0, 3, 1, sets3)
@@ -430,6 +424,12 @@ class TestZetaRatio:
         res = f_zeta_ratio(1.0, 100.0, sets1_100[CharacterLabel(1, 1)])
         assert res.thm_ratio is None
         assert abs(res.value.imag) <= 1e-9 * (1 + abs(res.value.real))
+
+    def test_unit_height_has_no_trivial_ratio(self, sets1):
+        # log(qT) = 0 at q = T = 1, so the a-priori ceiling is 0
+        res = f_zeta_ratio(3.0, 1.0, sets1[CharacterLabel(1, 1)])
+        assert res.trivial_ratio is None
+        assert res.value == 0 and res.thm_ratio == 0.0
 
     def test_in_range_point(self, sets1_100):
         res = f_zeta_ratio(5.0, 100.0, sets1_100[CharacterLabel(1, 1)])

@@ -231,9 +231,32 @@ class TestEmitTable:
             assert sum(1 for _ in fh) == 100001
 
     def test_mismatched_keys_rejected(self):
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            emit_table([{"a": 1}, {"b": 2}], buf, "csv")
+        for rows in ([{"a": 1}, {"b": 2}], [{"a": 1, "b": 2}, {"a": 1}]):
+            for fmt in ("csv", "json"):
+                with pytest.raises(ValueError, match="common key set"):
+                    emit_table(rows, io.StringIO(), fmt)
+
+    def test_reordered_keys_write_the_first_rows_order(self):
+        ordered = [{"a": 1, "s": "x", "v": 0.5}, {"a": 2, "s": "y", "v": -0.25}]
+        shuffled = [ordered[0], {"v": -0.25, "a": 2, "s": "y"}]
+        for fmt in ("csv", "json"):
+            want, got = io.StringIO(), io.StringIO()
+            emit_table(ordered, want, fmt)
+            emit_table(shuffled, got, fmt)
+            assert got.getvalue() == want.getvalue()
+
+    def test_json_cell_is_the_csv_cell(self):
+        # quoted where the CSV cell is no JSON literal: strings and non-finite floats
+        row = {"s": "ab", "nan": math.nan, "inf": np.float64(math.inf), "ninf": -math.inf,
+               "f": 0.1, "n": np.int64(7), "b": False}
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        emit_table([row], csv_buf, "csv")
+        emit_table([row], json_buf, "json")
+        assert csv_buf.getvalue().splitlines()[1] == "ab,nan,inf,-inf,0.10000000000000001,7,false"
+        assert json_buf.getvalue() == (
+            '[\n  {"s": "ab", "nan": "nan", "inf": "inf", "ninf": "-inf", '
+            '"f": 0.10000000000000001, "n": 7, "b": false}\n]\n'
+        )
 
     def test_unsupported_value_rejected(self):
         buf = io.StringIO()
