@@ -51,7 +51,7 @@ from zeropair.paircorr import (
     spacing_histogram,
 )
 from zeropair.sieve import psi_character, psi_progression, require_in_range
-from zeropair.store import ZeroCache, ZeroCacheError, emit_table
+from zeropair.store import ZeroCache, ZeroCacheError, emit_table, json_cell
 from zeropair.zeros import DEFAULT_MESH_STEP, DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
 
 __all__ = ["RunConfig", "main"]
@@ -817,7 +817,7 @@ def main(argv=None) -> int:
     summary.update(result.summary)
 
     if result.summary.get("dry_run"):
-        print(json.dumps(summary) if args.json else f"dry-run ok: {args.command}")
+        print(json.dumps(summary, allow_nan=False) if args.json else f"dry-run ok: {args.command}")
         return result.exit_code
 
     wrote = None
@@ -828,8 +828,8 @@ def main(argv=None) -> int:
         summary["row_count"] = len(result.rows)
     if args.json:
         if result.rows is not None and wrote is None:
-            summary["rows"] = result.rows
-        print(json.dumps(summary))
+            summary["rows"] = [{k: json_cell(v) for k, v in row.items()} for row in result.rows]
+        print(json.dumps(summary, allow_nan=False))
         return result.exit_code
     if result.rows is not None and wrote is None and (cfg.format == "json" or not result.lines):
         # a JSON table stands alone on stdout so that it parses; its rows

@@ -58,11 +58,13 @@ def primes_in_window(lo: int, hi: int) -> np.ndarray:
 # without rounding.
 _LIMB_BITS = 29
 _EXACT_TAGS = 2 ** (53 - _LIMB_BITS)
+# pi(2^28) = 14,630,843 tags fit _EXACT_TAGS; pi(2^29) is about 28.2 million
+MAX_X = 2**28
 
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Prime powers n = p^k in [2, limit] with (p, k) tags, sorted by n."""
+    """Prime powers n = p^k in [2, limit] with (p, k) tags, sorted by n: int32 n, p and int8 k."""
 
     limit: int
     n: np.ndarray
@@ -72,20 +74,20 @@ class LambdaTable:
 
     @staticmethod
     def build(limit: int) -> "LambdaTable":
-        if limit < 2:
-            raise ValueError("limit must be at least 2")
-        primes = primes_up_to(limit)
+        if not 2 <= limit <= MAX_X:
+            raise ValueError(f"limit must lie in [2, MAX_X = 2^28], got {limit}")
+        primes = primes_up_to(limit).astype(np.int32)
         ns = [primes]
         ps = [primes]
-        ks = [np.ones(primes.size, dtype=np.int64)]
+        ks = [np.ones(primes.size, dtype=np.int8)]
         for p in primes[primes <= math.isqrt(limit)]:
             p = int(p)
             v = p * p
             k = 2
             while v <= limit:
-                ns.append(np.array([v], dtype=np.int64))
-                ps.append(np.array([p], dtype=np.int64))
-                ks.append(np.array([k], dtype=np.int64))
+                ns.append(np.array([v], dtype=np.int32))
+                ps.append(np.array([p], dtype=np.int32))
+                ks.append(np.array([k], dtype=np.int8))
                 v *= p
                 k += 1
         n = np.concatenate(ns)
@@ -99,7 +101,8 @@ class LambdaTable:
         """Index of the first tag with n > x; requires x within table range."""
         if x > self.limit:
             raise ValueError(f"x={x} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.n, math.floor(x), side="right"))
+        # a key in the table's dtype (a Python int makes numpy convert the table)
+        return int(np.searchsorted(self.n, self.n.dtype.type(max(math.floor(x), 0)), side="right"))
 
     @cached_property
     def _limbs(self) -> np.ndarray:
@@ -118,8 +121,6 @@ class LambdaTable:
         return limbs
 
 
-# pi(2^28) = 14,630,843 tags fit _EXACT_TAGS; pi(2^29) is about 28.2 million
-MAX_X = 2**28
 _MIN_LIMIT = 2**17
 _table: LambdaTable | None = None
 

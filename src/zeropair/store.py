@@ -240,9 +240,6 @@ class ZeroCache:
         return zs
 
 
-_NON_FINITE = ("nan", "inf", "-inf")
-
-
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -257,10 +254,17 @@ def _format_value(v) -> str:
     raise TypeError(f"unsupported table value {v!r} of type {type(v).__name__}")
 
 
+def json_cell(v):
+    """A table cell as a strict JSON value: a non-finite float becomes its CSV
+    token, the string "nan", "inf" or "-inf"; any other cell is itself."""
+    finite = not isinstance(v, (float, np.floating)) or math.isfinite(v)
+    return v if finite else _format_value(v)
+
+
 def _json_token(v) -> str:
-    """The CSV token, quoted where it is no JSON literal: strings, nan and inf."""
-    token = _format_value(v)
-    return json.dumps(token) if isinstance(v, str) or token in _NON_FINITE else token
+    """The CSV token of json_cell(v), quoted if that is a string."""
+    cell = json_cell(v)
+    return json.dumps(cell) if isinstance(cell, str) else _format_value(cell)
 
 
 def emit_table(

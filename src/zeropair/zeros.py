@@ -1,17 +1,17 @@
 """Certified scanning for critical-line zeros of primitive L-functions.
 
-A scan walks a symmetric mesh on [-T, T], brackets sign changes of the
-rotated (real) critical-line value, splits suspicious near-tangent dips at
-half steps, and refines every bracket with vectorised Illinois false
-position.  The mesh values come from lfunc.hardy_z_mesh, which evaluates
-the Hurwitz columns of a mesh once per modulus and keeps them for the next
-character of that modulus; the dips and the refinement evaluate
-hardy_z_batch at their own points.  Each trial point sits at least
-tolerance/2 inside its bracket, so the bracket also closes from the side
-far from the root, and a step that fails to halve its bracket forces a
-bisection next, which bounds the worst case at two steps per halving.  A
-final secant step inside the closed bracket gives the ordinate and its
-residual.  Every evaluation uses EvalPrecision.for_height(T), the smallest
+A scan walks a symmetric mesh on [-T, T] of the rotated (real) critical-line
+value and re-tests each near-tangent dip at its half steps.  One rule
+brackets rows of points: a sign change between neighbours gives a bracket,
+and an exact zero a bracket collapsed onto its point.  The mesh, the dips and
+refine_zero all take their brackets from it, and every bracket, exact ones
+included, goes through the same refinement and certificate.  Refinement is
+vectorised Illinois false position: each trial point sits at least
+tolerance/2 inside its bracket, so the bracket also closes from the side far
+from the root, and a step that fails to halve its bracket forces a bisection
+next, at most two steps per halving.  A final secant step gives the ordinate,
+and Z there its residual.  The mesh comes from lfunc.hardy_z_mesh, the other
+points from hardy_z_batch, all at EvalPrecision.for_height(T), the smallest
 Euler-Maclaurin size certified on the whole window.
 
 The result carries a certificate: the count of located zeros must agree
@@ -22,9 +22,9 @@ with the counting formula
 
 to within +-2, ordinates must be strictly separated, every refined
 residual must be small, and every ordinate must sit in a bracket no wider
-than the tolerance whose ends have values of opposite sign (or be an exact
-zero).  Failing sets are returned with certified=False, never silently
-dropped.
+than the tolerance whose ends have values of opposite sign, or in a
+collapsed one.  Failing sets are returned with certified=False, never
+silently dropped.
 
 Scans never assume conjugate symmetry of the ordinates; the negative half
 of the window is walked for real characters too, so symmetry stays a
@@ -168,6 +168,18 @@ def _counts_agree(found: int, expected: float) -> bool:
     return abs(found - round(expected)) <= COUNT_SLACK
 
 
+def _sign_brackets(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows lo, hi, zlo, zhi of the brackets in rows of points t and values z:
+    one between neighbours of opposite sign, and one collapsed onto each exact
+    zero (lo == hi, both end values 0), in row-major order of the left end."""
+    sign = np.sign(z)
+    flip = np.zeros(z.shape, dtype=bool)
+    flip[:, :-1] = sign[:, :-1] * sign[:, 1:] < 0
+    row, col = np.nonzero(flip | (sign == 0))
+    end = col + flip[row, col]
+    return np.array([t[row, col], t[row, end], z[row, col], z[row, end]])
+
+
 def _refine_brackets(
     chi, lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray, zhi: np.ndarray,
     prec: EvalPrecision, tol: float,
@@ -256,15 +268,9 @@ def scan_zeros(
 
     ts, z = hardy_z_mesh(chi, T, mesh_step, prec)
 
-    sign = np.sign(z)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    lo, hi = ts[flips], ts[flips + 1]
-    zlo, zhi = z[flips], z[flips + 1]
-
-    exact_nodes = np.nonzero(sign == 0)[0]
-
     # near-tangent dips: a strict local minimum of |Z| with no sign change
     # around it can hide a close pair of zeros; re-test at half steps
+    sign = np.sign(z)
     absz = np.abs(z)
     interior = np.arange(1, ts.size - 1)
     dip = interior[
@@ -274,45 +280,23 @@ def scan_zeros(
         & (sign[interior] == sign[interior + 1])
         & (sign[interior] != 0)
     ]
-    if dip.size:
-        mids_l = 0.5 * (ts[dip - 1] + ts[dip])
-        mids_r = 0.5 * (ts[dip] + ts[dip + 1])
-        zl, zr = np.split(hardy_z_batch(chi, np.concatenate([mids_l, mids_r]), prec), 2)
-        add_lo, add_hi, add_zlo, add_zhi = [], [], [], []
-        for j, i in enumerate(dip):
-            for a, b, za, zb in (
-                (ts[i - 1], mids_l[j], z[i - 1], zl[j]),
-                (mids_l[j], ts[i], zl[j], z[i]),
-                (ts[i], mids_r[j], z[i], zr[j]),
-                (mids_r[j], ts[i + 1], zr[j], z[i + 1]),
-            ):
-                if np.sign(za) * np.sign(zb) < 0:
-                    add_lo.append(a)
-                    add_hi.append(b)
-                    add_zlo.append(za)
-                    add_zhi.append(zb)
-        if add_lo:
-            lo = np.concatenate([lo, add_lo])
-            hi = np.concatenate([hi, add_hi])
-            zlo = np.concatenate([zlo, add_zlo])
-            zhi = np.concatenate([zhi, add_zhi])
+    mids_l = 0.5 * (ts[dip - 1] + ts[dip])
+    mids_r = 0.5 * (ts[dip] + ts[dip + 1])
+    zl, zr = np.split(hardy_z_batch(chi, np.concatenate([mids_l, mids_r]), prec), 2)
+    dip_t = np.stack([ts[dip - 1], mids_l, ts[dip], mids_r, ts[dip + 1]], axis=1)
+    dip_z = np.stack([z[dip - 1], zl, z[dip], zr, z[dip + 1]], axis=1)
+    brackets = np.hstack([_sign_brackets(ts[None], z[None]), _sign_brackets(dip_t, dip_z)])
 
-    ords, resid, blo, bhi, zblo, zbhi = _refine_brackets(
-        chi, lo, hi, zlo, zhi, prec, tolerance
-    )
-
-    exact = ts[exact_nodes]
-    ordinates = np.concatenate([ords, exact])
-    order = np.argsort(ordinates, kind="stable")
-    residual = np.concatenate([resid, np.zeros(exact.size)])[order]
-    ordinates = ordinates[order]
+    ords, resid, lo, hi, zlo, zhi = _refine_brackets(chi, *brackets, prec, tolerance)
+    order = np.argsort(ords, kind="stable")
+    ordinates = ords[order]
 
     expected = count_expected(chi, T)
     certified = (
         _counts_agree(ordinates.size, expected)
         and bool(np.all(np.diff(ordinates) > tolerance))
-        and _brackets_certified(ords, blo, bhi, zblo, zbhi, tolerance)
-        and bool(np.all(residual <= RESIDUAL_TOL))
+        and _brackets_certified(ords, lo, hi, zlo, zhi, tolerance)
+        and bool(np.all(resid <= RESIDUAL_TOL))
     )
     return ZeroSet(
         label=chi.label,
@@ -323,9 +307,9 @@ def scan_zeros(
         tolerance=float(tolerance),
         branch=ROTATION_BRANCH,
         ordinates=ordinates,
-        lo=np.concatenate([blo, exact])[order],
-        hi=np.concatenate([bhi, exact])[order],
-        residual=residual,
+        lo=lo[order],
+        hi=hi[order],
+        residual=resid[order],
         expected_count=expected,
         certified=certified,
     )
@@ -337,26 +321,21 @@ def refine_zero(
     tolerance: float = DEFAULT_TOLERANCE,
     prec: EvalPrecision | None = None,
 ) -> tuple[float, float, float, float]:
-    """Narrow one sign-change bracket to (ordinate, lo, hi, residual).
+    """Narrow one sign-change bracket to (ordinate, lo, hi, residual); (a, a, a, 0.0) if Z(a) = 0.
 
-    Raises ValueError if the bracket does not flip sign, and PrecisionError
-    if refinement stops at REFINE_STEP_CAP before the bracket is certified.
+    Raises ValueError if the bracket has neither, and PrecisionError if
+    refinement stops at REFINE_STEP_CAP before the bracket is certified.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise ValueError("bracket must satisfy a < b")
     if prec is None:
         prec = EvalPrecision.for_height(max(abs(a), abs(b)))
-    za, zb = hardy_z_batch(chi, np.array([a, b]), prec)
-    if za == 0.0:
-        return a, a, a, 0.0
-    if zb == 0.0:
-        return b, b, b, 0.0
-    if math.copysign(1.0, za) == math.copysign(1.0, zb):
+    ends = np.array([[a, b]])
+    found = _sign_brackets(ends, hardy_z_batch(chi, ends[0], prec)[None])
+    if not found.shape[1]:
         raise ValueError(f"no sign change over {bracket} for {chi.label}")
-    ords, resid, lo, hi, zlo, zhi = _refine_brackets(
-        chi, np.array([a]), np.array([b]), np.array([za]), np.array([zb]), prec, tolerance
-    )
+    ords, resid, lo, hi, zlo, zhi = _refine_brackets(chi, *found[:, :1], prec, tolerance)
     if not _brackets_certified(ords, lo, hi, zlo, zhi, tolerance):
         raise PrecisionError(
             f"refinement of {bracket} for {chi.label} stopped at {REFINE_STEP_CAP} steps "

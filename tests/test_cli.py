@@ -513,6 +513,17 @@ class TestOutputPlumbing:
         assert summary["ok"] is True
         assert summary["rows"][0]["Q"] == 5
 
+    def test_json_summary_is_strict_json(self, capsys, cache_dir):
+        # the trivial-bound ratio at T = 1 is 0/0; its cell is the CSV token
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code = main(["paircorr", "--q", "1", "--x", "3", "--T", "1",
+                     "--cache-dir", str(cache_dir), "--json"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["rows"][0]["trivialBoundRatio"] == "nan"
+
     def test_every_subcommand_has_dry_run(self, capsys, cache_dir):
         calls = [
             ["zeros", "--q", "3", "--T", "20"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zeropair.characters import character, enumerate_characters, euler_phi
+from zeropair.characters import MAX_MODULUS, character, enumerate_characters, euler_phi
 from zeropair.paircorr import r1
 from zeropair import sieve
 from zeropair.sieve import (
@@ -70,6 +70,32 @@ class TestTable:
         got = {int(n): (int(p), int(k)) for n, p, k in zip(t.n[:cut], t.p[:cut], t.k[:cut])}
         want = {n: brute_tag(n) for n in range(2, 3001) if brute_tag(n)}
         assert got == want
+
+    def test_narrow_tags(self, table_1e5):
+        # 4 + 4 + 1 bytes of tags, the float64 weight and its two limbs
+        t = table_1e5
+        assert (t.n.dtype, t.p.dtype, t.k.dtype) == (np.int32, np.int32, np.int8)
+        held = t.n.nbytes + t.p.nbytes + t.k.nbytes + t.logp.nbytes + t._limbs.nbytes
+        assert held == 33 * t.n.size
+
+    def test_int32_residues_are_exact(self, table_1e5):
+        wide = table_1e5.n.astype(np.int64)
+        for q in (1, 7, 65_536, 99_991, MAX_MODULUS):
+            assert np.array_equal(table_1e5.n % q, wide % q)
+        top = np.array([MAX_X], dtype=np.int32)  # the largest n a table holds
+        assert int((top % MAX_MODULUS)[0]) == MAX_X % MAX_MODULUS
+
+    def test_build_beyond_max_x_rejected(self):
+        with pytest.raises(ValueError, match="MAX_X"):
+            LambdaTable.build(MAX_X + 1)
+        with pytest.raises(ValueError):
+            LambdaTable.build(1)
+
+    def test_cut_below_the_table(self, table_1e5):
+        # a negative x still cuts before every tag, beyond the int32 range too
+        for x in (1.5, -5.0, -3e9):
+            assert table_1e5.cut(x) == 0
+            assert psi(x) == 0.0
 
     def test_cut_beyond_limit_rejected(self, table_1e5):
         with pytest.raises(ValueError):

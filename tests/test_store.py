@@ -257,6 +257,9 @@ class TestEmitTable:
             '[\n  {"s": "ab", "nan": "nan", "inf": "inf", "ninf": "-inf", '
             '"f": 0.10000000000000001, "n": 7, "b": false}\n]\n'
         )
+        # json_cell is the rule the --json summary applies to the same cells
+        parsed = json.loads(json_buf.getvalue())[0]
+        assert [store.json_cell(v) for v in row.values()] == list(parsed.values())
 
     def test_unsupported_value_rejected(self):
         buf = io.StringIO()

@@ -248,6 +248,78 @@ class TestRefinementCertificate:
         assert steps[0] - 1 <= 2 * math.ceil(math.log2(0.05 / tol))
 
 
+class TestBracketSources:
+    """Every bracket of a scan, on the mesh, at a dip's half steps or in
+    refine_zero, comes from one rule; a fake Z on a known mesh shows each."""
+
+    MESH = np.linspace(-1.0, 1.0, 41)
+
+    @pytest.fixture
+    def fake_z(self, monkeypatch):
+        def use(f):
+            def mesh(chi, T, mesh_step, prec):
+                return self.MESH, f(self.MESH)
+
+            def batch(chi, ts, prec=None):
+                return f(np.asarray(ts, dtype=np.float64))
+
+            monkeypatch.setattr(zeros, "hardy_z_mesh", mesh)
+            monkeypatch.setattr(zeros, "hardy_z_batch", batch)
+
+        return use
+
+    def scan(self):
+        return scan_zeros(character(1, 1), 1.0, mesh_step=0.05)
+
+    def test_dip_yields_a_close_pair(self, fake_z):
+        f = lambda t: (t - 0.31) * (t - 0.33)
+        assert np.all(f(self.MESH) > 0)  # no sign change on the mesh
+        fake_z(f)
+        zs = self.scan()
+        assert zs.count == 2
+        assert np.all(np.abs(zs.ordinates - [0.31, 0.33]) <= 1e-10)
+        assert np.all(zs.lo < zs.hi)
+
+    def test_exact_zero_at_a_mesh_node(self, fake_z):
+        node = self.MESH[30]
+        fake_z(lambda t: t - node)
+        zs = self.scan()
+        assert zs.count == 1
+        assert zs.ordinates[0] == zs.lo[0] == zs.hi[0] == node
+        assert zs.residual[0] == 0.0
+
+    def test_exact_zero_at_a_dip_half_step(self, fake_z):
+        m = 0.5 * (self.MESH[25] + self.MESH[26])  # left half step of the dip at t_26
+        f = lambda t: (t - m) * (t - m - 0.015)
+        assert np.all(f(self.MESH) > 0)
+        fake_z(f)
+        zs = self.scan()
+        hit = zs.ordinates == m
+        assert hit.sum() == 1
+        assert zs.lo[hit][0] == zs.hi[hit][0] == m
+
+    def test_refine_zero_exact_end(self, fake_z):
+        fake_z(lambda t: t - 0.25)
+        chi = character(1, 1)
+        assert refine_zero(chi, (0.25, 0.5)) == (0.25, 0.25, 0.25, 0.0)
+        assert refine_zero(chi, (0.0, 0.25)) == (0.25, 0.25, 0.25, 0.0)
+
+    @pytest.mark.parametrize("label", [(1, 1), (5, 2)], ids=["zeta", "complex-mod5"])
+    def test_batch_values_do_not_depend_on_the_batch(self, label):
+        # batches of two or more points; for q > 1 a one-point batch may move
+        # by an ulp, since a one-row matrix product takes another BLAS kernel
+        chi = character(*label)
+        prec = EvalPrecision.for_height(40.0)
+        ts = np.random.default_rng(7).uniform(-40.0, 40.0, 64)
+        whole = hardy_z_batch(chi, ts, prec)
+        perm = np.random.default_rng(8).permutation(ts.size)
+        shuffled = np.empty_like(whole)
+        shuffled[perm] = hardy_z_batch(chi, ts[perm], prec)
+        parts = np.split(ts, [2, 20, 33])
+        split = np.concatenate([hardy_z_batch(chi, part, prec) for part in parts])
+        assert np.array_equal(whole, shuffled) and np.array_equal(whole, split)
+
+
 class TestZeroSetArrays:
     def test_arrays_are_read_only(self):
         zs = scan_zeros(character(4, 3), 15.0)
