@@ -3,6 +3,11 @@
 Subcommands: zeros, psi, paircorr, explicit, montgomery, eh, weak, dyadic,
 check (identity suites), report (CSV bundle of the standard tables).
 
+Each subcommand's handler checks its flags and returns (params, work):
+params is what a dry run prints and a run's summary carries, and work(cfg)
+computes the rows.  main alone decides --dry-run, so a dry run rejects
+exactly what a run rejects.
+
 Settings resolve in order: built-in defaults, then the ZEROPAIR_CACHE_DIR
 environment variable, then the --config key=value file, then flags.  Every
 run with the same resolved settings and inputs writes byte-identical
@@ -161,15 +166,44 @@ class _Result:
     lines: list = field(default_factory=list)
 
 
-def _parse_chi(spec: str) -> CharacterLabel:
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"--chi wants q:index, got {spec!r}")
+def _parse_chi(spec: str):
+    """The character named by a --chi spec q:index."""
     try:
-        q, index = int(parts[0]), int(parts[1])
+        q, index = map(int, spec.split(":"))
     except ValueError:
         raise ValueError(f"--chi wants integers q:index, got {spec!r}") from None
-    return CharacterLabel(q, index)
+    return character(q, index)
+
+
+def _grid(args, key: str, default=None) -> list:
+    """A repeatable flag's sorted distinct values, else its default, else an error."""
+    values = getattr(args, key)
+    if values:
+        return sorted(set(values))
+    if default is None:
+        raise ValueError(f"{args.command} needs at least one --{key}")
+    return list(default)
+
+
+def _sieve_x(x, floor: float = 1.0):
+    """x (one value or a sorted grid), every value above floor and within sieve.MAX_X."""
+    lo, hi = (x[0], x[-1]) if isinstance(x, list) else (x, x)
+    if lo is None or lo <= floor:
+        raise ValueError(f"--x must exceed {floor:g}")
+    require_in_range(hi)
+    return x
+
+
+def _moduli(args) -> list:
+    """The moduli 1..Q of --Q or the --q grid, each positive with --a, if given, a unit."""
+    if (args.Q is None) == (not args.q):
+        raise ValueError("give exactly one of --Q and --q")
+    qs = _grid(args, "q") if args.q else list(range(1, args.Q + 1))
+    if not qs:
+        raise ValueError("--Q must be positive")
+    for q in qs:
+        require_unit(q, 1 if args.a is None else args.a)
+    return qs
 
 
 def _zero_sets(cfg: RunConfig, q: int, T: float, force: bool = False) -> dict:
@@ -237,172 +271,126 @@ def _paircorr_row(res) -> dict:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_zeros(args, cfg: RunConfig) -> _Result:
+def _cmd_zeros(args):
     if args.T is None or args.T <= 0:
         raise ValueError("--T must be positive")
-    if args.chi is not None and args.q is not None:
-        raise ValueError("--chi excludes --q")
-    if args.chi is not None:
-        label = _parse_chi(args.chi)
-        chars = [character(label.modulus, label.index)]
-    elif args.q is not None:
-        if args.q < 1:
-            raise ValueError("--q must be positive")
-        chars = enumerate_characters(args.q)
-    else:
-        raise ValueError("zeros needs --q or --chi")
-    params = {"T": args.T, "characters": [str(c.label) for c in chars]}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    cache = ZeroCache(cfg.cache_dir)
-    if args.chi is not None:
-        _, ind = conductor_and_inducer(chars[0])
-        sets = {
-            chars[0].label: cache.load_or_scan(
-                ind, args.T, mesh_step=cfg.mesh_step,
-                tolerance=cfg.tolerance, force=args.force,
-            )
-        }
-    else:
-        sets = _zero_sets(cfg, args.q, args.T, force=args.force)
-    rows = []
-    all_certified = True
-    for chi in chars:
-        zs = sets[chi.label]
-        all_certified &= zs.certified
-        rows.append(
-            {
-                "q": chi.modulus,
-                "index": chi.index,
-                "conductor": chi.conductor,
-                "inducer": str(zs.label),
-                "T": args.T,
-                "count": zs.count,
-                "expected": zs.expected_count,
-                "certified": zs.certified,
-                "file": str(cache.path_for(zs.label, args.T)),
+    if (args.chi is None) == (args.q is None):
+        raise ValueError("zeros needs --q or --chi, and --chi excludes --q")
+    chars = [_parse_chi(args.chi)] if args.chi is not None else enumerate_characters(args.q)
+
+    def work(cfg: RunConfig) -> _Result:
+        cache = ZeroCache(cfg.cache_dir)
+        if args.chi is not None:
+            _, ind = conductor_and_inducer(chars[0])
+            sets = {
+                chars[0].label: cache.load_or_scan(
+                    ind, args.T, mesh_step=cfg.mesh_step,
+                    tolerance=cfg.tolerance, force=args.force,
+                )
             }
-        )
-    prec = EvalPrecision.for_height(args.T)
-    em = {
-        "direct_terms": prec.direct_terms,
-        "bernoulli_terms": prec.bernoulli_terms,
-        "target_abs_error": prec.target_abs_error,
-    }
-    code = 0 if all_certified else 3
-    summary = {"params": params, "certified": all_certified, "em": em}
-    return _Result(rows, summary, code)
-
-
-def _cmd_psi(args, cfg: RunConfig) -> _Result:
-    if args.x is None or args.x <= 0:
-        raise ValueError("--x must be positive")
-    require_in_range(args.x)
-    if args.chi is not None and (args.q is not None or args.a is not None):
-        raise ValueError("--chi excludes --q/--a")
-    if args.chi is not None:
-        label = _parse_chi(args.chi)
-        params = {"x": args.x, "chi": str(label)}
-        if args.dry_run:
-            return _Result([], {"dry_run": True, "params": params})
-        chi = character(label.modulus, label.index)
-        val = psi_character(args.x, chi)
-        rows = [{"x": args.x, "q": label.modulus, "index": label.index,
-                 "re": val.real, "im": val.imag}]
-        return _Result(rows, {"params": params})
-    q = args.q if args.q is not None else 1
-    a = args.a if args.a is not None else 1
-    require_unit(q, a)
-    params = {"x": args.x, "q": q, "a": a}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    val = psi_progression(args.x, q, a)
-    return _Result([{"x": args.x, "q": q, "a": a, "psi": val}], {"params": params})
-
-
-def _cmd_paircorr(args, cfg: RunConfig) -> _Result:
-    q, a = args.q, args.a
-    require_unit(q, a)
-    xs = sorted(set(args.x or ()))
-    ts = sorted(set(args.T or ()))
-    if not xs or not ts:
-        raise ValueError("paircorr needs at least one --x and one --T")
-    _pair_grid({"x": xs, "T": ts})
-    params = {"q": q, "a": a, "x": xs, "T": ts, "window": args.window}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    rows = []
-    for T in ts:
-        sets = _zero_sets(cfg, q, T)
-        for x in xs:
-            res = f_q(q, a, x, T, sets, window=args.window)
-            rows.append(_paircorr_row(res))
-    return _Result(rows, {"params": params})
-
-
-def _cmd_explicit(args, cfg: RunConfig) -> _Result:
-    q, a = args.q, args.a
-    require_unit(q, a)
-    xs = sorted(set(args.x or ()))
-    zs = sorted(set(args.Z or ()))
-    if not xs or not zs:
-        raise ValueError("explicit needs at least one --x and one --Z")
-    for z in zs:
-        for x in xs:
-            if not 2.0 <= z <= x:
-                raise ValueError(f"need 2 <= Z <= x, got Z={z:g}, x={x:g}")
-    require_in_range(xs[-1])
-    params = {"q": q, "a": a, "x": xs, "Z": zs}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    sets = _zero_sets(cfg, q, max(zs))
-    rows = []
-    for x in xs:
-        for z in zs:
-            run = psi_progression_from_zeros(x, z, q, a, sets)
+        else:
+            sets = _zero_sets(cfg, args.q, args.T, force=args.force)
+        rows = []
+        all_certified = True
+        for chi in chars:
+            zs = sets[chi.label]
+            all_certified &= zs.certified
             rows.append(
                 {
-                    "x": run.x,
-                    "Z": run.z,
-                    "q": run.q,
-                    "a": run.a,
-                    "reconstructed": run.reconstructed,
-                    "exact": run.exact,
-                    "absError": run.abs_error,
-                    "budget": run.error_budget,
+                    "q": chi.modulus,
+                    "index": chi.index,
+                    "conductor": chi.conductor,
+                    "inducer": str(zs.label),
+                    "T": args.T,
+                    "count": zs.count,
+                    "expected": zs.expected_count,
+                    "certified": zs.certified,
+                    "file": str(cache.path_for(zs.label, args.T)),
                 }
             )
-    return _Result(rows, {"params": params})
+        prec = EvalPrecision.for_height(args.T)
+        em = {
+            "direct_terms": prec.direct_terms,
+            "bernoulli_terms": prec.bernoulli_terms,
+            "target_abs_error": prec.target_abs_error,
+        }
+        code = 0 if all_certified else 3
+        return _Result(rows, {"certified": all_certified, "em": em}, code)
+
+    return {"T": args.T, "characters": [str(c.label) for c in chars]}, work
 
 
-def _mont_moduli(args) -> list:
-    if args.Q is not None and args.q:
-        raise ValueError("give either --Q or --q, not both")
-    if args.Q is not None:
-        if args.Q < 1:
-            raise ValueError("--Q must be positive")
-        return list(range(1, args.Q + 1))
-    if args.q:
-        if min(args.q) < 1:
-            raise ValueError("moduli must be positive")
-        return sorted(set(args.q))
-    raise ValueError("need --Q or --q")
+def _cmd_psi(args):
+    x = _sieve_x(args.x, 0.0)
+    if args.chi is None:
+        q = args.q if args.q is not None else 1
+        a = args.a if args.a is not None else 1
+        require_unit(q, a)
+        params = {"x": x, "q": q, "a": a}
+        return params, lambda cfg: [{**params, "psi": psi_progression(x, q, a)}]
+    if args.q is not None or args.a is not None:
+        raise ValueError("--chi excludes --q/--a")
+    chi = _parse_chi(args.chi)
+
+    def work(cfg: RunConfig) -> list:
+        val = psi_character(x, chi)
+        return [{"x": x, "q": chi.modulus, "index": chi.index,
+                 "re": val.real, "im": val.imag}]
+
+    return {"x": x, "chi": str(chi.label)}, work
 
 
-def _cmd_montgomery(args, cfg: RunConfig) -> _Result:
-    xs = sorted(set(args.x or ()))
-    if not xs or xs[0] <= 1.0:
-        raise ValueError("montgomery needs --x values above 1")
-    require_in_range(xs[-1])
-    qs = _mont_moduli(args)
-    if args.a is not None:
-        for q in qs:
-            require_unit(q, args.a)
-    params = {"x": xs, "q": qs, "a": args.a}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    rows = _montgomery_rows(xs, qs, args.a)
-    return _Result(rows, {"params": params})
+def _cmd_paircorr(args):
+    q, a = args.q, args.a
+    require_unit(q, a)
+    xs, ts = _grid(args, "x"), _grid(args, "T")
+    _pair_grid({"x": xs, "T": ts})
+
+    def work(cfg: RunConfig) -> list:
+        rows = []
+        for T in ts:
+            sets = _zero_sets(cfg, q, T)
+            for x in xs:
+                res = f_q(q, a, x, T, sets, window=args.window)
+                rows.append(_paircorr_row(res))
+        return rows
+
+    return {"q": q, "a": a, "x": xs, "T": ts, "window": args.window}, work
+
+
+def _cmd_explicit(args):
+    q, a = args.q, args.a
+    require_unit(q, a)
+    xs, zs = _grid(args, "x"), _grid(args, "Z")
+    _sieve_grid({"x": xs, "Z": zs}, least_z=1)
+
+    def work(cfg: RunConfig) -> list:
+        sets = _zero_sets(cfg, q, max(zs))
+        rows = []
+        for x in xs:
+            for z in zs:
+                run = psi_progression_from_zeros(x, z, q, a, sets)
+                rows.append(
+                    {
+                        "x": run.x,
+                        "Z": run.z,
+                        "q": run.q,
+                        "a": run.a,
+                        "reconstructed": run.reconstructed,
+                        "exact": run.exact,
+                        "absError": run.abs_error,
+                        "budget": run.error_budget,
+                    }
+                )
+        return rows
+
+    return {"q": q, "a": a, "x": xs, "Z": zs}, work
+
+
+def _cmd_montgomery(args):
+    xs = _sieve_x(_grid(args, "x"))
+    qs = _moduli(args)
+    return {"x": xs, "q": qs, "a": args.a}, lambda cfg: _montgomery_rows(xs, qs, args.a)
 
 
 def _eh_rows(xs, Qs) -> list:
@@ -413,19 +401,12 @@ def _eh_rows(xs, Qs) -> list:
     return rows
 
 
-def _cmd_eh(args, cfg: RunConfig) -> _Result:
-    if args.x is None or args.x <= 1:
-        raise ValueError("--x must exceed 1")
-    require_in_range(args.x)
-    qs = sorted(set(args.Q or ()))
-    if not qs:
-        raise ValueError("eh needs at least one --Q")
-    if qs[0] < 1 or qs[-1] >= args.x:
+def _cmd_eh(args):
+    x = _sieve_x(args.x)
+    qs = _grid(args, "Q")
+    if qs[0] < 1 or qs[-1] >= x:
         raise ValueError("need 1 <= Q < x")
-    params = {"x": args.x, "Q": qs}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    return _Result(_eh_rows((args.x,), qs), {"params": params})
+    return {"x": x, "Q": qs}, lambda cfg: _eh_rows((x,), qs)
 
 
 def _weak_rows(x, qs, alphas, a) -> list:
@@ -442,47 +423,27 @@ def _weak_rows(x, qs, alphas, a) -> list:
     return rows
 
 
-def _cmd_weak(args, cfg: RunConfig) -> _Result:
-    if args.x is None or args.x <= 1:
-        raise ValueError("--x must exceed 1")
-    require_in_range(args.x)
-    alphas = sorted(set(args.alpha or ()))
-    if not alphas:
-        raise ValueError("weak needs at least one --alpha")
-    for al in alphas:
-        if not 0.0 <= al <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {al}")
-    qs = _mont_moduli(args)
-    if args.a is not None:
-        for q in qs:
-            require_unit(q, args.a)
-    params = {"x": args.x, "q": qs, "a": args.a, "alpha": alphas}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    rows = _weak_rows(args.x, qs, alphas, args.a)
-    return _Result(rows, {"params": params})
+def _cmd_weak(args):
+    x = _sieve_x(args.x)
+    alphas = _grid(args, "alpha")
+    if alphas[0] < 0.0 or alphas[-1] > 1.0:
+        raise ValueError(f"every alpha must lie in [0, 1], got {alphas}")
+    qs = _moduli(args)
+    params = {"x": x, "q": qs, "a": args.a, "alpha": alphas}
+    return params, lambda cfg: _weak_rows(x, qs, alphas, args.a)
 
 
-def _cmd_dyadic(args, cfg: RunConfig) -> _Result:
-    if args.x is None or args.x <= 1:
-        raise ValueError("--x must exceed 1")
-    require_in_range(args.x)
+def _cmd_dyadic(args):
+    x = _sieve_x(args.x)
     q, a = args.q, args.a
     require_unit(q, a)
     eps = args.eps
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if q > args.x ** (1.0 - eps):
-        raise ValueError(f"need q <= x^(1-eps) = {args.x ** (1.0 - eps):g}, got q={q}")
-    params = {"x": args.x, "q": q, "a": a, "eps": eps}
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    return _Result(_dyadic_rows(dyadic_profile(args.x, q, a, eps)), {"params": params})
-
-
-def _check_grid(args, key, default):
-    values = getattr(args, key, None)
-    return sorted(set(values)) if values else list(default)
+    if q > x ** (1.0 - eps):
+        raise ValueError(f"need q <= x^(1-eps) = {x ** (1.0 - eps):g}, got q={q}")
+    params = {"x": x, "q": q, "a": a, "eps": eps}
+    return params, lambda cfg: _dyadic_rows(dyadic_profile(x, q, a, eps))
 
 
 def _integral_rows(q, a, grid, cfg):
@@ -532,157 +493,155 @@ def _pair_grid(grid: dict) -> dict:
 
 def _increment_grid(grid: dict) -> dict:
     pairs = [(u, t) for u in grid["U"] for t in grid["T"] if u < t]
-    if not pairs or min(grid["U"]) < 0:
-        raise ValueError("increment needs every U >= 0 and at least one pair with U < T")
+    if not pairs or min(grid["U"]) < 0 or min(grid["x"]) <= 0:
+        raise ValueError("increment needs every x > 0, every U >= 0 and a pair with U < T")
     return {"x": grid["x"], "UT": pairs}
 
 
-def _sieve_grid(grid: dict) -> dict:
-    """The x cap of the sieve, for the suites whose x reaches it."""
-    require_in_range(max(grid["x"]))
+def _sieve_grid(grid: dict, least_z: int = 0) -> dict:
+    """The grid rule where x reaches the sieve: x within MAX_X, and least_z or
+    more truncations Z, each with 2 <= Z <= x, for a zero-sum reconstruction."""
+    zs = grid.get("Z", ())
+    if len(zs) < least_z or zs and (zs[0] < 2.0 or zs[-1] > grid["x"][0]):
+        raise ValueError(f"need {least_z} or more --Z, each with 2 <= Z <= x")
+    _sieve_x(grid["x"], 0.0)
     return grid
 
 
-def _reconstruction_grid(grid: dict) -> dict:
-    if len(grid["Z"]) < 2 or min(grid["Z"]) < 2 or max(grid["Z"]) > min(grid["x"]):
-        raise ValueError("reconstruction needs two or more --Z values, each with 2 <= Z <= x")
-    return _sieve_grid(grid)
-
-
-# suite -> (default grid per flag, grid -> dry-run params, row generator).  The
-# grid step applies the rules the rows apply at run time, besides x > 0.  A
-# generator yields (row fields, note lines, verdict text, outcome) for one
-# modulus: the outcome is the residual for suites with a tolerance in
-# _SUITE_TOL, and the pass/fail verdict itself otherwise.
+# suite -> (default grid per flag, grid step, row generator).  A suite reads the
+# grid flags of its default grid, and --tol only if it has a _SUITE_TOL entry.
+# The grid step applies every rule the rows apply at run time and gives the
+# dry-run params.  A generator yields (row fields, note lines, verdict text,
+# outcome) for one modulus: the outcome is the residual for suites with a
+# tolerance, and the pass/fail verdict itself otherwise.
 _SUITES = {
     "integral": ({"x": (3.0,), "T": (15.0,)}, _pair_grid, _integral_rows),
     "increment": ({"x": (3.0,), "U": (5.0,), "T": (15.0,)}, _increment_grid, _increment_rows),
     "orthogonality": ({"x": (1000.5,)}, _sieve_grid, _orthogonality_rows),
-    "reconstruction": ({"x": (1000.5,), "Z": (30.0, 100.0)}, _reconstruction_grid,
+    "reconstruction": ({"x": (1000.5,), "Z": (30.0, 100.0)}, lambda grid: _sieve_grid(grid, 2),
                        _reconstruction_rows),
 }
 
 
-def _cmd_check(args, cfg: RunConfig) -> _Result:
-    suite = args.suite
-    a = args.a
-    if args.tol is not None and args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+def _cmd_check(args):
+    suite, a = args.suite, args.a
+    defaults, make_grid, suite_rows = _SUITES[suite]
+    unread = {key for grid, _, _ in _SUITES.values() for key in grid} - set(defaults)
+    for key in sorted(unread) + ([] if suite in _SUITE_TOL else ["tol"]):
+        if getattr(args, key) is not None:
+            raise ValueError(f"the {suite} suite does not read --{key}")
     tol = args.tol if args.tol is not None else _SUITE_TOL.get(suite)
-    qs = _check_grid(args, "q", (4,))
+    if tol is not None and tol <= 0:
+        raise ValueError(f"--tol must be positive, got {tol}")
+    qs = _grid(args, "q", (4,))
     for q in qs:
         require_unit(q, a)
-    defaults, make_grid, suite_rows = _SUITES[suite]
-    grid = make_grid({key: _check_grid(args, key, d) for key, d in defaults.items()})
-    if min(grid["x"]) <= 0:
-        raise ValueError(f"{suite} needs every x > 0")
+    grid = make_grid({key: _grid(args, key, d) for key, d in defaults.items()})
     params = {"suite": suite, "q": qs, "a": a, **grid}
-    if suite in _SUITE_TOL:
+    if tol is not None:
         params["tol"] = tol
-    if args.dry_run:
-        return _Result([], {"dry_run": True, "params": params})
-    rows: list = []
-    lines: list = []
-    failed = False
-    for q in qs:
-        head = f"{suite} q={q} a={a}"
-        for fields, notes, text, outcome in suite_rows(q, a, grid, cfg):
-            ok = outcome
-            if suite in _SUITE_TOL:
-                ok = outcome < tol
-                fields = {**fields, "residual": outcome, "tol": tol}
-                text += f" residual={outcome:.3e} tol={tol:.1e}"
-            failed |= not ok
-            rows.append({"suite": suite, "q": q, "a": a, **fields, "passed": ok})
-            lines.extend(f"{head} {note}" for note in notes)
-            lines.append(f"{head} {text} {'PASS' if ok else 'FAIL'}")
-    summary = {"params": params, "passed": not failed}
-    return _Result(rows, summary, 3 if failed else 0, lines)
+
+    def work(cfg: RunConfig) -> _Result:
+        rows: list = []
+        lines: list = []
+        failed = False
+        for q in qs:
+            head = f"{suite} q={q} a={a}"
+            for fields, notes, text, outcome in suite_rows(q, a, grid, cfg):
+                ok = outcome
+                if tol is not None:
+                    ok = outcome < tol
+                    fields = {**fields, "residual": outcome, "tol": tol}
+                    text += f" residual={outcome:.3e} tol={tol:.1e}"
+                failed |= not ok
+                rows.append({"suite": suite, "q": q, "a": a, **fields, "passed": ok})
+                lines.extend(f"{head} {note}" for note in notes)
+                lines.append(f"{head} {text} {'PASS' if ok else 'FAIL'}")
+        return _Result(rows, {"passed": not failed}, 3 if failed else 0, lines)
+
+    return params, work
 
 
-def _cmd_report(args, cfg: RunConfig) -> _Result:
+def _report_row(res) -> dict:
+    """A paircorr row with the report's window and regime columns."""
+    regime = "in-range" if res.in_classical_range else "extrapolated"
+    return {**_paircorr_row(res), "window": res.window, "regime": regime}
+
+
+def _cmd_report(args):
     out_dir = args.out if args.out is not None else Path("report")
-    params = {"out": str(out_dir)}
-    if args.dry_run:
-        return _Result(None, {"dry_run": True, "params": params})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
 
-    grids = _REPORT_GRIDS
+    def work(cfg: RunConfig) -> _Result:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files = []
 
-    def write(name: str, rows: list) -> None:
-        emit_table(rows, out_dir / name, "csv")
-        files.append(name)
+        grids = _REPORT_GRIDS
 
-    # single-modulus ratio ladder, positive window
-    zset = _zero_sets(cfg, 1, 100.0)[_ZETA]
-    zrows = []
-    for x in grids["zeta_xs"]:
-        res = f_zeta_ratio(x, 100.0, zset)
-        row = _paircorr_row(res)
-        row["window"] = res.window
-        row["regime"] = "in-range" if res.in_classical_range else "extrapolated"
-        zrows.append(row)
-    write("zeta_ratio_T100.csv", zrows)
+        def write(name: str, rows: list) -> None:
+            emit_table(rows, out_dir / name, "csv")
+            files.append(name)
 
-    # character-weighted ratio grid, symmetric window
-    trows = []
-    for q in grids["thm_qs"]:
-        for T in grids["thm_Ts"]:
-            sets = _zero_sets(cfg, q, T)
-            for x in grids["thm_xs"]:
-                res = f_q(q, 1, x, T, sets)
-                row = _paircorr_row(res)
-                row["window"] = res.window
-                row["regime"] = "in-range" if res.in_classical_range else "extrapolated"
-                trows.append(row)
-    write("thm_ratio.csv", trows)
+        # single-modulus ratio ladder, positive window
+        zset = _zero_sets(cfg, 1, 100.0)[_ZETA]
+        zrows = [_report_row(f_zeta_ratio(x, 100.0, zset)) for x in grids["zeta_xs"]]
+        write("zeta_ratio_T100.csv", zrows)
 
-    # scaled-gap histogram with the conjectured overlay
-    hist_grid = grids["histogram"]
-    alpha, beta, bins = hist_grid["alpha"], hist_grid["beta"], hist_grid["bins"]
-    hist = spacing_histogram(zset, 100.0, alpha, beta, bins)
-    width = (beta - alpha) / bins
-    hrows = []
-    for i in range(bins):
-        lo = float(hist.bin_edges[i])
-        hi = float(hist.bin_edges[i + 1])
-        mid = 0.5 * (lo + hi)
-        count = int(hist.counts[i])
-        hrows.append(
-            {
-                "lo": lo,
-                "hi": hi,
-                "mid": mid,
-                "count": count,
-                "expected": float(hist.expected[i]),
-                "observedDensity": count / (hist.normalization * width),
-                "gueDensity": float(gue_density(mid)),
-                "diagonalBin": lo <= 0.0 < hi,
-            }
-        )
-    write("gue_histogram_q1_T100.csv", hrows)
+        # character-weighted ratio grid, symmetric window
+        trows = []
+        for q in grids["thm_qs"]:
+            for T in grids["thm_Ts"]:
+                sets = _zero_sets(cfg, q, T)
+                for x in grids["thm_xs"]:
+                    trows.append(_report_row(f_q(q, 1, x, T, sets)))
+        write("thm_ratio.csv", trows)
 
-    ladder = grids["x_ladder"]
-    write("montgomery.csv", _montgomery_rows(ladder, grids["montgomery_qs"], None))
-    write("eh.csv", _eh_rows(ladder, grids["eh_Qs"]))
-    write("weak.csv", _weak_rows(1_000_000.0, grids["weak_qs"], grids["weak_alphas"], 1))
+        # scaled-gap histogram with the conjectured overlay
+        hist_grid = grids["histogram"]
+        alpha, beta, bins = hist_grid["alpha"], hist_grid["beta"], hist_grid["bins"]
+        hist = spacing_histogram(zset, 100.0, alpha, beta, bins)
+        width = (beta - alpha) / bins
+        hrows = []
+        for i in range(bins):
+            lo = float(hist.bin_edges[i])
+            hi = float(hist.bin_edges[i + 1])
+            mid = 0.5 * (lo + hi)
+            count = int(hist.counts[i])
+            hrows.append(
+                {
+                    "lo": lo,
+                    "hi": hi,
+                    "mid": mid,
+                    "count": count,
+                    "expected": float(hist.expected[i]),
+                    "observedDensity": count / (hist.normalization * width),
+                    "gueDensity": float(gue_density(mid)),
+                    "diagonalBin": lo <= 0.0 < hi,
+                }
+            )
+        write("gue_histogram_q1_T100.csv", hrows)
 
-    drows = []
-    for x, q in ((float(2**20), 8), (1_000_000.0, 101)):
-        drows.extend(_dyadic_rows(dyadic_profile(x, q, 1, 0.1)))
-    write("dyadic.csv", drows)
+        ladder = grids["x_ladder"]
+        write("montgomery.csv", _montgomery_rows(ladder, grids["montgomery_qs"], None))
+        write("eh.csv", _eh_rows(ladder, grids["eh_Qs"]))
+        write("weak.csv", _weak_rows(1_000_000.0, grids["weak_qs"], grids["weak_alphas"], 1))
 
-    manifest = {
-        "command": "report",
-        "files": files,
-        "config": cfg.manifest(),
-        "grids": grids,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    files.append("manifest.json")
-    lines = [f"wrote {out_dir / name}" for name in files]
-    return _Result(None, {"params": params, "files": files}, 0, lines)
+        drows = []
+        for x, q in ((float(2**20), 8), (1_000_000.0, 101)):
+            drows.extend(_dyadic_rows(dyadic_profile(x, q, 1, 0.1)))
+        write("dyadic.csv", drows)
+
+        manifest = {
+            "command": "report",
+            "files": files,
+            "config": cfg.manifest(),
+            "grids": grids,
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        files.append("manifest.json")
+        lines = [f"wrote {out_dir / name}" for name in files]
+        return _Result(None, {"files": files}, 0, lines)
+
+    return {"out": str(out_dir)}, work
 
 
 _HANDLERS = {
@@ -778,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, action="append", help="repeatable")
     p.add_argument("--U", type=float, action="append", help="increment suite lower heights")
     p.add_argument("--Z", type=float, action="append", help="reconstruction truncations")
-    p.add_argument("--tol", type=float, help="override the suite tolerance")
+    p.add_argument("--tol", type=float, help="suite tolerance override; reconstruction has none")
 
     p = sub.add_parser("report", parents=[common], help="standard CSV bundle")
 
@@ -798,7 +757,8 @@ def main(argv=None) -> int:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"--{name} must be finite, got {v}")
         cfg = resolve_config(args)
-        result = _HANDLERS[args.command](args, cfg)
+        params, work = _HANDLERS[args.command](args)
+        result = None if args.dry_run else work(cfg)
     except (CertificationError, PrecisionError, QuadratureError, ZeroCacheError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
@@ -809,19 +769,21 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
+    if isinstance(result, list):
+        result = _Result(result, {})
     summary = {
         "command": args.command,
-        "ok": result.exit_code == 0,
+        "ok": result is None or result.exit_code == 0,
         "config": cfg.manifest(),
     }
-    summary.update(result.summary)
-
-    if result.summary.get("dry_run"):
+    if result is None:
+        summary.update(dry_run=True, params=params)
         print(json.dumps(summary, allow_nan=False) if args.json else f"dry-run ok: {args.command}")
-        return result.exit_code
+        return 0
+    summary.update(params=params, **result.summary)
 
     wrote = None
-    if result.rows is not None and args.out is not None and args.command != "report":
+    if result.rows is not None and args.out is not None:
         emit_table(result.rows, args.out, cfg.format)
         wrote = args.out
         summary["out"] = str(args.out)

@@ -32,6 +32,50 @@ def run(capsys, cache_dir, *args):
     return code, out
 
 
+# One row per input rule of every command: each exits 2 with nothing on
+# stdout, with and without --dry-run, so a rule that a handler drops or that
+# only the run applies fails here.
+REJECTED = [
+    ["check", "--suite", "reconstruction", "--x", "10", "--Z", "30", "--Z", "100"],
+    ["check", "--suite", "reconstruction", "--Z", "1", "--Z", "30"],
+    ["check", "--suite", "integral", "--x", "1"],
+    ["check", "--suite", "integral", "--T", "-5"],
+    ["check", "--suite", "increment", "--U", "-2", "--T", "15"],
+    ["check", "--suite", "increment", "--x", "0"],
+    ["check", "--suite", "orthogonality", "--x", "-3"],
+    # a flag the suite does not read: its grid flags are its default grid's keys
+    ["check", "--suite", "orthogonality", "--q", "4", "--T", "15", "--Z", "3", "--U", "1"],
+    ["check", "--suite", "orthogonality", "--U", "1"],
+    ["check", "--suite", "orthogonality", "--Z", "3"],
+    ["check", "--suite", "integral", "--U", "5"],
+    ["check", "--suite", "increment", "--Z", "30"],
+    ["check", "--suite", "reconstruction", "--T", "15"],
+    ["check", "--suite", "reconstruction", "--tol", "1e-30"],
+    ["montgomery", "--x", "100", "--Q", "0"],
+    ["montgomery", "--x", "100", "--Q", "5", "--q", "3"],
+    ["montgomery", "--x", "1", "--q", "3"],
+    ["weak", "--x", "100", "--alpha", "1.5", "--q", "3"],
+    ["weak", "--x", "100", "--alpha", "0.5", "--q", "4", "--a", "2"],
+    ["eh", "--x", "100", "--Q", "100"],
+    ["eh", "--x", "100", "--Q", "0"],
+    ["dyadic", "--x", "1000", "--q", "3", "--eps", "1"],
+    ["dyadic", "--x", "1000", "--q", "101", "--eps", "0.5"],
+    ["dyadic", "--x", "1", "--q", "1"],
+    ["explicit", "--x", "100", "--Z", "200"],
+    ["explicit", "--x", "100", "--Z", "1"],
+    ["paircorr", "--x", "1.5", "--T", "10"],
+    ["paircorr", "--x", "3", "--T", "0"],
+    ["paircorr", "--x", "3", "--T", "10", "--q", "4", "--a", "2"],
+    ["zeros", "--q", "4", "--T", "0"],
+    ["zeros", "--q", "0", "--T", "5"],
+    ["zeros", "--chi", "4:2", "--T", "5"],
+    ["psi", "--x", "0"],
+    ["psi", "--x", "10", "--chi", "3:2", "--a", "1"],
+    # a modulus beyond characters.MAX_MODULUS
+    ["psi", "--x", "10", "--chi", "1000003:2"],
+]
+
+
 class TestParsing:
     def test_no_command_returns_2(self, capsys):
         assert main([]) == 2
@@ -408,19 +452,12 @@ class TestCheck:
             assert code == 2
             assert out == ""
 
-
+    # the table covers every command; it stays in this class, where it began
+    # with the check rows, so that the ids of those rows stay the same
     @pytest.mark.parametrize("dry_run", [False, True])
-    @pytest.mark.parametrize("argv", [
-        ["--suite", "reconstruction", "--x", "10", "--Z", "30", "--Z", "100"],
-        ["--suite", "reconstruction", "--Z", "1", "--Z", "30"],
-        ["--suite", "integral", "--x", "1"],
-        ["--suite", "integral", "--T", "-5"],
-        ["--suite", "increment", "--U", "-2", "--T", "15"],
-        ["--suite", "increment", "--x", "0"],
-        ["--suite", "orthogonality", "--x", "-3"],
-    ])
+    @pytest.mark.parametrize("argv", REJECTED)
     def test_dry_run_rejects_what_the_run_rejects(self, capsys, cache_dir, argv, dry_run):
-        code, out = run(capsys, cache_dir, "check", *argv, *(["--dry-run"] if dry_run else []))
+        code, out = run(capsys, cache_dir, *argv, *(["--dry-run"] if dry_run else []))
         assert (code, out) == (2, "")
 
 
@@ -524,23 +561,40 @@ class TestOutputPlumbing:
         summary = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert summary["rows"][0]["trivialBoundRatio"] == "nan"
 
+    CALLS = [
+        ["zeros", "--q", "3", "--T", "20"],
+        ["psi", "--x", "10"],
+        ["paircorr", "--x", "3", "--T", "15"],
+        ["explicit", "--x", "100.5", "--Z", "20"],
+        ["montgomery", "--x", "100", "--Q", "3"],
+        ["eh", "--x", "100", "--Q", "3"],
+        ["weak", "--x", "100", "--alpha", "0.5", "--q", "3"],
+        ["dyadic", "--x", "100", "--q", "3", "--a", "1"],
+        ["check", "--suite", "integral"],
+        ["report"],
+    ]
+    # the summary fields a command adds after params; every command but
+    # report adds its rows last
+    OWN_FIELDS = {"zeros": ["certified", "em"], "check": ["passed"], "report": ["files"]}
+
     def test_every_subcommand_has_dry_run(self, capsys, cache_dir):
-        calls = [
-            ["zeros", "--q", "3", "--T", "20"],
-            ["psi", "--x", "10"],
-            ["paircorr", "--x", "3", "--T", "15"],
-            ["explicit", "--x", "100.5", "--Z", "20"],
-            ["montgomery", "--x", "100", "--Q", "3"],
-            ["eh", "--x", "100", "--Q", "3"],
-            ["weak", "--x", "100", "--alpha", "0.5", "--q", "3"],
-            ["dyadic", "--x", "100", "--q", "3", "--a", "1"],
-            ["check", "--suite", "integral"],
-            ["report"],
-        ]
-        for argv in calls:
+        for argv in self.CALLS:
             code, out = run(capsys, cache_dir, *argv, "--dry-run")
             assert code == 0, argv
             assert "dry-run ok" in out, argv
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: argv[0])
+    def test_dry_run_prints_the_run_params(self, capsys, cache_dir, tmp_path, argv):
+        argv = [*argv, "--json", *(["--out", str(tmp_path)] if argv[0] == "report" else [])]
+        dry_code, dry_out = run(capsys, cache_dir, *argv, "--dry-run")
+        code, out = run(capsys, cache_dir, *argv)
+        assert (dry_code, code) == (0, 0)
+        dry, summary = json.loads(dry_out), json.loads(out)
+        assert dry["params"] == summary["params"]
+        head = ["command", "ok", "config"]
+        assert list(dry) == [*head, "dry_run", "params"]
+        own = self.OWN_FIELDS.get(argv[0], [])
+        assert list(summary) == [*head, "params", *own, *([] if argv[0] == "report" else ["rows"])]
 
 
 class TestHeaders:
