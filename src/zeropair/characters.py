@@ -143,12 +143,18 @@ class _UnitGroup:
         self.units = sorted(self.dlog)
 
 
-@lru_cache(maxsize=None)
-def _unit_group(q: int) -> _UnitGroup:
+def require_tabulable(q: int) -> None:
+    """Raise ValueError unless q is an integer in [1, MAX_MODULUS], a modulus
+    whose unit group and characters can be tabulated."""
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"modulus must be a positive integer, got {q!r}")
     if q > MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds supported bound {MAX_MODULUS}")
+
+
+@lru_cache(maxsize=None)
+def _unit_group(q: int) -> _UnitGroup:
+    require_tabulable(q)
     return _UnitGroup(q)
 
 

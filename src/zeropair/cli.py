@@ -35,6 +35,7 @@ from zeropair.characters import (
     conductor_and_inducer,
     enumerate_characters,
     euler_phi,
+    require_tabulable,
     require_unit,
 )
 from zeropair.conjectures import (
@@ -343,6 +344,7 @@ def _cmd_psi(args):
 def _cmd_paircorr(args):
     q, a = args.q, args.a
     require_unit(q, a)
+    require_tabulable(q)
     xs, ts = _grid(args, "x"), _grid(args, "T")
     _pair_grid({"x": xs, "T": ts})
 
@@ -361,6 +363,7 @@ def _cmd_paircorr(args):
 def _cmd_explicit(args):
     q, a = args.q, args.a
     require_unit(q, a)
+    require_tabulable(q)
     xs, zs = _grid(args, "x"), _grid(args, "Z")
     _sieve_grid({"x": xs, "Z": zs}, least_z=1)
 
@@ -536,6 +539,7 @@ def _cmd_check(args):
     qs = _grid(args, "q", (4,))
     for q in qs:
         require_unit(q, a)
+        require_tabulable(q)
     grid = make_grid({key: _grid(args, key, d) for key, d in defaults.items()})
     params = {"suite": suite, "q": qs, "a": a, **grid}
     if tol is not None:

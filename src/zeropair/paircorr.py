@@ -28,7 +28,12 @@ Structure.  Every character-weighted statistic starts from one family,
 zeros.character_family(q, a, T, zero_sets, window): the list of
 (conj(chi(a)), windowed ordinates) over the characters mod q, each set
 certified to T by ZeroSet.window and flattened by _flatten.  Every direct
-pair sum is _pair_sum over row tiles, so no N x N array is built.  Both
+pair sum is _pair_sum: x^{i(g_j - g_k)} factors as x^{i g_j} conj(x^{i g_k}),
+so each ordinate takes one phase, its angle reduced mod 2 pi in
+double-double by _phases, and each row tile is the real weight tile
+w(g_j - g_k) times the conjugate phases in one real matrix product; no N x N
+array is built and no exponential is taken per pair.  spacing_histogram
+bins only the pairs within its reach, found by searchsorted.  Both
 identity checks are one path: f_q_via_integral (U = 0) and
 increment_identity_check compute their direct sum, and _identity_check
 integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} against it by adaptive
@@ -37,8 +42,8 @@ sum_j c_j e^{i v g_j} goes through lfunc.mesh_exp_sums, the blocked
 kernel of the scan mesh: the quadrature samples sigma(v) on equispaced
 Simpson meshes, r1_batch samples the prime side on the equispaced mesh
 that r1_mean_square integrates, and sigma_sum at one v and r1 at one t
-are one-point meshes.  The direct sums never use it, so the two routes
-stay independent.
+are one-point meshes.  The direct sums never use it, and the quadrature
+never uses _phases, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -112,28 +117,71 @@ def _check_args(x: float, T: float) -> None:
         raise ValueError("T must be positive")
 
 
-def _difference_tiles(rows: np.ndarray, cols: np.ndarray):
-    """Yield (i, rows[i:i+s, None] - cols) over row tiles of at most
-    lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row alone is longer)."""
-    step = max(1, lfunc._EM_CHUNK_ELEMENTS // max(1, cols.size))
-    for i in range(0, rows.size, step):
-        yield i, rows[i : i + step, None] - cols
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO to about 1e-32; _TWO_PI_HI is float64(2 pi)
+_TWO_PI_HI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split of a float64 into 26-bit halves
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    ca, cb = _SPLITTER * a, _SPLITTER * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _phases(lx: float, g: np.ndarray) -> np.ndarray:
+    """e^{i lx g}, elementwise, with lx g reduced mod 2 pi in double-double.
+
+    lx g is carried exactly as p + e, and 2 pi as _TWO_PI_HI + _TWO_PI_LO, so
+    the reduced angle hi + lo is good to far below 1e-16 absolute at any
+    |lx g| below 2^40; the components are cos and sin of hi, corrected to
+    first order in lo.  A plain exp(1j lx g) loses ulp(lx g) of phase, which
+    grows with |g| and does not cancel between near pairs."""
+    p, e = _two_prod(lx, g)
+    k = np.rint(p / _TWO_PI_HI)
+    kh, kl = _two_prod(k, _TWO_PI_HI)
+    s, t = p - kh, (e - kl) - k * _TWO_PI_LO  # p - kh is exact (Sterbenz)
+    hi = s + t
+    b = hi - s
+    lo = (s - (hi - b)) + (t - b)
+    c, sn = np.cos(hi), np.sin(hi)
+    out = np.empty(g.shape, dtype=np.complex128)
+    out.real = c - sn * lo
+    out.imag = sn + c * lo
+    return out
 
 
 def _pair_sum(
     g1: np.ndarray, c1: np.ndarray, g2: np.ndarray, c2: np.ndarray, x: float
 ) -> tuple[complex, int]:
     """sum over j, k of c1_j conj(c2_k) x^{i(g1_j - g2_k)} w(g1_j - g2_k), and
-    its number of terms.  The terms are not sorted by gap: against math.fsum
-    that bought no digits of the real part.  One dot product adds the row
-    sums, so the tile size does not change the order in which rows add."""
+    its number of terms.
+
+    The oscillation factors as x^{i g1_j} conj(x^{i g2_k}), so each ordinate
+    takes one phase, u = c1 x^{i g1} and v = c2 x^{i g2}, and each row tile
+    of at most lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row alone is
+    longer) is the real weight tile w(g1_j - g2_k) times [Re conj(v), Im
+    conj(v)].  The terms are not sorted by gap: against math.fsum that bought
+    no digits of the real part.  One dot product adds the row sums, so the
+    tile size does not change the order in which rows add."""
     lx = math.log(x)
-    rows = np.empty(g1.size, dtype=np.complex128)
-    for i, d in _difference_tiles(g1, g2):
-        terms = np.exp(1j * lx * d)
-        terms *= weight(d)
-        rows[i : i + d.shape[0]] = terms @ c2.conj()
-    return complex(c1 @ rows), g1.size * g2.size
+    u = c1 * _phases(lx, g1)
+    v = (c2 * _phases(lx, g2)).conj()
+    v_parts = np.stack([v.real, v.imag], axis=1)
+    rows = np.empty((g1.size, 2))
+    step = max(1, min(g1.size, lfunc._EM_CHUNK_ELEMENTS // max(1, g2.size)))
+    tile = np.empty((step, g2.size))  # reused: a fresh tile per block faults in its pages again
+    for i in range(0, g1.size, step):
+        w = tile[: g1.size - i]
+        np.subtract(g1[i : i + step, None], g2, out=w)  # becomes weight(w) in place
+        np.multiply(w, w, out=w)
+        w += 4.0
+        np.divide(4.0, w, out=w)
+        np.matmul(w, v_parts, out=rows[i : i + w.shape[0]])
+    return complex(u @ (rows[:, 0] + 1j * rows[:, 1])), g1.size * g2.size
 
 
 def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -583,6 +631,30 @@ class SpacingHistogram:
         return int(self.counts.sum())
 
 
+def _near_gaps(o: np.ndarray, reach: float):
+    """Yield the gaps o_j - o_k of every ordered pair of sorted o with
+    |o_j - o_k| <= reach (and a few just beyond, within rounding), over row
+    chunks of at most lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row
+    alone has more).  Each row's partners are one run of o, found by
+    searchsorted, so the work is the number of near pairs, not len(o)^2."""
+    if not o.size:
+        return
+    # covers the rounding of o_j +- reach and of the caller's scaled gaps;
+    # the extra pairs it admits fall outside the caller's range
+    reach = reach * (1.0 + 1e-9) + 4.0 * np.spacing(max(-o[0], o[-1]))
+    lo = np.searchsorted(o, o - reach, "left")
+    widths = np.searchsorted(o, o + reach, "right") - lo
+    ends = np.cumsum(widths)
+    starts = ends - widths  # each row's first pair, counted over all rows
+    i = 0
+    while i < o.size:
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + lfunc._EM_CHUNK_ELEMENTS, "right")))
+        w = widths[i:j]
+        cols = np.arange(int(w.sum())) + np.repeat(lo[i:j] - (starts[i:j] - starts[i]), w)
+        yield np.repeat(o[i:j], w) - o[cols]
+        i = j
+
+
 def spacing_histogram(
     zs: ZeroSet, T: float, alpha: float, beta: float, bins: int
 ) -> SpacingHistogram:
@@ -593,12 +665,12 @@ def spacing_histogram(
         raise ValueError("need at least one bin")
     if T <= 1:
         raise ValueError("T must exceed 1 for the log T scaling")
-    o = zs.window(T, "positive")
+    o = np.sort(zs.window(T, "positive"))  # _near_gaps searches it
     scale = math.log(T) / (2.0 * math.pi)
     edges = np.linspace(alpha, beta, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    for _, d in _difference_tiles(o, o):
-        counts += np.histogram(d.ravel() * scale, edges)[0]
+    for d in _near_gaps(o, max(abs(alpha), abs(beta)) / scale):
+        counts += np.histogram(d * scale, edges)[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
     norm = (T / (2.0 * math.pi)) * math.log(T)
     expected = np.diff(edges) * gue_density(mids) * norm

@@ -73,6 +73,10 @@ REJECTED = [
     ["psi", "--x", "10", "--chi", "3:2", "--a", "1"],
     # a modulus beyond characters.MAX_MODULUS
     ["psi", "--x", "10", "--chi", "1000003:2"],
+    ["paircorr", "--q", "1000003", "--x", "3", "--T", "5"],
+    ["explicit", "--q", "1000003", "--x", "100", "--Z", "20"],
+    ["check", "--suite", "integral", "--q", "1000003"],
+    ["check", "--suite", "orthogonality", "--q", "1000003"],
 ]
 
 
@@ -638,8 +642,8 @@ class TestReport:
     ]
     # the bundle's bytes; a change that moves a cell updates these and names the cells
     SHA256 = {
-        "zeta_ratio_T100.csv": "f6c28bc3e8675aaa7d94863922003f5c57958073cf82be0e9b5be253b02b8ada",
-        "thm_ratio.csv": "c24f38ad9a6aa51aa3dc63a2bab681c20723ae722f7ca3908775c622fd0f09f6",
+        "zeta_ratio_T100.csv": "7976550ef294c2e6740cc9989ce8198f46b811a6c620b9926d2ab58fc91dacbb",
+        "thm_ratio.csv": "dcc8dbd70856f35d13a0712eb4b90c8cbdde38e06df06eef940158513a121cf3",
         "gue_histogram_q1_T100.csv":
             "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
         "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",

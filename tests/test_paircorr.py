@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -275,6 +276,25 @@ class TestTiledPairSums:
         want, _ = np.histogram(np.subtract.outer(o, o).ravel() * scale, h.bin_edges)
         assert o.size**2 > 5 * 100 and np.array_equal(h.counts, want)
 
+    # (q, index1, index2, x, T): two distinct characters; the oracle rounds
+    # each gap before its phase, so x and T stay as small as in FSUM_CASES
+    CROSS_CASES = [(5, 2, 4, 5.0, 20.0), (8, 3, 7, 3.0, 30.0), (12, 5, 11, 2.0, 30.0)]
+
+    @pytest.mark.parametrize("budget", [None, 1 << 8])
+    @pytest.mark.parametrize("case", CROSS_CASES)
+    def test_cross_characters_match_fsum(self, sets_by_q, monkeypatch, case, budget):
+        q, i1, i2, x, T = case
+        if budget is not None:
+            monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
+        sets = sets_by_q[q]
+        chi1, chi2 = character(q, i1), character(q, i2)
+        res = g_pair(chi1, chi2, x, T, sets)
+        d = np.subtract.outer(sets[chi1.label].window(T), sets[chi2.label].window(T))
+        terms = np.exp(1j * math.log(x) * d) * weight(d)
+        want = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+        assert res.term_count == d.size
+        assert abs(res.value - want) <= 1e-15 * abs(want)
+
     def test_memory_is_bounded_by_the_tile_budget(self, sets1_1000, monkeypatch):
         monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 1 << 16)
         tracemalloc.start()
@@ -289,6 +309,25 @@ class TestTiledPairSums:
     def test_empty_window_is_zero(self, sets4):
         res = f_q(4, 3, 3.0, 5.0, sets4)  # first ordinate is 6.02
         assert res.value == 0 and res.term_count == 0
+
+
+class TestPhases:
+    """paircorr._phases(lx, g) = e^{i lx g} with lx g reduced mod 2 pi in
+    double-double: each component within 2e-16 of the exact value at the
+    float64 lx, where a plain exp(1j lx g) is off by ulp(lx g)."""
+
+    @pytest.mark.parametrize("x", [2.0, 1000.0, 1e8])
+    def test_components_match_mpmath(self, x):
+        rng = np.random.default_rng(15)
+        g = np.concatenate([rng.uniform(-1e4, 1e4, 200), rng.uniform(-30.0, 30.0, 40),
+                            [0.0, 1e4, -1e4, 14.134725141734695, 5e-324]])
+        lx = math.log(x)
+        got = paircorr._phases(lx, g)
+        with mpmath.workprec(200):
+            for t, z in zip(g, got):
+                angle = mpmath.mpf(lx) * mpmath.mpf(float(t))
+                assert abs(z.real - mpmath.cos(angle)) <= 2e-16, t
+                assert abs(z.imag - mpmath.sin(angle)) <= 2e-16, t
 
 
 class TestSigma:
@@ -574,6 +613,19 @@ class TestSpacingHistogram:
         width = 0.25
         mid = 0.5 * (h.bin_edges[3] + h.bin_edges[4])
         assert h.expected[3] == pytest.approx(width * gue_density(mid) * h.normalization)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(-1e6, 1e6), (0.0, 1e300), (-3.0, 0.5), (0.5, 0.500001)]
+    )
+    def test_any_reach_matches_every_pair(self, sets1_100, monkeypatch, alpha, beta):
+        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 50)  # under two rows of 29
+        zs = sets1_100[CharacterLabel(1, 1)]
+        h = spacing_histogram(zs, 100.0, alpha, beta, 7)
+        o = zs.window(100.0, "positive")
+        scale = math.log(100.0) / (2.0 * math.pi)
+        want, _ = np.histogram(np.subtract.outer(o, o).ravel() * scale, h.bin_edges)
+        assert np.array_equal(h.counts, want)
+        assert h.window_count == o.size
 
     def test_validation(self, sets1_100):
         zs = sets1_100[CharacterLabel(1, 1)]
