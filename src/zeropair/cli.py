@@ -48,7 +48,6 @@ from zeropair.explicit import psi_progression_from_zeros
 from zeropair.lfunc import EvalPrecision, PrecisionError
 from zeropair.paircorr import (
     CertificationError,
-    QuadratureError,
     f_q,
     f_q_via_integral,
     f_zeta_ratio,
@@ -88,7 +87,7 @@ class RunConfig:
 
     cache_dir      "cache" (ZEROPAIR_CACHE_DIR overrides, flag wins)
     tolerance      1e-10   zero-refinement tolerance, below the mesh step
-    rel_tol        1e-6    quadrature relative error target, in (0, 1)
+    rel_tol        1e-6    identity checks' discretization bound / max(|rhs|, 1), in (0, 1)
     mesh_step      none    scan mesh override in (0, 0.5]; none = per-(q,T) default
     threads        1       worker pool for independent zero scans
     format         csv     table output format (csv or json)
@@ -763,7 +762,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         params, work = _HANDLERS[args.command](args)
         result = None if args.dry_run else work(cfg)
-    except (CertificationError, PrecisionError, QuadratureError, ZeroCacheError) as exc:
+    except (CertificationError, PrecisionError, ZeroCacheError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

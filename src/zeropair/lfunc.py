@@ -74,26 +74,19 @@ class RealnessError(PrecisionError):
     """A rotated critical-line value failed its realness check."""
 
 
-# B_{2j} for j = 1..13, exact
-_BERNOULLI_EVEN = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-)
+@lru_cache(maxsize=None)
+def bernoulli(m: int) -> Fraction:
+    """The Bernoulli number B_m, exact (B_1 = -1/2), from the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, j) * bernoulli(j) for j in range(m)) / (m + 1)
+
+
+_MAX_BERNOULLI_TERMS = 12  # M; the remainder bound reads one term more
 _BERN_OVER_FACT = tuple(
-    float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI_EVEN)
+    float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, _MAX_BERNOULLI_TERMS + 2)
 )
-_MAX_BERNOULLI_TERMS = len(_BERNOULLI_EVEN) - 1  # one more is needed for the bound
 
 
 _BERNOULLI_TERMS = 12  # M used by every precision this module chooses itself
@@ -102,6 +95,16 @@ _BERNOULLI_TERMS = 12  # M used by every precision this module chooses itself
 # operands of one mesh_exp_sums product
 _EM_CHUNK_ELEMENTS = 1 << 22
 REALNESS_TOL = 1e-8  # largest |Im| of a rotated value, relative to 1 + |value|
+
+
+def _exp_i(a: np.ndarray, f: np.ndarray, c=0.0) -> np.ndarray:
+    """np.exp(c + 1j * (a * f)) for real a and f, to the same floats, in one
+    complex array: a * f goes into its imaginary part, the exponential over it."""
+    out = np.zeros(np.broadcast_shapes(a.shape, f.shape), dtype=np.complex128)
+    np.multiply(a, f, out=out.imag)
+    out.imag += 0.0  # 1j * y has the imaginary part 0 * 0 + 1 * y, +0 where y is -0
+    out += c
+    return np.exp(out, out=out)
 
 
 def mesh_exp_sums(
@@ -143,9 +146,9 @@ def mesh_exp_sums(
     for r in range(0, rows, row_step):
         f = freqs[r : r + row_step, None, :]
         c = log_coeffs[r : r + row_step, None, :]
-        offs = np.exp(1j * (offsets * f.transpose(0, 2, 1)))  # (R', N, B)
+        offs = _exp_i(offsets, f.transpose(0, 2, 1))  # (R', N, B)
         for b in range(0, bases.size, chunk):
-            lead = np.exp(c + 1j * (bases[b : b + chunk, None] * f))  # (R', P/B, N)
+            lead = _exp_i(bases[b : b + chunk, None], f, c)  # (R', P/B, N)
             block = np.matmul(lead, offs).reshape(f.shape[0], -1)
             m = b * width
             out[m : m + block.shape[1], r : r + row_step] = block[:, : count - m].T

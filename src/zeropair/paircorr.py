@@ -36,21 +36,25 @@ array is built and no exponential is taken per pair.  spacing_histogram
 bins only the pairs within its reach, found by searchsorted.  Both
 identity checks are one path: f_q_via_integral (U = 0) and
 increment_identity_check compute their direct sum, and _identity_check
-integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} against it by adaptive
-Simpson into one IdentityCheckResult.  Every exponential sum
-sum_j c_j e^{i v g_j} goes through lfunc.mesh_exp_sums, the blocked
-kernel of the scan mesh: the quadrature samples sigma(v) on equispaced
-Simpson meshes, r1_batch samples the prime side on the equispaced mesh
-that r1_mean_square integrates, and sigma_sum at one v and r1 at one t
-are one-point meshes.  The direct sums never use it, and the quadrature
-never uses _phases, so the two routes stay independent.
+integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} against it into one
+IdentityCheckResult: the trapezoid rule on one equispaced mesh with v = 0
+a node, plus the Euler-Maclaurin corrections for the kink there, with the
+step fixed by an a-priori bound (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014) and
+stated with the result.  Every exponential sum sum_j c_j e^{i v g_j} goes
+through lfunc.mesh_exp_sums, the blocked kernel of the scan mesh: the
+quadrature samples sigma(v) on its mesh, r1_batch samples the prime side
+on the equispaced mesh that r1_mean_square integrates, and sigma_sum at
+one v and r1 at one t are one-point meshes.  The direct sums never use
+it, and the quadrature never uses _phases, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +70,6 @@ from zeropair.zeros import CertificationError, ZeroSet, character_family, zero_s
 
 __all__ = [
     "CertificationError",
-    "QuadratureError",
     "weight",
     "gue_density",
     "GPairResult",
@@ -93,10 +96,6 @@ __all__ = [
 # summation against psi(u) <= 1.04 u drops the boundary term and leaves
 # (3/2) * 1.04 * 2 / sqrt(C).
 _TAIL_CONSTANT = 3.12
-
-
-class QuadratureError(RuntimeError):
-    """Numerical integration could not meet its error budget."""
 
 
 def weight(u):
@@ -162,17 +161,18 @@ def _pair_sum(
 
     The oscillation factors as x^{i g1_j} conj(x^{i g2_k}), so each ordinate
     takes one phase, u = c1 x^{i g1} and v = c2 x^{i g2}, and each row tile
-    of at most lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row alone is
-    longer) is the real weight tile w(g1_j - g2_k) times [Re conj(v), Im
-    conj(v)].  The terms are not sorted by gap: against math.fsum that bought
-    no digits of the real part.  One dot product adds the row sums, so the
-    tile size does not change the order in which rows add."""
+    of at most lfunc._EM_CHUNK_ELEMENTS / 16 pairs (2 MB of float64, which
+    stays in cache; one row when a row alone is longer) is the real weight
+    tile w(g1_j - g2_k) times [Re conj(v), Im conj(v)].  The terms are not
+    sorted by gap: against math.fsum that bought no digits of the real part.
+    One dot product adds the row sums, so the tile size does not change the
+    order in which rows add."""
     lx = math.log(x)
     u = c1 * _phases(lx, g1)
     v = (c2 * _phases(lx, g2)).conj()
     v_parts = np.stack([v.real, v.imag], axis=1)
     rows = np.empty((g1.size, 2))
-    step = max(1, min(g1.size, lfunc._EM_CHUNK_ELEMENTS // max(1, g2.size)))
+    step = max(1, min(g1.size, lfunc._EM_CHUNK_ELEMENTS // 16 // max(1, g2.size)))
     tile = np.empty((step, g2.size))  # reused: a fresh tile per block faults in its pages again
     for i in range(0, g1.size, step):
         w = tile[: g1.size - i]
@@ -323,63 +323,62 @@ def sigma_sum(
 
 
 # The truncation V meets (zero count)^2 e^{-2V} <= QUAD_BUDGET_FACTOR
-# * max(|target|, 1); each half-line doubles its Simpson mesh at most
-# SIMPSON_REFINEMENT_CAP times before QuadratureError.
+# * max(|target|, 1); TRAPEZOID_ORDER is K, the number of Euler-Maclaurin
+# corrections at the kink of e^{-2|v|} at v = 0.
 QUAD_BUDGET_FACTOR = 1e-8
-SIMPSON_REFINEMENT_CAP = 12
+TRAPEZOID_ORDER = 30
 
 
-def _simpson(ys: np.ndarray, h: float) -> float:
-    return (h / 3.0) * float(
-        ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
-    )
+def _trapezoid_mesh(
+    order: int, size: int, span: float, target: float, v_max: float
+) -> tuple[int, float, float]:
+    """The fewest intervals n on [0, v_max] whose step h = v_max / n meets
+    2 zeta(2K) size^2 (h (span + 2) / 2 pi)^{2K} <= target, K = order; returns
+    n, h and that bound at h.  It bounds the Euler-Maclaurin remainder past K
+    corrections of the trapezoid rule on both half-lines for |S|^2 e^{-2|v|},
+    S a sum of `size` unit terms: each pair term is e^{(i d -+ 2) v}, |d| <= span."""
+    # 2 zeta(2K) / (2 pi)^{2K} = |B_{2K}| / (2K)!
+    lead = abs(float(lfunc.bernoulli(2 * order) / math.factorial(2 * order)))
+    h = (target / (lead * size * size)) ** (1.0 / (2 * order)) / (span + 2.0)
+    n = math.ceil(v_max / h)
+    h = v_max / n
+    return n, h, lead * size * size * (h * (span + 2.0)) ** (2 * order)
 
 
-def _refine_simpson(
-    f: Callable[[float, float, int], np.ndarray],
-    lo: float,
-    hi: float,
-    n0: int,
-    rel_tol: float,
-    abs_floor: float,
-) -> tuple[float, int, int]:
-    """Composite Simpson with interval doubling, reusing prior nodes.
+def _kink_correction(gammas: np.ndarray, coeffs: np.ndarray, h: float, order: int) -> float:
+    """sum_{k<=K} B_{2k} h^{2k} / (2k)! [f^{(2k-1)}(0+) - f^{(2k-1)}(0-)] for
+    f(v) = |S(v)|^2 e^{-2|v|}, S(v) = sum_j coeffs_j e^{i v g_j}, K = order.
 
-    f(start, step, count) samples the integrand at start + m step, m < count:
-    the first mesh is (lo, h, n + 1), each refinement's midpoints
-    (lo + h/2, h, n).  Returns (value, nodes evaluated, refinements used)."""
-    n = max(2, n0 + (n0 % 2))
-    h = (hi - lo) / n
-    ys = f(lo, h, n + 1)
-    nodes = ys.size
-    prev = _simpson(ys, h)
-    for r in range(1, SIMPSON_REFINEMENT_CAP + 1):
-        mys = f(lo + 0.5 * h, h, n)
-        nodes += mys.size
-        ys2 = np.empty(2 * n + 1)
-        ys2[0::2], ys2[1::2] = ys, mys
-        n, ys = 2 * n, ys2
-        h = (hi - lo) / n
-        cur = _simpson(ys, h)
-        correction = abs(cur - prev)
-        if correction <= max(rel_tol * abs(cur), abs_floor):
-            return cur, nodes, r
-        prev = cur
-    raise QuadratureError(
-        f"Simpson refinement stalled on [{lo:g}, {hi:g}]: "
-        f"last correction {correction:.3e} above floor {abs_floor:.3e}"
-    )
+    In t = v / h, where no power overflows, S has the Taylor coefficients
+    sum_j coeffs_j (i g_j h)^a / a!, a < 2K; |S|^2 has their convolution with
+    their conjugates, and the jump of f across 0 that convolved with the
+    coefficients of e^{-2ht} - e^{2ht}, -2 (2h)^b / b! at odd b.  Term k is h
+    B_{2k} / (2k) times the coefficient of t^{2k-1} of the jump."""
+    m = 2 * order
+    powers = np.vstack([np.ones((1, gammas.size)), (1j * h) * gammas / np.arange(1, m)[:, None]])
+    s = np.cumprod(powers, axis=0, out=powers) @ coeffs
+    sq = np.convolve(s, s.conj())[:m].real
+    kink = -2.0 * np.cumprod(np.concatenate([[1.0], 2.0 * h / np.arange(1, m)]))
+    kink[::2] = 0.0
+    jumps = np.convolve(sq, kink)[1:m:2]
+    weights = [float(lfunc.bernoulli(2 * k) / (2 * k)) for k in range(1, order + 1)]
+    return h * float(np.dot(weights, jumps))
 
 
 @dataclass(frozen=True)
 class IdentityCheckResult:
     """Both routes of the e^{-2|v|} identity between heights U <= T.
 
-    lhs integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} over |v| <= v_max, with
-    S(x,U,v) = 0 for the full aggregate; rhs is the direct pair sum over
-    ordinates in (U, T], of term_count pairs.  These agree identically.
-    truncation_bound is (zero count)^2 e^{-2 v_max}, the a-priori bound on
-    the integral beyond v_max.
+    lhs integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} (S(x,U,v) = 0 for the
+    full aggregate) by the trapezoid rule on node_count equispaced nodes over
+    |v| <= v_max, v = 0 among them, plus `order` Euler-Maclaurin corrections
+    for the kink there; rhs is the direct pair sum over ordinates in (U, T],
+    of term_count pairs.  Up to rounding, abs_residual is at most
+    discretization_bound + truncation_bound.  truncation_bound is
+    (zero count)^2 e^{-2 v_max}, which bounds the integral beyond v_max;
+    discretization_bound is the remainder bound of _trapezoid_mesh, which the
+    step makes at most rel_tol max(|rhs|, 1), plus (h coth h - 1)
+    truncation_bound, for the nodes beyond v_max and the halved ends.
     """
 
     lhs: float
@@ -387,8 +386,9 @@ class IdentityCheckResult:
     term_count: int
     v_max: float
     truncation_bound: float
+    discretization_bound: float
     node_count: int
-    refinements: int
+    order: int
 
     @property
     def abs_residual(self) -> float:
@@ -402,7 +402,6 @@ class IdentityCheckResult:
 def _identity_check(
     family: list[tuple[complex, np.ndarray]],
     x: float,
-    T: float,
     below: np.ndarray | None,
     rhs: complex,
     terms: int,
@@ -412,41 +411,29 @@ def _identity_check(
     direct sum rhs of `terms` pairs.
 
     below masks the flattened ordinates with |g| <= U; None is U = 0.  The
-    truncation v_max is derived from the count of ordinates above U."""
+    integrand's sum runs over the rest, which also set v_max and the step."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
     gammas, exponent = _sigma_exponent(family, x)
-    rows = exponent[None]
-    count = gammas.size
-    if below is not None and below.any():
-        # row 1 is S(x,U,v): the ordinates above U weighted by e^-inf = 0,
-        # so one kernel call samples both sums at the same points.  An empty
-        # row would double the exponentials for nothing.
-        rows = np.stack([exponent, np.where(below, exponent, -np.inf)])
-        count -= int(np.count_nonzero(below))
+    if below is not None:
+        gammas, exponent = gammas[~below], exponent[~below]
+    count, order = gammas.size, TRAPEZOID_ORDER
     if count == 0:
-        return IdentityCheckResult(0.0, rhs, terms, 0.0, 0.0, 0, 0)
-    budget = QUAD_BUDGET_FACTOR * max(abs(rhs.real), 1.0)
+        return IdentityCheckResult(0.0, rhs, terms, 0.0, 0.0, 0.0, 0, order)
+    scale = max(abs(rhs.real), 1.0)
     # +0.5 keeps the realized bound a factor e below the budget
-    v_max = max(2.0, 0.5 * math.log(count * count / budget) + 0.5)
-    freqs = np.broadcast_to(gammas, rows.shape)
-
-    def integrand(start: float, step: float, n: int) -> np.ndarray:
-        vs, sums = lfunc.mesh_exp_sums(start, step, n, freqs, rows)
-        s = sums[:, 0] if rows.shape[0] == 1 else sums[:, 0] - sums[:, 1]
-        return (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
-
-    # integrand oscillates at gap frequencies up to 2T
-    h0 = min(0.2 / math.log(max(x * T, 3.0)), math.pi / (4.0 * T), v_max / 8.0)
-    n0 = math.ceil(v_max / h0)
-    lhs, nodes, refinements = 0.0, 0, 0
-    for lo, hi in ((-v_max, 0.0), (0.0, v_max)):
-        val, used, refs = _refine_simpson(integrand, lo, hi, n0, rel_tol, budget / 2.0)
-        lhs += val
-        nodes += used
-        refinements = max(refinements, refs)
-    bound = count * count * math.exp(-2.0 * v_max)
-    return IdentityCheckResult(lhs, rhs, terms, v_max, bound, nodes, refinements)
+    v_max = max(2.0, 0.5 * math.log(count * count / (QUAD_BUDGET_FACTOR * scale)) + 0.5)
+    truncation = count * count * math.exp(-2.0 * v_max)
+    span = float(gammas.max() - gammas.min())
+    # every |conj(chi(a))| is 1, so the sum of the coefficients' sizes is the count
+    n, h, remainder = _trapezoid_mesh(order, count, span, rel_tol * scale, v_max)
+    vs, sums = lfunc.mesh_exp_sums(-v_max, h, 2 * n + 1, gammas[None], exponent[None])
+    s = sums[:, 0]
+    ys = (s.real * s.real + s.imag * s.imag) * np.exp(-2.0 * np.abs(vs))
+    lhs = h * float(ys.sum() - 0.5 * (ys[0] + ys[-1]))
+    lhs += _kink_correction(gammas, np.exp(exponent), h, order)
+    bound = remainder + (h / math.tanh(h) - 1.0) * truncation
+    return IdentityCheckResult(lhs, rhs, terms, v_max, truncation, bound, 2 * n + 1, order)
 
 
 def f_q_via_integral(
@@ -461,7 +448,7 @@ def f_q_via_integral(
     # the public f_q, so that a tracer of f_q counts these pair terms too
     direct = f_q(q, a, x, T, zero_sets)
     family = character_family(q, a, T, zero_sets)
-    return _identity_check(family, x, T, None, direct.value, direct.term_count, rel_tol)
+    return _identity_check(family, x, None, direct.value, direct.term_count, rel_tol)
 
 
 def increment_identity_check(
@@ -486,7 +473,7 @@ def increment_identity_check(
     below = np.abs(gammas) <= U
     inc, w_inc = gammas[~below], weights[~below]
     rhs, terms = _pair_sum(inc, w_inc, inc, w_inc, x)
-    return _identity_check(family, x, T, below, rhs, terms, rel_tol)
+    return _identity_check(family, x, below, rhs, terms, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -564,6 +551,12 @@ class R1MeanSquareResult:
     tail_bound: float
     in_regime: bool  # T >= x / phi(q)
     s_result: SOfXResult
+
+
+def _simpson(ys: np.ndarray, h: float) -> float:
+    return (h / 3.0) * float(
+        ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
+    )
 
 
 def r1_mean_square(

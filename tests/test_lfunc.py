@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -90,8 +91,19 @@ class TestHurwitzZeta:
             EvalPrecision(bernoulli_terms=0)
         with pytest.raises(ValueError):
             EvalPrecision(bernoulli_terms=40)
+        assert EvalPrecision(bernoulli_terms=12).bernoulli_terms == 12
+        with pytest.raises(ValueError, match=r"\[1, 12\]"):
+            EvalPrecision(bernoulli_terms=13)
         with pytest.raises(ValueError):
             EvalPrecision(target_abs_error=0.0)
+
+
+class TestBernoulli:
+    def test_exact_against_mpmath(self):
+        for m in range(61):
+            p, q = mp.bernfrac(m)
+            assert lfunc.bernoulli(m) == Fraction(int(p), int(q)), m
+            assert float(lfunc.bernoulli(m)) == pytest.approx(float(mp.bernoulli(m)), rel=1e-15)
 
 
 def _critical_bound(T: float, n: int) -> float:

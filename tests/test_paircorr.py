@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +12,6 @@ from zeropair.characters import CharacterLabel, character, enumerate_characters
 from zeropair.lfunc import mesh_exp_sums
 from zeropair.paircorr import (
     CertificationError,
-    QuadratureError,
     f_q,
     f_q_via_integral,
     f_zeta_ratio,
@@ -39,6 +37,11 @@ def sets1():
 @pytest.fixture(scope="module")
 def sets1_1000():
     return zeros_for_modulus(1, 1000.0)
+
+
+@pytest.fixture(scope="module")
+def sets4_1000():
+    return zeros_for_modulus(4, 1000.0)
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +364,7 @@ class TestIntegralRoute:
         budget = paircorr.QUAD_BUDGET_FACTOR * max(abs(chk.rhs.real), 1.0)
         assert chk.v_max == max(2.0, 0.5 * math.log(count * count / budget) + 0.5)
         assert chk.truncation_bound == pytest.approx(budget / math.e)
-        assert chk.node_count > 0 and chk.refinements >= 1
+        assert chk.node_count > 0
 
     def test_mod4_auto_v(self, sets4):
         chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
@@ -380,14 +383,6 @@ class TestIntegralRoute:
             with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
                 check(2.0)
 
-    def test_stalled_refinement_quotes_last_correction(self, sets4, monkeypatch):
-        monkeypatch.setattr(paircorr, "SIMPSON_REFINEMENT_CAP", 1)
-        with pytest.raises(QuadratureError) as info:
-            f_q_via_integral(4, 1, 3.0, 15.0, sets4, rel_tol=1e-12)
-        found = re.search(r"last correction (\S+) above floor (\S+)$", str(info.value))
-        correction, floor = map(float, found.groups())
-        assert correction > floor > 0.0
-
 
 class TestMeshSigma:
     def test_blocked_sigma_matches_the_dense_sum(self, sets1_1000):
@@ -402,18 +397,51 @@ class TestMeshSigma:
         assert gammas.size > 1000 and vs.size == 34_141
         assert np.max(np.abs(sums[:, 0] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    # node counts and refinements of the parent's linspace meshes: the
-    # blocked points differ from them in the last bits, the work must not
-    @pytest.mark.parametrize("case, nodes, refinements", [
-        ("q4", 4994, 4),
-        ("q1_1000", 69378, 1),
+    # the trapezoid mesh follows from the a-priori bound alone: its node
+    # count is (2 v_max / h) + 1 for the step that meets rel_tol
+    @pytest.mark.parametrize("case, nodes, order", [
+        ("q4", 141, 30),
+        ("q1_1000", 12593, 30),
     ])
-    def test_quadrature_work_is_pinned(self, sets4, sets1_1000, case, nodes, refinements):
+    def test_quadrature_work_is_pinned(self, sets4, sets1_1000, case, nodes, order):
         if case == "q4":
             chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
         else:
             chk = f_q_via_integral(1, 1, 10.0, 1000.0, sets1_1000)
-        assert (chk.node_count, chk.refinements) == (nodes, refinements)
+        assert (chk.node_count, chk.order) == (nodes, order)
+
+
+class TestTrapezoidBound:
+    @pytest.mark.parametrize("q, T", [(1, 15.0), (4, 15.0), (1, 1000.0), (4, 1000.0)])
+    def test_residual_within_stated_bound(self, sets1, sets4, sets1_1000, sets4_1000, q, T):
+        sets = {(1, 15.0): sets1, (4, 15.0): sets4, (1, 1000.0): sets1_1000,
+                (4, 1000.0): sets4_1000}[q, T]
+        checks = [f_q_via_integral(q, a, x, T, sets) for a in {1, q - 1} - {0} for x in (3.0, 10.0)]
+        checks.append(increment_identity_check(10.0, T, T / 3.0, q, 1, sets))
+        for chk in checks:
+            assert chk.order == paircorr.TRAPEZOID_ORDER
+            # the step meets its target, and the rest of the bound is far below it
+            assert chk.discretization_bound <= 1.01e-6 * max(abs(chk.rhs.real), 1.0)
+            assert chk.abs_residual <= chk.discretization_bound + chk.truncation_bound
+
+    @pytest.mark.parametrize("broken", ["span", "order"])
+    def test_broken_premise_exceeds_the_bound(self, sets4, monkeypatch, broken):
+        """A step rule told a span 8x too small (so h (D + 2) >= 2 pi), or
+        one that picks h for K = 30 while only 4 corrections are added,
+        states a bound the residual then exceeds."""
+        rule = paircorr._trapezoid_mesh
+        if broken == "span":
+            monkeypatch.setattr(paircorr, "_trapezoid_mesh", lambda order, size, span, *rest:
+                                rule(order, size, span / 8.0, *rest))
+        else:
+            monkeypatch.setattr(paircorr, "TRAPEZOID_ORDER", 4)
+            monkeypatch.setattr(paircorr, "_trapezoid_mesh", lambda order, *rest: rule(30, *rest))
+        chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
+        if broken == "span":
+            gammas, _ = paircorr._flatten(character_family(4, 3, 15.0, sets4))
+            h = 2.0 * chk.v_max / (chk.node_count - 1)
+            assert h * (np.ptp(gammas) + 2.0) >= 2.0 * math.pi
+        assert chk.abs_residual > 100.0 * (chk.discretization_bound + chk.truncation_bound)
 
 
 class TestIncrementIdentity:
@@ -427,7 +455,7 @@ class TestIncrementIdentity:
             res = increment_identity_check(x, T, 0.0, q, a, sets)
             full = f_q_via_integral(q, a, x, T, sets)
             assert res.rhs == f_q(q, a, x, T, sets).value
-            assert res == full  # lhs, rhs, term_count, v_max, bound, nodes, refinements
+            assert res == full  # every field, the bounds and the mesh included
             assert res.rel_residual < 1e-4
 
     def test_mod3_example(self, sets3):
