@@ -14,9 +14,10 @@ as twice the real part over the positive half, which makes the result real
 by construction.  The residue-class count aggregates one zero sum per
 character mod q with weight conj(chi(a)); prime powers sharing a factor
 with q belong to no coprime class, so their exact mass is removed from the
-main term x before dividing by phi(q).  The per-character sums run over
-zeros.character_family, like the pair sums of paircorr, and a run's term
-count is the size of its ZeroSet.window cuts.  The small imaginary part
+main term x before dividing by phi(q).  That aggregate is one weighted sum
+over the flat ordinates and weights of zeros.character_family, the family
+the pair sums of paircorr use, so a run's term count is the number of
+ordinates its ZeroSet.window cuts keep.  The small imaginary part
 left over after aggregation is kept as a diagnostic, not silently lost.
 """
 
@@ -179,11 +180,9 @@ def psi_progression_from_zeros(
     _check_range(x, z)
     if q == 1:
         return psi_from_zeros(x, z, zero_set_for(zero_sets, _ZETA_LABEL))
-    family = character_family(q, a, z, zero_sets)
+    gammas, weights = character_family(q, a, z, zero_sets)
     phi = euler_phi(q)
-    total = 0j
-    for w, o in family:
-        total += w * complex(np.sum(_terms(x, o)))
+    total = complex(np.sum(weights * _terms(x, gammas)))
     raw = (x - ramified_mass(x, q) - total) / phi
     budget = x * math.log(q * x) ** 2 / z
     return ExplicitFormulaRun(
@@ -194,6 +193,6 @@ def psi_progression_from_zeros(
         reconstructed=raw.real,
         exact=psi_progression(x, q, a),
         error_budget=budget,
-        term_count=sum(o.size for _, o in family),
+        term_count=gammas.size,
         imag_residue=abs(raw.imag),
     )

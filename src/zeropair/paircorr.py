@@ -25,21 +25,23 @@ symmetric window carries twice the zeros, so its in-range target is
 phi(q) T log(x) / pi, against T log(x) / (2 pi) for the positive window.
 
 Structure.  Every character-weighted statistic starts from one family,
-zeros.character_family(q, a, T, zero_sets, window): the list of
-(conj(chi(a)), windowed ordinates) over the characters mod q, each set
-certified to T by ZeroSet.window and flattened by _flatten.  Every direct
-pair sum is _pair_sum: x^{i(g_j - g_k)} factors as x^{i g_j} conj(x^{i g_k}),
+zeros.character_family(q, a, T, zero_sets, window): one array of the
+ordinates of every character mod q, each set certified to T by
+ZeroSet.window, and one of their weights conj(chi(a)).  Every direct pair
+sum is _pair_sum: x^{i(g_j - g_k)} factors as x^{i g_j} conj(x^{i g_k}),
 so each ordinate takes one phase, its angle reduced mod 2 pi in
 double-double by _phases, and each row tile is the real weight tile
 w(g_j - g_k) times the conjugate phases in one real matrix product; no N x N
 array is built and no exponential is taken per pair.  spacing_histogram
-bins only the pairs within its reach, found by searchsorted.  Both
+scans the ascending window by offset: the gaps o[j + k] - o[j] grow with k,
+so it stops at the first offset whose gaps all lie beyond its reach.  Both
 identity checks are one path: f_q_via_integral (U = 0) and
-increment_identity_check compute their direct sum, and _identity_check
+increment_identity_check take the family's ordinates in (U, T], compute
+their direct sum, and pass the same arrays to _identity_check, which
 integrates |S(x,T,v) - S(x,U,v)|^2 e^{-2|v|} against it into one
-IdentityCheckResult: the trapezoid rule on one equispaced mesh with v = 0
-a node, plus the Euler-Maclaurin corrections for the kink there, with the
-step fixed by an a-priori bound (Trefethen and Weideman, "The
+IdentityCheckResult: the trapezoid rule on one equispaced mesh with
+v = 0 a node, plus the Euler-Maclaurin corrections for the kink there, with
+the step fixed by an a-priori bound (Trefethen and Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56, 2014) and
 stated with the result.  Every exponential sum sum_j c_j e^{i v g_j} goes
 through lfunc.mesh_exp_sums, the blocked kernel of the scan mesh: the
@@ -153,6 +155,10 @@ def _phases(lx: float, g: np.ndarray) -> np.ndarray:
     return out
 
 
+# pairs per row tile of _pair_sum: 2 MB of float64, which stays in cache
+_PAIR_TILE_ELEMENTS = 1 << 18
+
+
 def _pair_sum(
     g1: np.ndarray, c1: np.ndarray, g2: np.ndarray, c2: np.ndarray, x: float
 ) -> tuple[complex, int]:
@@ -161,9 +167,9 @@ def _pair_sum(
 
     The oscillation factors as x^{i g1_j} conj(x^{i g2_k}), so each ordinate
     takes one phase, u = c1 x^{i g1} and v = c2 x^{i g2}, and each row tile
-    of at most lfunc._EM_CHUNK_ELEMENTS / 16 pairs (2 MB of float64, which
-    stays in cache; one row when a row alone is longer) is the real weight
-    tile w(g1_j - g2_k) times [Re conj(v), Im conj(v)].  The terms are not
+    of at most _PAIR_TILE_ELEMENTS pairs (one row when a row alone is
+    longer) is the real weight tile w(g1_j - g2_k) times
+    [Re conj(v), Im conj(v)].  The terms are not
     sorted by gap: against math.fsum that bought no digits of the real part.
     One dot product adds the row sums, so the tile size does not change the
     order in which rows add."""
@@ -172,7 +178,7 @@ def _pair_sum(
     v = (c2 * _phases(lx, g2)).conj()
     v_parts = np.stack([v.real, v.imag], axis=1)
     rows = np.empty((g1.size, 2))
-    step = max(1, min(g1.size, lfunc._EM_CHUNK_ELEMENTS // 16 // max(1, g2.size)))
+    step = max(1, min(g1.size, _PAIR_TILE_ELEMENTS // max(1, g2.size)))
     tile = np.empty((step, g2.size))  # reused: a fresh tile per block faults in its pages again
     for i in range(0, g1.size, step):
         w = tile[: g1.size - i]
@@ -182,14 +188,6 @@ def _pair_sum(
         np.divide(4.0, w, out=w)
         np.matmul(w, v_parts, out=rows[i : i + w.shape[0]])
     return complex(u @ (rows[:, 0] + 1j * rows[:, 1])), g1.size * g2.size
-
-
-def _flatten(family: list[tuple[complex, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The family's ordinates, concatenated, and each ordinate's conj(chi(a)),
-    so that conj(chi1(a)) chi2(a) is weights_j conj(weights_k)."""
-    gammas = np.concatenate([o for _, o in family])
-    weights = np.concatenate([np.full(o.size, w, dtype=np.complex128) for w, o in family])
-    return gammas, weights
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ def _pair_result(
     q: int, a: int, x: float, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str
 ) -> PairCorrResult:
     """The pair sum over the character family of (q, a), with its reference ratios."""
-    gammas, weights = _flatten(character_family(q, a, T, zero_sets, window))
+    gammas, weights = character_family(q, a, T, zero_sets, window)
     value, terms = _pair_sum(gammas, weights, gammas, weights, x)
     phi = euler_phi(q)
     lx = math.log(x)
@@ -299,15 +297,6 @@ def f_zeta_ratio(
     return _pair_result(1, 1, x, T, {label: zeta_set}, window)
 
 
-def _sigma_exponent(
-    family: list[tuple[complex, np.ndarray]], x: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The family's ordinates g_j, concatenated, and log(conj(chi(a))) + i g_j log x,
-    so that sigma(v) = sum_j e^{exponent_j + i v g_j}."""
-    gammas, weights = _flatten(family)
-    return gammas, np.log(weights) + 1j * math.log(x) * gammas
-
-
 def sigma_sum(
     x: float,
     T: float,
@@ -318,7 +307,8 @@ def sigma_sum(
 ) -> complex:
     """sum_chi conj(chi(a)) sum_{|g| <= T} x^{ig} e^{ivg}."""
     _check_args(x, T)
-    gammas, exponent = _sigma_exponent(character_family(q, a, T, zero_sets), x)
+    gammas, weights = character_family(q, a, T, zero_sets)
+    exponent = np.log(weights) + 1j * math.log(x) * gammas
     return complex(lfunc.mesh_exp_sums(float(v), 1.0, 1, gammas[None], exponent[None])[1][0, 0])
 
 
@@ -400,23 +390,20 @@ class IdentityCheckResult:
 
 
 def _identity_check(
-    family: list[tuple[complex, np.ndarray]],
+    gammas: np.ndarray,
+    weights: np.ndarray,
     x: float,
-    below: np.ndarray | None,
     rhs: complex,
     terms: int,
     rel_tol: float,
 ) -> IdentityCheckResult:
-    """The quadrature side of the identity for the family, against the
-    direct sum rhs of `terms` pairs.
-
-    below masks the flattened ordinates with |g| <= U; None is U = 0.  The
-    integrand's sum runs over the rest, which also set v_max and the step."""
+    """The quadrature side of the identity, against the direct sum rhs of
+    `terms` pairs: the integrand's sum runs over the ordinates gammas with
+    their weights, which also set v_max and the step."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    gammas, exponent = _sigma_exponent(family, x)
-    if below is not None:
-        gammas, exponent = gammas[~below], exponent[~below]
+    # sigma(v) = sum_j e^{exponent_j + i v g_j}
+    exponent = np.log(weights) + 1j * math.log(x) * gammas
     count, order = gammas.size, TRAPEZOID_ORDER
     if count == 0:
         return IdentityCheckResult(0.0, rhs, terms, 0.0, 0.0, 0.0, 0, order)
@@ -447,8 +434,8 @@ def f_q_via_integral(
     """Evaluate the aggregate through the e^{-2|v|} integral and compare."""
     # the public f_q, so that a tracer of f_q counts these pair terms too
     direct = f_q(q, a, x, T, zero_sets)
-    family = character_family(q, a, T, zero_sets)
-    return _identity_check(family, x, None, direct.value, direct.term_count, rel_tol)
+    gammas, weights = character_family(q, a, T, zero_sets)
+    return _identity_check(gammas, weights, x, direct.value, direct.term_count, rel_tol)
 
 
 def increment_identity_check(
@@ -468,12 +455,11 @@ def increment_identity_check(
     _check_args(x, T)
     if not 0 <= U <= T:
         raise ValueError(f"need 0 <= U <= T, got U={U}, T={T}")
-    family = character_family(q, a, T, zero_sets)
-    gammas, weights = _flatten(family)
-    below = np.abs(gammas) <= U
-    inc, w_inc = gammas[~below], weights[~below]
-    rhs, terms = _pair_sum(inc, w_inc, inc, w_inc, x)
-    return _identity_check(family, x, below, rhs, terms, rel_tol)
+    gammas, weights = character_family(q, a, T, zero_sets)
+    above = np.abs(gammas) > U
+    gammas, weights = gammas[above], weights[above]
+    rhs, terms = _pair_sum(gammas, weights, gammas, weights, x)
+    return _identity_check(gammas, weights, x, rhs, terms, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -624,30 +610,6 @@ class SpacingHistogram:
         return int(self.counts.sum())
 
 
-def _near_gaps(o: np.ndarray, reach: float):
-    """Yield the gaps o_j - o_k of every ordered pair of sorted o with
-    |o_j - o_k| <= reach (and a few just beyond, within rounding), over row
-    chunks of at most lfunc._EM_CHUNK_ELEMENTS pairs (one row when a row
-    alone has more).  Each row's partners are one run of o, found by
-    searchsorted, so the work is the number of near pairs, not len(o)^2."""
-    if not o.size:
-        return
-    # covers the rounding of o_j +- reach and of the caller's scaled gaps;
-    # the extra pairs it admits fall outside the caller's range
-    reach = reach * (1.0 + 1e-9) + 4.0 * np.spacing(max(-o[0], o[-1]))
-    lo = np.searchsorted(o, o - reach, "left")
-    widths = np.searchsorted(o, o + reach, "right") - lo
-    ends = np.cumsum(widths)
-    starts = ends - widths  # each row's first pair, counted over all rows
-    i = 0
-    while i < o.size:
-        j = max(i + 1, int(np.searchsorted(ends, starts[i] + lfunc._EM_CHUNK_ELEMENTS, "right")))
-        w = widths[i:j]
-        cols = np.arange(int(w.sum())) + np.repeat(lo[i:j] - (starts[i:j] - starts[i]), w)
-        yield np.repeat(o[i:j], w) - o[cols]
-        i = j
-
-
 def spacing_histogram(
     zs: ZeroSet, T: float, alpha: float, beta: float, bins: int
 ) -> SpacingHistogram:
@@ -658,12 +620,18 @@ def spacing_histogram(
         raise ValueError("need at least one bin")
     if T <= 1:
         raise ValueError("T must exceed 1 for the log T scaling")
-    o = np.sort(zs.window(T, "positive"))  # _near_gaps searches it
+    o = zs.window(T, "positive")  # strictly ascending, as certified
     scale = math.log(T) / (2.0 * math.pi)
     edges = np.linspace(alpha, beta, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    for d in _near_gaps(o, max(abs(alpha), abs(beta)) / scale):
-        counts += np.histogram(d * scale, edges)[0]
+    reach = max(abs(alpha), abs(beta))
+    counts = o.size * np.histogram([0.0], edges)[0]  # the diagonal
+    # the gaps at offset k grow elementwise with k, and so do their scaled
+    # values: once the smallest lies beyond the reach, every later one does
+    for k in range(1, o.size):
+        d = (o[k:] - o[:-k]) * scale
+        if d.min() > reach:
+            break
+        counts += np.histogram(np.concatenate([d, -d]), edges)[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
     norm = (T / (2.0 * math.pi)) * math.log(T)
     expected = np.diff(edges) * gue_density(mids) * norm

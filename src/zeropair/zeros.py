@@ -31,7 +31,9 @@ of the window is walked for real characters too, so symmetry stays a
 testable property of the output.
 
 Sums over zeros take their ordinates from ZeroSet.window, which checks the
-certificate first, or from character_family, its character-weighted form.
+certificate first, or from character_family, its character-weighted form:
+the windows of every character mod q in one flat array, with an array of
+weights conj(chi(a)) beside it.
 """
 
 from __future__ import annotations
@@ -155,13 +157,17 @@ def zero_set_for(zero_sets: Mapping[CharacterLabel, ZeroSet], label: CharacterLa
 
 def character_family(
     q: int, a: int, T: float, zero_sets: Mapping[CharacterLabel, ZeroSet], window: str = "both"
-) -> list[tuple[complex, np.ndarray]]:
-    """[(conj(chi(a)), chi's set windowed to T)] for every character chi mod q."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ordinates of every character chi mod q, each set windowed to T and
+    the sets concatenated in enumerate_characters order, and each ordinate's
+    weight conj(chi(a)) as complex128, so that conj(chi1(a)) chi2(a) is
+    weights_j conj(weights_k)."""
     require_unit(q, a)
-    return [
-        (chi(a).conjugate(), zero_set_for(zero_sets, chi.label).window(T, window))
-        for chi in enumerate_characters(q)
-    ]
+    chars = enumerate_characters(q)
+    blocks = [zero_set_for(zero_sets, chi.label).window(T, window) for chi in chars]
+    weights = [np.full(o.size, chi(a).conjugate(), dtype=np.complex128)
+               for chi, o in zip(chars, blocks)]
+    return np.concatenate(blocks), np.concatenate(weights)
 
 
 def _counts_agree(found: int, expected: float) -> bool:

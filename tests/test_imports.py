@@ -7,7 +7,8 @@ in its __all__ (a re-export).  `from __future__` imports and star imports
 bind no checkable name and are skipped.  Inside src/, no function body may
 import: every dependency of a module is stated at its top.  Only the sieve
 sees a prime table: no public function takes a `table`, and no other module
-names LambdaTable or table_for.
+names LambdaTable or table_for.  Only lfunc names its Euler-Maclaurin chunk
+budget _EM_CHUNK_ELEMENTS: other modules size their own work.
 """
 
 import ast
@@ -105,6 +106,13 @@ def test_no_function_imports_in_src():
 _TABLE_NAMES = {"LambdaTable", "table_for"}
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name a Name, Attribute or import alias node refers to, else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+
+
 def table_leaks(source: str, module: str) -> list:
     """(line, what) of each place outside the sieve's own internals that sees a
     prime table: a `table` parameter on a function (a private sieve helper
@@ -117,12 +125,8 @@ def table_leaks(source: str, module: str) -> list:
             names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
             if "table" in names and (module != "sieve" or not node.name.startswith("_")):
                 found.append((node.lineno, f"{node.name}(table)"))
-        elif module != "sieve":
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name in _TABLE_NAMES:
-                found.append((getattr(node, "lineno", 0), name))
+        elif module != "sieve" and _name(node) in _TABLE_NAMES:
+            found.append((getattr(node, "lineno", 0), _name(node)))
     return sorted(found)
 
 
@@ -151,3 +155,26 @@ def test_only_the_sieve_sees_a_table():
         for line, what in table_leaks(path.read_text(), path.stem):
             found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert not found, "prime tables outside the sieve:\n" + "\n".join(found)
+
+
+def chunk_budget_uses(source: str) -> list:
+    """Lines of each _EM_CHUNK_ELEMENTS name, attribute or import."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if _name(node) == "_EM_CHUNK_ELEMENTS")
+
+
+def test_detector_flags_chunk_budget_uses():
+    source = (
+        "from zeropair.lfunc import _EM_CHUNK_ELEMENTS\n"
+        "from zeropair import lfunc\n"
+        "step = lfunc._EM_CHUNK_ELEMENTS // 16\n"
+        "_EM_CHUNK = 1\n"
+    )
+    assert chunk_budget_uses(source) == [1, 3]
+
+
+def test_only_lfunc_names_its_chunk_budget():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "zeropair").glob("*.py")) if path.stem != "lfunc"
+             for line in chunk_budget_uses(path.read_text())]
+    assert not found, "_EM_CHUNK_ELEMENTS outside lfunc:\n" + "\n".join(found)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zeropair import lfunc, paircorr
+from zeropair import paircorr
 from zeropair.characters import CharacterLabel, character, enumerate_characters
 from zeropair.lfunc import mesh_exp_sums
 from zeropair.paircorr import (
@@ -230,8 +230,8 @@ class TestFq:
 
 class TestTiledPairSums:
     """The direct pair sums run over row tiles of at most
-    lfunc._EM_CHUNK_ELEMENTS differences; lowering that budget splits every
-    sum into many tiles and must not move a digit that matters."""
+    paircorr._PAIR_TILE_ELEMENTS differences; lowering that budget splits
+    every sum into many tiles and must not move a digit that matters."""
 
     # (q, a, x, T); the modulus-one cases are the tall set of the benchmark
     FSUM_CASES = [(1, 1, 2.0, 1000.0), (1, 1, 10.0, 1000.0), (1, 1, 100.0, 1000.0),
@@ -247,17 +247,17 @@ class TestTiledPairSums:
     def test_real_part_matches_fsum(self, sets_by_q, monkeypatch, case, budget):
         q, a, x, T = case
         if budget is not None:
-            monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", budget)
         sets = sets_by_q[q]
         res = f_q(q, a, x, T, sets)
-        gammas, weights = paircorr._flatten(character_family(q, a, T, sets))
+        gammas, weights = character_family(q, a, T, sets)
         d = np.subtract.outer(gammas, gammas)
         terms = np.outer(weights, weights.conj()) * np.exp(1j * math.log(x) * d) * weight(d)
         want = math.fsum(terms.real.ravel())
         assert abs(res.value.real - want) <= 1e-15 * abs(want)
         assert abs(res.value.imag) <= 1e-13 * abs(want)
 
-    def test_many_tiles_agree_with_one(self, sets4, sets1_100, monkeypatch):
+    def test_many_tiles_agree_with_one(self, sets4, monkeypatch):
         chi1, chi2 = character(4, 1), character(4, 3)
 
         def sums():
@@ -265,19 +265,13 @@ class TestTiledPairSums:
                     increment_identity_check(2.0, 30.0, 10.0, 4, 3, sets4))
 
         default = sums()
-        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 100)
+        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 100)
         tiled = sums()
         for one, many in zip(default, tiled):
             assert one.term_count == many.term_count > 100
         for one, many in ((default[0].value, tiled[0].value), (default[1].value, tiled[1].value),
                           (default[2].rhs, tiled[2].rhs)):
             assert abs(one - many) <= 1e-14 * abs(one)
-        zs = sets1_100[CharacterLabel(1, 1)]
-        o = zs.window(100.0, "positive")
-        h = spacing_histogram(zs, 100.0, -1.0, 2.0, 9)
-        scale = math.log(100.0) / (2.0 * math.pi)
-        want, _ = np.histogram(np.subtract.outer(o, o).ravel() * scale, h.bin_edges)
-        assert o.size**2 > 5 * 100 and np.array_equal(h.counts, want)
 
     # (q, index1, index2, x, T): two distinct characters; the oracle rounds
     # each gap before its phase, so x and T stay as small as in FSUM_CASES
@@ -288,7 +282,7 @@ class TestTiledPairSums:
     def test_cross_characters_match_fsum(self, sets_by_q, monkeypatch, case, budget):
         q, i1, i2, x, T = case
         if budget is not None:
-            monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", budget)
         sets = sets_by_q[q]
         chi1, chi2 = character(q, i1), character(q, i2)
         res = g_pair(chi1, chi2, x, T, sets)
@@ -299,7 +293,7 @@ class TestTiledPairSums:
         assert abs(res.value - want) <= 1e-15 * abs(want)
 
     def test_memory_is_bounded_by_the_tile_budget(self, sets1_1000, monkeypatch):
-        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 1 << 16)
+        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 1 << 16)
         tracemalloc.start()
         try:
             res = f_q(1, 1, 10.0, 1000.0, sets1_1000)
@@ -387,9 +381,8 @@ class TestIntegralRoute:
 class TestMeshSigma:
     def test_blocked_sigma_matches_the_dense_sum(self, sets1_1000):
         x, T = 10.0, 1000.0
-        family = character_family(1, 1, T, sets1_1000)
-        gammas, exponent = paircorr._sigma_exponent(family, x)
-        weights = np.concatenate([np.full(o.size, w) for w, o in family])
+        gammas, weights = character_family(1, 1, T, sets1_1000)
+        exponent = np.log(weights) + 1j * math.log(x) * gammas
         vs, sums = mesh_exp_sums(-13.4, math.pi / 4000.0, 34_141, gammas[None], exponent[None])
         coeffs = weights * np.exp(1j * math.log(x) * gammas)
         dense = np.concatenate([np.exp(1j * np.outer(v, gammas)) @ coeffs
@@ -438,7 +431,7 @@ class TestTrapezoidBound:
             monkeypatch.setattr(paircorr, "_trapezoid_mesh", lambda order, *rest: rule(30, *rest))
         chk = f_q_via_integral(4, 3, 3.0, 15.0, sets4)
         if broken == "span":
-            gammas, _ = paircorr._flatten(character_family(4, 3, 15.0, sets4))
+            gammas, _ = character_family(4, 3, 15.0, sets4)
             h = 2.0 * chk.v_max / (chk.node_count - 1)
             assert h * (np.ptp(gammas) + 2.0) >= 2.0 * math.pi
         assert chk.abs_residual > 100.0 * (chk.discretization_bound + chk.truncation_bound)
@@ -643,10 +636,9 @@ class TestSpacingHistogram:
         assert h.expected[3] == pytest.approx(width * gue_density(mid) * h.normalization)
 
     @pytest.mark.parametrize(
-        "alpha, beta", [(-1e6, 1e6), (0.0, 1e300), (-3.0, 0.5), (0.5, 0.500001)]
+        "alpha, beta", [(-1e6, 1e6), (0.0, 1e300), (-3.0, 0.5), (0.5, 0.500001), (-1.0, 2.0)]
     )
-    def test_any_reach_matches_every_pair(self, sets1_100, monkeypatch, alpha, beta):
-        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 50)  # under two rows of 29
+    def test_any_reach_matches_every_pair(self, sets1_100, alpha, beta):
         zs = sets1_100[CharacterLabel(1, 1)]
         h = spacing_histogram(zs, 100.0, alpha, beta, 7)
         o = zs.window(100.0, "positive")
@@ -654,6 +646,22 @@ class TestSpacingHistogram:
         want, _ = np.histogram(np.subtract.outer(o, o).ravel() * scale, h.bin_edges)
         assert np.array_equal(h.counts, want)
         assert h.window_count == o.size
+
+    def test_long_reach_runs_through_many_offsets(self, sets1_100):
+        """About 2,000 ascending ordinates with beta = 40 scaled units: the
+        offset scan passes at least 25 offsets before the gaps leave the
+        reach, and still counts every ordered pair the brute force does."""
+        T = 1e4
+        rng = np.random.default_rng(7)
+        o = np.cumsum(rng.uniform(0.2, 1.8, 2000))  # mean gap 1, so o[-1] < T
+        zs = replace(sets1_100[CharacterLabel(1, 1)], height=T, ordinates=o,
+                     lo=o, hi=o, residual=np.zeros(o.size))
+        scale = math.log(T) / (2.0 * math.pi)
+        assert np.min(o[25:] - o[:-25]) * scale < 40.0  # no stop before offset 25
+        for alpha, beta in ((0.0, 40.0), (-40.0, 40.0), (-7.5, 12.25)):
+            h = spacing_histogram(zs, T, alpha, beta, 33)
+            want, _ = np.histogram(np.subtract.outer(o, o) * scale, h.bin_edges)
+            assert np.array_equal(h.counts, want)
 
     def test_validation(self, sets1_100):
         zs = sets1_100[CharacterLabel(1, 1)]

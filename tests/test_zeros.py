@@ -372,12 +372,18 @@ class TestWindow:
 class TestCharacterFamily:
     def test_weights_and_windows(self):
         sets = zeros_for_modulus(5, 20.0)
-        family = character_family(5, 2, 15.0, sets, "positive")
-        chars = enumerate_characters(5)
-        assert len(family) == len(chars)
-        for (w, o), chi in zip(family, chars):
-            assert w == chi(2).conjugate()
-            assert np.array_equal(o, sets[chi.label].window(15.0, "positive"))
+        gammas, weights = character_family(5, 2, 15.0, sets, "positive")
+        assert gammas.shape == weights.shape and weights.dtype == np.complex128
+        # one block per character, in enumerate_characters order, each
+        # weighted by the constant conj(chi(2))
+        start = 0
+        for chi in enumerate_characters(5):
+            o = sets[chi.label].window(15.0, "positive")
+            block = slice(start, start + o.size)
+            assert np.array_equal(gammas[block], o)
+            assert np.all(weights[block] == chi(2).conjugate())
+            start += o.size
+        assert start == gammas.size
 
     def test_missing_set_named(self):
         sets = zeros_for_modulus(4, 15.0)
