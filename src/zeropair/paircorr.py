@@ -297,6 +297,13 @@ def f_zeta_ratio(
     return _pair_result(1, 1, x, T, {label: zeta_set}, window)
 
 
+def _plain_exponent(gammas: np.ndarray, weights: np.ndarray, x: float) -> np.ndarray:
+    """log(weights) + i g log x, so sigma(v) = sum_j e^{exponent_j + i v g_j}.
+    Plain complex arithmetic, not the double-double _phases of the direct
+    pair sums, keeps sigma_sum and the identity checks independent of them."""
+    return np.log(weights) + 1j * math.log(x) * gammas
+
+
 def sigma_sum(
     x: float,
     T: float,
@@ -308,7 +315,7 @@ def sigma_sum(
     """sum_chi conj(chi(a)) sum_{|g| <= T} x^{ig} e^{ivg}."""
     _check_args(x, T)
     gammas, weights = character_family(q, a, T, zero_sets)
-    exponent = np.log(weights) + 1j * math.log(x) * gammas
+    exponent = _plain_exponent(gammas, weights, x)
     return complex(lfunc.mesh_exp_sums(float(v), 1.0, 1, gammas[None], exponent[None])[1][0, 0])
 
 
@@ -402,8 +409,7 @@ def _identity_check(
     their weights, which also set v_max and the step."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    # sigma(v) = sum_j e^{exponent_j + i v g_j}
-    exponent = np.log(weights) + 1j * math.log(x) * gammas
+    exponent = _plain_exponent(gammas, weights, x)
     count, order = gammas.size, TRAPEZOID_ORDER
     if count == 0:
         return IdentityCheckResult(0.0, rhs, terms, 0.0, 0.0, 0.0, 0, order)

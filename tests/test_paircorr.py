@@ -242,7 +242,9 @@ class TestTiledPairSums:
     def sets_by_q(self, sets1_1000, sets5, sets8, sets12):
         return {1: sets1_1000, 5: sets5, 8: sets8, 12: sets12}
 
-    @pytest.mark.parametrize("budget", [None, 1 << 10])
+    # 64 pairs per tile; the id "1024" is the older name of this case, from
+    # when the budget was counted in elements of 16 per pair
+    @pytest.mark.parametrize("budget", [None, pytest.param(1 << 6, id="1024")])
     @pytest.mark.parametrize("case", FSUM_CASES)
     def test_real_part_matches_fsum(self, sets_by_q, monkeypatch, case, budget):
         q, a, x, T = case
@@ -251,6 +253,7 @@ class TestTiledPairSums:
         sets = sets_by_q[q]
         res = f_q(q, a, x, T, sets)
         gammas, weights = character_family(q, a, T, sets)
+        assert budget is None or gammas.size**2 > budget  # more than one tile
         d = np.subtract.outer(gammas, gammas)
         terms = np.outer(weights, weights.conj()) * np.exp(1j * math.log(x) * d) * weight(d)
         want = math.fsum(terms.real.ravel())
@@ -265,7 +268,7 @@ class TestTiledPairSums:
                     increment_identity_check(2.0, 30.0, 10.0, 4, 3, sets4))
 
         default = sums()
-        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 100)
+        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 6)
         tiled = sums()
         for one, many in zip(default, tiled):
             assert one.term_count == many.term_count > 100
@@ -277,7 +280,9 @@ class TestTiledPairSums:
     # each gap before its phase, so x and T stay as small as in FSUM_CASES
     CROSS_CASES = [(5, 2, 4, 5.0, 20.0), (8, 3, 7, 3.0, 30.0), (12, 5, 11, 2.0, 30.0)]
 
-    @pytest.mark.parametrize("budget", [None, 1 << 8])
+    # 16 pairs per tile; the id "256" is the older name of this case, from
+    # when the budget was counted in elements of 16 per pair
+    @pytest.mark.parametrize("budget", [None, pytest.param(1 << 4, id="256")])
     @pytest.mark.parametrize("case", CROSS_CASES)
     def test_cross_characters_match_fsum(self, sets_by_q, monkeypatch, case, budget):
         q, i1, i2, x, T = case
@@ -290,10 +295,11 @@ class TestTiledPairSums:
         terms = np.exp(1j * math.log(x) * d) * weight(d)
         want = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
         assert res.term_count == d.size
+        assert budget is None or d.size > budget  # more than one tile
         assert abs(res.value - want) <= 1e-15 * abs(want)
 
     def test_memory_is_bounded_by_the_tile_budget(self, sets1_1000, monkeypatch):
-        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 1 << 16)
+        monkeypatch.setattr(paircorr, "_PAIR_TILE_ELEMENTS", 1 << 12)
         tracemalloc.start()
         try:
             res = f_q(1, 1, 10.0, 1000.0, sets1_1000)
