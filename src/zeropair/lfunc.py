@@ -28,11 +28,12 @@ bounded.
 A zero scan needs the same columns for every character mod q on the same
 mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
 keeps the last few meshes, so each further character costs one
-matrix-vector product.  The direct sums on the mesh come from
-mesh_exp_sums, the blocked exponential-sum kernel for equispaced points
-(the Odlyzko-Schonhage factorisation), which also serves the sigma(v)
-quadrature of paircorr; the Euler-Maclaurin tail and the remainder check
-are the evaluator's own, at the same points.
+matrix-vector product.  Only the half t >= 0 is computed: the shifts are
+real, so the columns at -t are the conjugates of those at t.  The direct
+sums on the mesh come from mesh_exp_sums, the blocked exponential-sum
+kernel for equispaced points (the Odlyzko-Schonhage factorisation), which
+also serves the sigma(v) quadrature of paircorr; the Euler-Maclaurin tail
+and the remainder check are the evaluator's own, at the same points.
 
 Imprimitive values are obtained from the inducing character by stripping
 Euler factors.  hardy_z rotates the critical line by a unimodular
@@ -442,9 +443,12 @@ def hardy_z_batch(
 ) -> np.ndarray:
     """The rotated critical-line values for primitive chi; real by construction.
 
-    Conjugate-symmetric in the sense hardy_z(chi, -t) = hardy_z(conj chi, t)
-    up to a global sign fixed by the rotation branch.  Raises RealnessError
-    if any residual imaginary part exceeds REALNESS_TOL * (1 + |value|).
+    Conjugate-symmetric: Z_chi(-t) = Z_conj(chi)(t), since
+    L(1/2 - it, chi) = conj L(1/2 + it, conj chi), the phase is odd in t and
+    the rotation of conj chi is the conjugate of chi's (the principal square
+    root of a root number -1 would flip the sign, which moves no zero).  A
+    real chi, with root number 1, has an even Z.  Raises RealnessError if any
+    residual imaginary part exceeds REALNESS_TOL * (1 + |value|).
     """
     ts = np.asarray(ts, dtype=np.float64)
     vals = _phase(_params_for(chi.label), ts) * l_critical_batch(chi, ts, prec)
@@ -457,20 +461,25 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     of the units a mod q on it, as read-only arrays of shapes (P,) and (P, k).
 
     The P = 2 ceil(T / mesh_step) + 1 points step by h = T / ceil(T / mesh_step)
-    from -T, in the blocked layout of mesh_exp_sums, which forms the direct
-    sums sum_{n<N} (n + a)^(-1/2) e^(-i t log(n+a)) of every column.  The
-    Euler-Maclaurin tail and the remainder check use the same floats t.
+    and are symmetric about the node t = 0.  Only the half [0, T] is computed,
+    in the blocked layout of mesh_exp_sums, which forms the direct sums
+    sum_{n<N} (n + a)^(-1/2) e^(-i t log(n+a)) of every column; the
+    Euler-Maclaurin tail and the remainder check use the same floats t.  The
+    shifts a/q and q are real, so the column at -t is the conjugate of the
+    column at t, and the negative half is the mirrored conjugate.
     """
     half = math.ceil(T / mesh_step)
     shifts = _unit_shifts(q)
     n = prec.direct_terms
     logs = np.log(shifts[:, None] + np.arange(n, dtype=np.float64))
-    ts, cols = mesh_exp_sums(-T, T / half, 2 * half + 1, -logs, -0.5 * logs)
+    ts, cols = mesh_exp_sums(0.0, T / half, half + 1, -logs, -0.5 * logs)
     s = 0.5 + 1j * ts[:, None]
     _certify(s, float(shifts[0]), prec)
     _add_em_tail(cols, s, n + shifts, prec.bernoulli_terms)
     if q > 1:
         cols *= np.exp(-s * math.log(q))
+    ts = np.concatenate([-ts[:0:-1], ts])
+    cols = np.concatenate([cols[:0:-1].conj(), cols])
     ts.flags.writeable = cols.flags.writeable = False
     return ts, cols
 

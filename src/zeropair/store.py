@@ -23,7 +23,8 @@ set with an uncertified one unless forced.  Loads re-validate the payload
 (ascending, inside the window, count consistent) and raise distinct error
 types for bad magic, unknown version, checksum mismatch and invariant
 violations.  Loaded sets carry point brackets and NaN residuals; the
-uncertainty of a stored ordinate is the set-level tolerance.
+uncertainty of a stored ordinate is the set-level tolerance.  The files of
+a conjugate pair of characters are written together, from one scan.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from zeropair.characters import CharacterLabel, DirichletCharacter
 from zeropair.lfunc import ROTATION_BRANCH
-from zeropair.zeros import ZeroSet, default_mesh_step, scan_zeros
+from zeropair.zeros import ZeroSet, conjugate_pair, default_mesh_step, scan_pair
 
 MAGIC = b"ZPZC"
 VERSION = 1
@@ -219,25 +220,24 @@ class ZeroCache:
     ) -> ZeroSet:
         """Return the cached set when it matches the request, else scan and store.
 
-        A cached file with the wrong branch tag or the wrong scan parameters
-        is superseded by a fresh scan.  Unreadable files raise; clearing or
-        forcing past them is an explicit caller decision.
+        The files of chi's conjugate pair go together: unless both hold a
+        set with the current branch tag and the requested scan parameters,
+        the pair's representative is scanned once and both files are
+        written, the other member's as the mirror.  Unreadable files raise;
+        clearing or forcing past them is an explicit caller decision.
         """
-        path = self.path_for(chi.label, T)
-        if path.exists() and not force:
-            zs = read_zero_set(path)
+        if not force:
             want_mesh = mesh_step if mesh_step is not None else default_mesh_step(chi.modulus, T)
-            if (
-                zs.label == chi.label
-                and zs.height == float(T)
-                and zs.branch == ROTATION_BRANCH
-                and zs.mesh_step == float(want_mesh)
-                and zs.tolerance == float(tolerance)
-            ):
-                return zs
-        zs = scan_zeros(chi, T, mesh_step=mesh_step, tolerance=tolerance)
-        write_zero_set(path, zs, force=True)
-        return zs
+            want = (float(T), ROTATION_BRANCH, float(want_mesh), float(tolerance))
+            sets = {psi.label: self.load(psi.label, T) for psi in conjugate_pair(chi)}
+            if all(zs is not None and zs.label == label
+                   and (zs.height, zs.branch, zs.mesh_step, zs.tolerance) == want
+                   for label, zs in sets.items()):
+                return sets[chi.label]
+        sets = scan_pair(chi, T, mesh_step=mesh_step, tolerance=tolerance)
+        for zs in sets.values():
+            write_zero_set(self.path_for(zs.label, T), zs, force=True)
+        return sets[chi.label]
 
 
 def _format_value(v) -> str:

@@ -1,7 +1,8 @@
 """Certified scanning for critical-line zeros of primitive L-functions.
 
-A scan walks a symmetric mesh on [-T, T] of the rotated (real) critical-line
-value and re-tests each near-tangent dip at its half steps.  One rule
+A scan walks a symmetric mesh on [-T, T] (a real character's from the node
+-h; see below) of the rotated (real) critical-line value and re-tests each
+near-tangent dip at its half steps.  One rule
 brackets rows of points: a sign change between neighbours gives a bracket,
 and an exact zero a bracket collapsed onto its point.  The mesh, the dips and
 refine_zero all take their brackets from it, and every bracket, exact ones
@@ -26,9 +27,18 @@ than the tolerance whose ends have values of opposite sign, or in a
 collapsed one.  Failing sets are returned with certified=False, never
 silently dropped.
 
-Scans never assume conjugate symmetry of the ordinates; the negative half
-of the window is walked for real characters too, so symmetry stays a
-testable property of the output.
+Each conjugate pair {chi, conj chi} is scanned once, since
+L(1/2 - it, chi) = conj L(1/2 + it, conj chi): the zeros of chi on [-T, 0)
+are the negated zeros of conj chi on (0, T].  The member with the smaller
+index represents a complex pair and is scanned on all of [-T, T]; the set
+of the other member is its mirror (ordinates negated and reversed, the same
+certificate).  A real chi, q = 1 included, has an even Z: its scan refines
+only the brackets in [0, T] and reflects them, keeping an exact zero at 0
+once.  A reflected bracket keeps its sign change because
+Z_chi(-t) = Z_conj(chi)(t) (see lfunc.hardy_z_batch).  Symmetry is still
+tested directly: the acceptance suite compares the scans of both members of
+every complex pair, and checks every reflected bracket of a real character
+for a sign change of Z evaluated on the negative half.
 
 Sums over zeros take their ordinates from ZeroSet.window, which checks the
 certificate first, or from character_family, its character-weighted form:
@@ -40,7 +50,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -258,7 +268,8 @@ def scan_zeros(
     tolerance: float = DEFAULT_TOLERANCE,
     prec: EvalPrecision | None = None,
 ) -> ZeroSet:
-    """Scan [-T, T] for zeros of a primitive character's critical line."""
+    """Scan [-T, T] for zeros of a primitive character's critical line; a real
+    character's set is the reflection of its scan of [0, T]."""
     if not chi.is_primitive:
         raise ValueError(f"scan requires a primitive character, got {chi.label}")
     if T <= 0:
@@ -273,6 +284,9 @@ def scan_zeros(
         prec = EvalPrecision.for_height(T)
 
     ts, z = hardy_z_mesh(chi, T, mesh_step, prec)
+    if chi.is_real:
+        # Z is even; start at the node -h so that a dip at 0 is re-tested
+        ts, z = ts[ts.size // 2 - 1 :], z[z.size // 2 - 1 :]
 
     # near-tangent dips: a strict local minimum of |Z| with no sign change
     # around it can hide a close pair of zeros; re-test at half steps
@@ -293,9 +307,20 @@ def scan_zeros(
     dip_z = np.stack([z[dip - 1], zl, z[dip], zr, z[dip + 1]], axis=1)
     brackets = np.hstack([_sign_brackets(ts[None], z[None]), _sign_brackets(dip_t, dip_z)])
 
+    if chi.is_real:
+        # the half [0, T]: a bracket left of 0 mirrors one right of it
+        brackets = brackets[:, brackets[0] >= 0.0]
+
     ords, resid, lo, hi, zlo, zhi = _refine_brackets(chi, *brackets, prec, tolerance)
     order = np.argsort(ords, kind="stable")
-    ordinates = ords[order]
+    arrays = ords[order], lo[order], hi[order], resid[order]
+    if chi.is_real:
+        # P u -P; an exact zero at 0 (a bracket collapsed onto it) is kept once
+        at_zero = (arrays[1] == 0.0) & (arrays[2] == 0.0)
+        positive = tuple(a[~at_zero] for a in arrays)
+        arrays = tuple(np.concatenate([m, a[at_zero], p])
+                       for m, a, p in zip(_reflect(*positive), arrays, positive))
+    ordinates = arrays[0]
 
     expected = count_expected(chi, T)
     certified = (
@@ -313,12 +338,48 @@ def scan_zeros(
         tolerance=float(tolerance),
         branch=ROTATION_BRANCH,
         ordinates=ordinates,
-        lo=lo[order],
-        hi=hi[order],
-        residual=resid[order],
+        lo=arrays[1],
+        hi=arrays[2],
+        residual=arrays[3],
         expected_count=expected,
         certified=certified,
     )
+
+
+def _reflect(ordinates, lo, hi, residual) -> tuple[np.ndarray, ...]:
+    """Parallel ascending arrays of a zero set under t -> -t, still ascending."""
+    return -ordinates[::-1], -hi[::-1], -lo[::-1], residual[::-1]
+
+
+def conjugate_pair(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
+    """(chi,) for a real chi; else chi and its conjugate, the representative
+    (the smaller index) first."""
+    if chi.is_real:
+        return (chi,)
+    return tuple(sorted((chi, chi.conjugate()), key=lambda psi: psi.index))
+
+
+def pair_sets(zs: ZeroSet, pair: tuple[DirichletCharacter, ...]) -> dict[CharacterLabel, ZeroSet]:
+    """The sets of a conjugate pair by label, given zs, the set of its
+    representative pair[0]: the other member's is the mirror of zs, with the
+    reflected ordinates, brackets and residuals and zs's certificate."""
+    sets = {zs.label: zs}
+    for other in pair[1:]:
+        ordinates, lo, hi, residual = _reflect(zs.ordinates, zs.lo, zs.hi, zs.residual)
+        sets[other.label] = replace(zs, label=other.label, ordinates=ordinates, lo=lo, hi=hi,
+                                    residual=residual)
+    return sets
+
+
+def scan_pair(
+    chi: DirichletCharacter,
+    T: float,
+    mesh_step: float | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> dict[CharacterLabel, ZeroSet]:
+    """The sets of chi's conjugate pair from one scan of its representative."""
+    pair = conjugate_pair(chi)
+    return pair_sets(scan_zeros(pair[0], T, mesh_step=mesh_step, tolerance=tolerance), pair)
 
 
 def refine_zero(
@@ -363,29 +424,30 @@ def zeros_for_modulus(
 
     Imprimitive characters share their inducer's set by reference (the
     stripped Euler factors are zero-free on the critical line); principal
-    characters map to the q = 1 set.  Each distinct inducer is scanned once,
-    in ascending label order, so the inducers of one modulus follow each
-    other and reuse its mesh columns.  With a cache, scans go through
-    cache.load_or_scan (force rescans past it); with threads > 1 they run on
-    a thread pool and are reassembled in the same order.
+    characters map to the q = 1 set.  Each conjugate pair of inducers is
+    scanned once, through its representative, in ascending label order, so
+    the inducers of one modulus follow each other and reuse its mesh
+    columns; the other member gets the mirror of the representative's set.
+    With a cache, scans go through cache.load_or_scan (force rescans past
+    it); with threads > 1 they run on a thread pool and are reassembled in
+    the same order.
     """
     inducer_of = {chi.label: conductor_and_inducer(chi)[1] for chi in enumerate_characters(q)}
-    inducers = sorted(
-        {psi.label: psi for psi in inducer_of.values()}.values(),
-        key=lambda psi: (psi.modulus, psi.index),
+    pairs = sorted(
+        {pair[0].label: pair for pair in map(conjugate_pair, inducer_of.values())}.values(),
+        key=lambda pair: (pair[0].modulus, pair[0].index),
     )
 
-    def scan(psi: DirichletCharacter) -> ZeroSet:
+    def scan(pair: tuple[DirichletCharacter, ...]) -> dict[CharacterLabel, ZeroSet]:
         if cache is None:
-            return scan_zeros(psi, T, mesh_step=mesh_step, tolerance=tolerance)
-        return cache.load_or_scan(
-            psi, T, mesh_step=mesh_step, tolerance=tolerance, force=force
-        )
+            return scan_pair(pair[0], T, mesh_step=mesh_step, tolerance=tolerance)
+        zs = cache.load_or_scan(pair[0], T, mesh_step=mesh_step, tolerance=tolerance, force=force)
+        return pair_sets(zs, pair)
 
-    if threads > 1 and len(inducers) > 1:
+    if threads > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            scanned = list(pool.map(scan, inducers))
+            scanned = list(pool.map(scan, pairs))
     else:
-        scanned = [scan(psi) for psi in inducers]
-    by_label = {psi.label: zs for psi, zs in zip(inducers, scanned)}
+        scanned = [scan(pair) for pair in pairs]
+    by_label = {label: zs for sets in scanned for label, zs in sets.items()}
     return {label: by_label[psi.label] for label, psi in inducer_of.items()}

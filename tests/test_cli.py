@@ -8,16 +8,17 @@ path under realistic conditions.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from zeropair import sieve
+from zeropair import sieve, zeros
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
 from zeropair.lfunc import EvalPrecision, PrecisionError, RealnessError
 from zeropair.paircorr import f_q
 from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
-from zeropair.store import read_zero_set
+from zeropair.store import read_zero_set, write_zero_set
 from zeropair.zeros import zeros_for_modulus
 
 
@@ -240,11 +241,55 @@ class TestZeros:
         def fail(*args, **kwargs):
             raise error("remainder bound above target")
 
-        monkeypatch.setattr("zeropair.store.scan_zeros", fail)
+        monkeypatch.setattr("zeropair.zeros.scan_zeros", fail)
         code = main(["zeros", "--q", "5", "--T", "10", "--cache-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3
         assert err == "certification failure: remainder bound above target\n"
+
+    def test_one_character_writes_its_conjugate_pair(self, capsys, tmp_path, monkeypatch):
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert run(capsys, cold, "zeros", "--q", "5", "--T", "10")[0] == 0
+        assert run(capsys, warm, "zeros", "--chi", "5:3", "--T", "10")[0] == 0
+        q5 = warm / "zeros" / "q5"
+        assert sorted(p.name for p in q5.iterdir()) == ["chi2_T10.zc", "chi3_T10.zc"]
+        for label in ("5:1", "5:4"):
+            assert run(capsys, warm, "zeros", "--chi", label, "--T", "10")[0] == 0
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("every set of q = 5 is cached")
+
+        monkeypatch.setattr(zeros, "scan_zeros", no_scan)
+        assert run(capsys, warm, "zeros", "--q", "5", "--T", "10")[0] == 0
+        files = sorted(p.relative_to(cold) for p in cold.rglob("*.zc"))
+        assert files == sorted(p.relative_to(warm) for p in warm.rglob("*.zc"))
+        for rel in files:
+            assert (cold / rel).read_bytes() == (warm / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("defect", ["deleted", "stale"])
+    def test_a_bad_conjugate_file_rescans_the_pair_once(self, capsys, tmp_path, monkeypatch,
+                                                        defect):
+        assert run(capsys, tmp_path, "zeros", "--q", "5", "--T", "10")[0] == 0
+        q5 = tmp_path / "zeros" / "q5"
+        rep, conj = q5 / "chi2_T10.zc", q5 / "chi3_T10.zc"
+        before = {p: p.read_bytes() for p in (rep, conj)}
+        inode = rep.stat().st_ino
+        if defect == "deleted":
+            conj.unlink()
+        else:
+            write_zero_set(conj, replace(read_zero_set(conj), mesh_step=0.01))
+        scan = zeros.scan_zeros
+        scanned = []
+
+        def recording(chi, T, **kwargs):
+            scanned.append(str(chi.label))
+            return scan(chi, T, **kwargs)
+
+        monkeypatch.setattr(zeros, "scan_zeros", recording)
+        assert run(capsys, tmp_path, "zeros", "--q", "5", "--T", "10")[0] == 0
+        assert scanned == ["5:2"]
+        assert rep.stat().st_ino != inode  # rewritten, to the same bytes
+        assert {p: p.read_bytes() for p in (rep, conj)} == before
 
     def test_needs_q_or_chi(self, capsys, cache_dir):
         code, _ = run(capsys, cache_dir, "zeros", "--T", "30")
@@ -642,8 +687,8 @@ class TestReport:
     ]
     # the bundle's bytes; a change that moves a cell updates these and names the cells
     SHA256 = {
-        "zeta_ratio_T100.csv": "7976550ef294c2e6740cc9989ce8198f46b811a6c620b9926d2ab58fc91dacbb",
-        "thm_ratio.csv": "dcc8dbd70856f35d13a0712eb4b90c8cbdde38e06df06eef940158513a121cf3",
+        "zeta_ratio_T100.csv": "731def4f09dbb17febb354587f232bfdbe3e6ea30bbbd322c0c07eae378d41ed",
+        "thm_ratio.csv": "becfe2a73f00f9c1dafaf3dfbfeb0ab35d9cf60c47a0e0e967d22bcd40a5bea2",
         "gue_histogram_q1_T100.csv":
             "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
         "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",

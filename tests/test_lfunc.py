@@ -226,6 +226,14 @@ class TestMeshEvaluator:
         assert np.all(np.diff(ts) <= step + 1e-12)
         assert not ts.flags.writeable
 
+    def test_negative_half_is_the_conjugate_of_the_positive(self):
+        T, step = 30.0, 0.05
+        lfunc._mesh_columns.cache_clear()
+        ts, cols = lfunc._mesh_columns(23, T, step, EvalPrecision.for_height(T))
+        half = ts.size // 2
+        assert ts[half] == 0.0 and np.array_equal(ts, -ts[::-1])
+        assert np.array_equal(cols[:half], cols[: half : -1].conj())
+
     def test_matches_hardy_z_batch_for_every_character_mod_23(self):
         T = 30.0
         prec = EvalPrecision.for_height(T)
@@ -481,6 +489,20 @@ class TestHardyZ:
             ratio = z2 / z1
             assert np.max(np.abs(np.abs(ratio) - 1)) <= 1e-6
             assert np.max(np.abs(ratio - ratio[0])) <= 1e-6
+
+    def test_reflection_is_the_conjugate_character(self):
+        # Z_chi(-t) = Z_conj(chi)(t), sign included: the reflected brackets of
+        # a mirrored zero set keep their end values
+        ts = np.random.default_rng(17).uniform(0.1, 60.0, 48)
+        prec = EvalPrecision.for_height(60.0)
+        checked = 0
+        for q in range(1, 25):
+            for chi in _primitive(q):
+                z = hardy_z_batch(chi.conjugate(), ts, prec)
+                reflected = hardy_z_batch(chi, -ts, prec)
+                assert np.max(np.abs(reflected - z) / (1 + np.abs(z))) <= 1e-12, chi.label
+                checked += 1
+        assert checked == 108
 
     def test_imprimitive_rejected(self):
         with pytest.raises(ValueError):

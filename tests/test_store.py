@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zeropair import store
+from zeropair import store, zeros
 from zeropair.characters import character
 from zeropair.store import (
     CacheChecksumError,
@@ -157,7 +157,7 @@ class TestCacheDirectory:
         def no_scan(*args, **kwargs):
             raise AssertionError("the third run should be a cache hit")
 
-        monkeypatch.setattr(store, "scan_zeros", no_scan)
+        monkeypatch.setattr(zeros, "scan_zeros", no_scan)
         assert cache.load_or_scan(chi, 10.0).height == 10.0
         assert low.read_bytes() == before and low.stat().st_mtime_ns == stamp
 

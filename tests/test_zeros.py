@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from zeropair.zeros import (
     _brackets_certified,
     _refine_brackets,
     character_family,
+    conjugate_pair,
     count_expected,
     default_mesh_step,
     refine_zero,
@@ -250,9 +252,11 @@ class TestRefinementCertificate:
 
 class TestBracketSources:
     """Every bracket of a scan, on the mesh, at a dip's half steps or in
-    refine_zero, comes from one rule; a fake Z on a known mesh shows each."""
+    refine_zero, comes from one rule; a fake Z on a known mesh shows each.
+    The complex character 5:2 is scanned on the whole mesh, the real
+    character 1:1 on its half [-h, 1] and reflected."""
 
-    MESH = np.linspace(-1.0, 1.0, 41)
+    MESH = np.concatenate([-np.linspace(1.0, 0.05, 20), np.linspace(0.0, 1.0, 21)])
 
     @pytest.fixture
     def fake_z(self, monkeypatch):
@@ -268,8 +272,8 @@ class TestBracketSources:
 
         return use
 
-    def scan(self):
-        return scan_zeros(character(1, 1), 1.0, mesh_step=0.05)
+    def scan(self, label=(5, 2)):
+        return scan_zeros(character(*label), 1.0, mesh_step=0.05)
 
     def test_dip_yields_a_close_pair(self, fake_z):
         f = lambda t: (t - 0.31) * (t - 0.33)
@@ -297,6 +301,43 @@ class TestBracketSources:
         hit = zs.ordinates == m
         assert hit.sum() == 1
         assert zs.lo[hit][0] == zs.hi[hit][0] == m
+
+    def test_real_exact_zero_at_the_origin_counts_once(self, fake_z):
+        fake_z(lambda t: t**2 * (t**2 - 0.31**2))
+        zs = self.scan((1, 1))
+        assert zs.count == 3
+        assert np.all(np.abs(zs.ordinates - [-0.31, 0.0, 0.31]) <= 1e-10)
+        assert zs.ordinates[1] == zs.lo[1] == zs.hi[1] == 0.0 and zs.residual[1] == 0.0
+
+    def test_real_close_pair_behind_a_dip_at_the_origin(self, fake_z):
+        # the dip at node 0 is re-tested only because the half scan starts at -h
+        f = lambda t: (t**2 - 0.022**2) * (t**2 - 0.027**2)
+        assert np.all(f(self.MESH) > 0)  # no sign change on the mesh
+        fake_z(f)
+        zs = self.scan((1, 1))
+        assert zs.count == 4
+        assert np.all(np.abs(zs.ordinates - [-0.027, -0.022, 0.022, 0.027]) <= 1e-10)
+        assert np.array_equal(zs.ordinates, -zs.ordinates[::-1])
+        assert np.array_equal(zs.lo, -zs.hi[::-1]) and np.all(zs.lo < zs.hi)
+
+    def test_uncertified_representative_uncertifies_its_pair(
+        self, fake_z, monkeypatch, tmp_path, capsys
+    ):
+        fake_z(lambda t: np.sin(40.0 * t))  # about 25 zeros where the formula expects none
+        scanned = []
+        scan = zeros.scan_zeros
+
+        def recording(chi, T, **kwargs):
+            scanned.append(chi.label)
+            return scan(chi, T, **kwargs)
+
+        monkeypatch.setattr(zeros, "scan_zeros", recording)
+        code = main(["zeros", "--q", "5", "--T", "1", "--cache-dir", str(tmp_path), "--json"])
+        rows = {row["index"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert code == 3
+        assert character(5, 3).label not in scanned and character(5, 2).label in scanned
+        assert rows[2]["certified"] is False and rows[3]["certified"] is False
+        assert rows[2]["count"] == rows[3]["count"] > 2
 
     def test_refine_zero_exact_end(self, fake_z):
         fake_z(lambda t: t - 0.25)
@@ -416,7 +457,8 @@ class TestModulusMap:
         m3 = zeros_for_modulus(3, 15.0)
         assert m[lab5].count == m3[character(3, 2).label].count
 
-    def test_one_scan_per_inducer_in_label_order(self, monkeypatch):
+    @pytest.mark.parametrize("q", [15, 24])
+    def test_one_scan_per_conjugate_pair_in_label_order(self, monkeypatch, q):
         scanned = {}
 
         def counting(chi, T, **kwargs):
@@ -426,15 +468,25 @@ class TestModulusMap:
             return zs
 
         monkeypatch.setattr(zeros, "scan_zeros", counting)
-        m = zeros_for_modulus(24, 10.0)
-        chars = enumerate_characters(24)
+        m = zeros_for_modulus(q, 10.0)
+        chars = enumerate_characters(q)
         assert list(m) == [chi.label for chi in chars]
-        inducers = {chi.label: conductor_and_inducer(chi)[1].label for chi in chars}
-        assert list(scanned) == sorted(set(inducers.values()),
+        inducers = {chi.label: conductor_and_inducer(chi)[1] for chi in chars}
+        reps = {psi.label: conjugate_pair(psi)[0].label for psi in inducers.values()}
+        assert list(scanned) == sorted(set(reps.values()),
                                        key=lambda lab: (lab.modulus, lab.index))
-        # induced characters share their inducer's set by reference
-        for label, inducer in inducers.items():
-            assert m[label] is scanned[inducer]
+        assert (q == 15) == (len(reps) > len(scanned))  # mod 15 has complex pairs
+        for label, psi in inducers.items():
+            zs, rep = m[label], scanned[reps[psi.label]]
+            if psi.label == rep.label:
+                # induced characters share their inducer's set by reference
+                assert zs is rep
+            else:
+                # the other member of a pair is the representative's mirror
+                assert (zs.label, zs.certified) == (psi.label, rep.certified)
+                assert np.array_equal(zs.ordinates, -rep.ordinates[::-1])
+                assert np.array_equal(zs.lo, -rep.hi[::-1])
+                assert np.array_equal(zs.residual, rep.residual[::-1])
 
     def test_cache_path_and_force(self):
         calls = []
@@ -444,10 +496,13 @@ class TestModulusMap:
                 calls.append((chi.label, T, mesh_step, tolerance, force))
                 return scan_zeros(chi, T, mesh_step=mesh_step, tolerance=tolerance)
 
-        m = zeros_for_modulus(12, 10.0, tolerance=1e-9, cache=FakeCache(), force=True)
-        assert len(m) == 4
-        assert [c[0] for c in calls] == sorted({zs.label for zs in m.values()},
-                                               key=lambda lab: (lab.modulus, lab.index))
+        m = zeros_for_modulus(15, 10.0, tolerance=1e-9, cache=FakeCache(), force=True)
+        assert len(m) == 8
+        # one call per conjugate pair, through its representative
+        reps = {conjugate_pair(character(lab.modulus, lab.index))[0].label
+                for lab in (zs.label for zs in m.values())}
+        assert [c[0] for c in calls] == sorted(reps, key=lambda lab: (lab.modulus, lab.index))
+        assert len(calls) < len({zs.label for zs in m.values()})
         assert all(c[1:] == (10.0, None, 1e-9, True) for c in calls)
 
     def test_threads_match_serial_bit_for_bit(self):
