@@ -8,10 +8,15 @@ bind no checkable name and are skipped.  Inside src/, no function body may
 import: every dependency of a module is stated at its top.  Only the sieve
 sees a prime table: no public function takes a `table`, and no other module
 names LambdaTable or table_for.  Only lfunc names its Euler-Maclaurin chunk
-budget _EM_CHUNK_ELEMENTS: other modules size their own work.
+budget _EM_CHUNK_ELEMENTS: other modules size their own work.  numpy is
+the only third-party package the command line loads: importing zeropair.cli
+in a fresh interpreter loads no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,3 +183,11 @@ def test_only_lfunc_names_its_chunk_budget():
              for path in sorted((ROOT / "src" / "zeropair").glob("*.py")) if path.stem != "lfunc"
              for line in chunk_budget_uses(path.read_text())]
     assert not found, "_EM_CHUNK_ELEMENTS outside lfunc:\n" + "\n".join(found)
+
+
+def test_cli_loads_no_scipy():
+    code = "import sys, zeropair.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert run.stdout.strip() == "[]"

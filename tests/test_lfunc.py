@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,7 +10,6 @@ import pytest
 from zeropair import lfunc, zeros
 from zeropair.characters import character, enumerate_characters
 from zeropair.lfunc import (
-    CompletedLParams,
     EvalPrecision,
     PoleError,
     PrecisionError,
@@ -273,11 +271,10 @@ class TestMeshEvaluator:
 
     def test_corrupted_rotation_raises(self, monkeypatch):
         chi = _primitive(23)[3]
-        params = lfunc._params_for(chi.label)
+        tilted = lfunc._rotation(chi.label) * cmath.exp(0.3j)
         prec = EvalPrecision.for_height(30.0)
         hardy_z_mesh(chi, 30.0, 0.05, prec)
-        tilted = dataclasses.replace(params, rotation=params.rotation * cmath.exp(0.3j))
-        monkeypatch.setattr(lfunc, "_params_for", lambda label: tilted)
+        monkeypatch.setattr(lfunc, "_rotation", lambda label: tilted)
         with pytest.raises(RealnessError):
             hardy_z_mesh(chi, 30.0, 0.05, prec)
 
@@ -408,6 +405,18 @@ class TestLValues:
         )
         assert abs(val - ref) <= 1e-10
 
+    def test_closed_forms_at_one_match_digamma(self):
+        parities = set()
+        count = 0
+        for q in range(3, 40):
+            for chi in _primitive(q):
+                ref = -mp.fsum(complex(chi(a)) * mp.digamma(mp.mpf(a) / q)
+                               for a in range(1, q) if chi(a) != 0) / q
+                assert abs(l_value(chi, 1) - complex(ref)) <= 1e-13
+                parities.add(chi.parity)
+                count += 1
+        assert parities == {0, 1} and count == 278
+
     def test_batch_matches_scalar(self):
         chi = character(5, 2)
         ts = np.array([0.0, 3.3, 17.9])
@@ -418,6 +427,63 @@ class TestLValues:
     def test_batch_requires_primitive(self):
         with pytest.raises(ValueError):
             l_critical_batch(character(12, 5), np.array([1.0]))
+
+
+_STIRLING_BOUND = 5e-16  # the truncation bound _log_gamma states for Re w >= 8
+
+
+def _log_gamma_tol(z: complex) -> float:
+    """The stated truncation bound plus four roundings of the terms that form
+    log Gamma(z): (w - 1/2) log w at w = z + n and the n logs of the shift."""
+    n = max(0, math.ceil(8 - z.real))
+    w = z + n
+    scale = abs(w * cmath.log(w)) + sum(abs(cmath.log(z + j)) for j in range(n))
+    return _STIRLING_BOUND + 4 * np.finfo(float).eps * scale
+
+
+def _mod_2pi(x) -> float:
+    return float(x - 2 * mp.pi * mp.nint(x / (2 * mp.pi)))
+
+
+def _log_gamma_err(got, z) -> float:
+    """|got - log Gamma(z)|, with the imaginary part taken mod 2 pi."""
+    err = mp.mpc(complex(got)) - mp.loggamma(mp.mpc(complex(z)))
+    return abs(complex(float(err.real), _mod_2pi(err.imag)))
+
+
+_HEIGHTS = np.array([0.0, 0.37, 5.5, 14.13, 17.85, 250.5, 999.9, 5000.3, 9999.7])
+_HEIGHTS = np.concatenate([_HEIGHTS, -_HEIGHTS[1:]])
+
+
+class TestGammaFactor:
+    def test_theta_matches_siegeltheta_for_q1(self):
+        chi = character(1, 1)
+        theta = lfunc._log_gamma_factor(chi, 0.5 + 1j * _HEIGHTS).imag
+        for t, th in zip(_HEIGHTS, theta):
+            err = _mod_2pi(mp.mpf(float(th)) - mp.siegeltheta(mp.mpf(float(t))))
+            assert abs(err) <= _log_gamma_tol(complex(0.25, t / 2))
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_theta_matches_loggamma_for_q_above_1(self, parity):
+        chi = next(c for q in range(3, 12) for c in _primitive(q) if c.parity == parity)
+        q = chi.modulus
+        theta = lfunc._log_gamma_factor(chi, 0.5 + 1j * _HEIGHTS).imag
+        for t, th in zip(_HEIGHTS, theta):
+            z = mp.mpc((0.5 + parity) / 2, mp.mpf(float(t)) / 2)
+            ref = mp.im(mp.loggamma(z)) + z.imag * mp.log(mp.mpf(q) / mp.pi)
+            assert abs(_mod_2pi(mp.mpf(float(th)) - ref)) <= _log_gamma_tol(complex(z))
+
+    @pytest.mark.parametrize("re", [-0.05, -5.0, -20.0])
+    def test_left_of_the_line_takes_a_longer_shift(self, re):
+        zs = re + 1j * np.array([0.3, 1.7, 12.5, -45.0, 300.0, 5000.0])
+        for z, got in zip(zs, lfunc._log_gamma(zs)):
+            assert _log_gamma_err(got, z) <= _log_gamma_tol(complex(z))
+
+    def test_series_without_the_shift_misses_the_bound(self, monkeypatch):
+        zs = np.array([0.25 + 0.5j, 0.75 + 1.2j, 1.5 + 0.3j])
+        monkeypatch.setattr(lfunc, "_STIRLING_MIN_RE", 0)
+        assert max(_log_gamma_err(got, z) / _log_gamma_tol(complex(z))
+                   for z, got in zip(zs, lfunc._log_gamma(zs))) > 1
 
 
 class TestRootNumbers:
@@ -440,10 +506,12 @@ class TestRootNumbers:
         with pytest.raises(ValueError):
             root_number(character(12, 5))
 
-    def test_params_record_branch(self):
-        params = CompletedLParams.from_character(character(4, 3))
-        assert params.branch == ROTATION_BRANCH
-        assert abs(params.rotation**2 - params.root_number) <= 1e-12
+    def test_rotation_on_its_branch(self):
+        chi = character(4, 3)
+        rotation = lfunc._rotation(chi.label)
+        assert ROTATION_BRANCH == "principal-sqrt"
+        assert rotation.conjugate() == cmath.sqrt(root_number(chi))
+        assert abs(rotation.conjugate() ** 2 - root_number(chi)) <= 1e-12
 
 
 class TestHardyZ:
@@ -529,6 +597,7 @@ class TestFunctionalEquation:
 
     def test_rotation_squares_to_root_number(self):
         for q, idx in [(5, 2), (7, 3), (11, 2), (13, 6)]:
-            params = CompletedLParams.from_character(character(q, idx))
-            assert abs(params.rotation**2 - params.root_number) <= 1e-12
-            assert abs(abs(params.rotation) - 1) <= 1e-12
+            chi = character(q, idx)
+            rotation = lfunc._rotation(chi.label)
+            assert abs(rotation.conjugate() ** 2 - root_number(chi)) <= 1e-12
+            assert abs(abs(rotation) - 1) <= 1e-12
