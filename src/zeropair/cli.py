@@ -45,7 +45,7 @@ from zeropair.conjectures import (
     weak_form_table,
 )
 from zeropair.explicit import psi_progression_from_zeros
-from zeropair.lfunc import EvalPrecision, PrecisionError
+from zeropair.lfunc import EvalPrecision, PrecisionError, mesh_interpolation
 from zeropair.paircorr import (
     CertificationError,
     f_q,
@@ -314,8 +314,13 @@ def _cmd_zeros(args):
             "bernoulli_terms": prec.bernoulli_terms,
             "target_abs_error": prec.target_abs_error,
         }
+        # the highest interpolation order of the scanned meshes, from their
+        # parameters alone, so a run served from the cache reports it too
+        plan = max((mesh_interpolation(zs.label.modulus, args.T, zs.mesh_step, prec)
+                    for zs in sets.values()), key=lambda m: (m.order, m.bound))
+        interp = {"order": plan.order, "bound": plan.bound, "target": plan.target}
         code = 0 if all_certified else 3
-        return _Result(rows, {"certified": all_certified, "em": em}, code)
+        return _Result(rows, {"certified": all_certified, "em": em, "interp": interp}, code)
 
     return {"T": args.T, "characters": [str(c.label) for c in chars]}, work
 

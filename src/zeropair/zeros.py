@@ -7,13 +7,19 @@ brackets rows of points: a sign change between neighbours gives a bracket,
 and an exact zero a bracket collapsed onto its point.  The mesh, the dips and
 refine_zero all take their brackets from it, and every bracket, exact ones
 included, goes through the same refinement and certificate.  Refinement is
-vectorised Illinois false position: each trial point sits at least
-tolerance/2 inside its bracket, so the bracket also closes from the side far
-from the root, and a step that fails to halve its bracket forces a bisection
-next, at most two steps per halving.  A final secant step gives the ordinate,
-and Z there its residual.  The mesh comes from lfunc.hardy_z_mesh, the other
-points from hardy_z_batch, all at EvalPrecision.for_height(T), the smallest
-Euler-Maclaurin size certified on the whole window.
+vectorised Illinois false position on an evaluator of Z: each trial point
+sits at least tolerance/2 inside its bracket, so the bracket also closes
+from the side far from the root, and a step that fails to halve its bracket
+forces a bisection next, at most two steps per halving.  A final secant
+step gives the ordinate; the bracket's ends then move out to the ordinate
+-+ tolerance/2, so that no end's sign is rounding.  A scan's mesh comes
+from lfunc.hardy_z_mesh, and its dip re-tests and refinement steps from
+lfunc.mesh_evaluator, which interpolates the mesh's direct sums within a
+stated bound (see lfunc); the residual at each ordinate is one
+Euler-Maclaurin hardy_z_batch call per scan, an independent cross-check.
+refine_zero refines on hardy_z_batch itself.  Everything runs at
+EvalPrecision.for_height(T), the smallest Euler-Maclaurin size certified on
+the whole window.
 
 The result carries a certificate: the count of located zeros must agree
 with the counting formula
@@ -51,7 +57,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -68,6 +74,8 @@ from zeropair.lfunc import (
     ROTATION_BRANCH,
     hardy_z_batch,
     hardy_z_mesh,
+    mesh_evaluator,
+    release_meshes,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -197,19 +205,21 @@ def _sign_brackets(t: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _refine_brackets(
-    chi, lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray, zhi: np.ndarray,
-    prec: EvalPrecision, tol: float,
+    z: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray, zhi: np.ndarray, tol: float,
 ) -> tuple[np.ndarray, ...]:
-    """Illinois false position to width <= tol, then one secant step inside the bracket.
+    """Illinois false position on the evaluator z to width <= tol, then one
+    secant step inside the bracket.
 
     Every trial point lies at least tol/2 inside its bracket, so a point that
     lands next to the root closes the bracket from the far side.  A step that
     fails to halve its bracket makes the next step a bisection, so at most
-    two steps pass per halving.  Returns the ordinates, their residuals, the
-    brackets and the values of Z at the bracket ends; a bracket collapsed to
-    a point holds an exact zero, with both end values 0.
+    two steps pass per halving.  Returns the ordinates, the brackets (ends
+    moved out to the ordinate -+ tol/2) and the values of Z at their ends; a
+    bracket collapsed to a point holds an exact zero, with both end values 0.
     """
-    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    first_lo, first_hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    lo, hi = first_lo.copy(), first_hi.copy()
     zlo, zhi = np.array(zlo, dtype=np.float64), np.array(zhi, dtype=np.float64)
     # end values for the false-position step; Illinois halves the value of an
     # end that is kept twice in a row
@@ -225,19 +235,19 @@ def _refine_brackets(
         halve = bisect[idx]
         x = np.where(halve, a + 0.5 * width, a + width * (fa / (fa - fb)))
         x = np.clip(x, a + 0.5 * tol, b - 0.5 * tol)
-        z = hardy_z_batch(chi, x, prec)
+        zx = z(x)
 
-        right = np.sign(z) == np.sign(zlo[idx])  # the root lies in [x, b]
-        exact = z == 0.0
+        right = np.sign(zx) == np.sign(zlo[idx])  # the root lies in [x, b]
+        exact = zx == 0.0
         lo[idx] = np.where(right | exact, x, a)
         hi[idx] = np.where(right & ~exact, b, x)
-        zlo[idx] = np.where(right | exact, z, zlo[idx])
-        zhi[idx] = np.where(right & ~exact, zhi[idx], z)
+        zlo[idx] = np.where(right | exact, zx, zlo[idx])
+        zhi[idx] = np.where(right & ~exact, zhi[idx], zx)
 
         side = np.where(right, 1, -1)
         again = kept[idx] == side
-        flo[idx] = np.where(right, z, np.where(again, 0.5 * fa, fa))
-        fhi[idx] = np.where(right, np.where(again, 0.5 * fb, fb), z)
+        flo[idx] = np.where(right, zx, np.where(again, 0.5 * fa, fa))
+        fhi[idx] = np.where(right, np.where(again, 0.5 * fb, fb), zx)
         # a bisection restarts false position from the true end values
         flo[idx] = np.where(halve, zlo[idx], flo[idx])
         fhi[idx] = np.where(halve, zhi[idx], fhi[idx])
@@ -246,8 +256,17 @@ def _refine_brackets(
     with np.errstate(divide="ignore", invalid="ignore"):
         secant = lo + (hi - lo) * (zlo / (zlo - zhi))
     ordinates = np.clip(np.where(hi > lo, secant, lo), lo, hi)
-    residual = np.abs(hardy_z_batch(chi, ordinates, prec))
-    return ordinates, residual, lo, hi, zlo, zhi
+    # the last false-position point often lands next to the root, where the
+    # sign of Z is rounding: move both ends of an open bracket out to the
+    # ordinate -+ tol/2 (less an ulp, so the width stays <= tol), within the
+    # first bracket, and take the certificate's signs there
+    move = np.nonzero(hi > lo)[0]
+    if move.size:
+        reach = 0.5 * tol - np.spacing(np.abs(ordinates[move]))
+        lo[move] = np.maximum(ordinates[move] - reach, first_lo[move])
+        hi[move] = np.minimum(ordinates[move] + reach, first_hi[move])
+        zlo[move], zhi[move] = np.split(z(np.concatenate([lo[move], hi[move]])), 2)
+    return ordinates, lo, hi, zlo, zhi
 
 
 def _brackets_certified(
@@ -283,6 +302,7 @@ def scan_zeros(
     if prec is None:
         prec = EvalPrecision.for_height(T)
 
+    z_at = mesh_evaluator(chi, T, mesh_step, prec)  # first: a too coarse mesh fails at once
     ts, z = hardy_z_mesh(chi, T, mesh_step, prec)
     if chi.is_real:
         # Z is even; start at the node -h so that a dip at 0 is re-tested
@@ -302,7 +322,7 @@ def scan_zeros(
     ]
     mids_l = 0.5 * (ts[dip - 1] + ts[dip])
     mids_r = 0.5 * (ts[dip] + ts[dip + 1])
-    zl, zr = np.split(hardy_z_batch(chi, np.concatenate([mids_l, mids_r]), prec), 2)
+    zl, zr = np.split(z_at(np.concatenate([mids_l, mids_r])), 2)
     dip_t = np.stack([ts[dip - 1], mids_l, ts[dip], mids_r, ts[dip + 1]], axis=1)
     dip_z = np.stack([z[dip - 1], zl, z[dip], zr, z[dip + 1]], axis=1)
     brackets = np.hstack([_sign_brackets(ts[None], z[None]), _sign_brackets(dip_t, dip_z)])
@@ -311,7 +331,8 @@ def scan_zeros(
         # the half [0, T]: a bracket left of 0 mirrors one right of it
         brackets = brackets[:, brackets[0] >= 0.0]
 
-    ords, resid, lo, hi, zlo, zhi = _refine_brackets(chi, *brackets, prec, tolerance)
+    ords, lo, hi, zlo, zhi = _refine_brackets(z_at, *brackets, tolerance)
+    resid = np.abs(hardy_z_batch(chi, ords, prec))  # the Euler-Maclaurin cross-check
     order = np.argsort(ords, kind="stable")
     arrays = ords[order], lo[order], hi[order], resid[order]
     if chi.is_real:
@@ -402,7 +423,10 @@ def refine_zero(
     found = _sign_brackets(ends, hardy_z_batch(chi, ends[0], prec)[None])
     if not found.shape[1]:
         raise ValueError(f"no sign change over {bracket} for {chi.label}")
-    ords, resid, lo, hi, zlo, zhi = _refine_brackets(chi, *found[:, :1], prec, tolerance)
+    ords, lo, hi, zlo, zhi = _refine_brackets(
+        lambda ts: hardy_z_batch(chi, ts, prec), *found[:, :1], tolerance
+    )
+    resid = np.abs(hardy_z_batch(chi, ords, prec))
     if not _brackets_certified(ords, lo, hi, zlo, zhi, tolerance):
         raise PrecisionError(
             f"refinement of {bracket} for {chi.label} stopped at {REFINE_STEP_CAP} steps "
@@ -449,5 +473,6 @@ def zeros_for_modulus(
             scanned = list(pool.map(scan, pairs))
     else:
         scanned = [scan(pair) for pair in pairs]
+    release_meshes()  # they served this modulus; a process scanning many keeps none
     by_label = {label: zs for sets in scanned for label, zs in sets.items()}
     return {label: by_label[psi.label] for label, psi in inducer_of.items()}

@@ -15,11 +15,16 @@ import pytest
 from zeropair import sieve, zeros
 from zeropair.characters import character
 from zeropair.cli import main, parse_config_file
-from zeropair.lfunc import EvalPrecision, PrecisionError, RealnessError
+from zeropair.lfunc import (
+    EvalPrecision,
+    PrecisionError,
+    RealnessError,
+    mesh_interpolation,
+)
 from zeropair.paircorr import f_q
 from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
 from zeropair.store import read_zero_set, write_zero_set
-from zeropair.zeros import zeros_for_modulus
+from zeropair.zeros import default_mesh_step, zeros_for_modulus
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +240,36 @@ class TestZeros:
         assert summary["rows"] and all("em" not in row for row in summary["rows"])
         _, table = run(capsys, cache_dir, "zeros", "--q", "5", "--T", "30")
         assert "em" not in table.splitlines()[0].split(",")
+
+    def test_json_summary_reports_interpolation_order_also_from_the_cache(self, capsys, tmp_path):
+        argv = ["zeros", "--q", "5", "--T", "30", "--json", "--cache-dir", str(tmp_path)]
+        summaries = []
+        for _ in range(2):  # a scan, then a run served from the cache
+            assert main(argv) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        prec = EvalPrecision.for_height(30.0)
+        plan = mesh_interpolation(5, 30.0, default_mesh_step(5, 30.0), prec)
+        want = {"order": plan.order, "bound": plan.bound, "target": prec.target_abs_error}
+        assert summaries[0]["interp"] == summaries[1]["interp"] == want
+        assert plan.bound <= plan.target
+        assert all("interp" not in row for row in summaries[0]["rows"])
+
+    def test_mesh_too_coarse_to_interpolate_exits_3(self, capsys, tmp_path):
+        config = tmp_path / "coarse.cfg"
+        config.write_text("mesh_step = 0.5\n")
+        code = main(["zeros", "--chi", "1:1", "--T", "1000", "--config", str(config),
+                     "--cache-dir", str(tmp_path)])
+        assert code == 3
+        assert "too coarse to interpolate" in capsys.readouterr().err
+
+    def test_interpolation_below_its_order_exits_3(self, capsys, tmp_path, monkeypatch):
+        def low(*args):
+            return replace(mesh_interpolation(*args), order=2)
+
+        monkeypatch.setattr("zeropair.lfunc.mesh_interpolation", low)
+        code = main(["zeros", "--chi", "5:2", "--T", "30", "--cache-dir", str(tmp_path)])
+        assert code == 3
+        assert "mesh interpolation bound" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [PrecisionError, RealnessError])
     def test_numeric_budget_failure_exits_3(self, capsys, tmp_path, monkeypatch, error):
@@ -624,7 +659,7 @@ class TestOutputPlumbing:
     ]
     # the summary fields a command adds after params; every command but
     # report adds its rows last
-    OWN_FIELDS = {"zeros": ["certified", "em"], "check": ["passed"], "report": ["files"]}
+    OWN_FIELDS = {"zeros": ["certified", "em", "interp"], "check": ["passed"], "report": ["files"]}
 
     def test_every_subcommand_has_dry_run(self, capsys, cache_dir):
         for argv in self.CALLS:
@@ -687,8 +722,8 @@ class TestReport:
     ]
     # the bundle's bytes; a change that moves a cell updates these and names the cells
     SHA256 = {
-        "zeta_ratio_T100.csv": "731def4f09dbb17febb354587f232bfdbe3e6ea30bbbd322c0c07eae378d41ed",
-        "thm_ratio.csv": "becfe2a73f00f9c1dafaf3dfbfeb0ab35d9cf60c47a0e0e967d22bcd40a5bea2",
+        "zeta_ratio_T100.csv": "cca8d8887398daaf6de89786bcef665b309cef143ced0fafc3c2e0c3211ae3fd",
+        "thm_ratio.csv": "cc5da069ab7a9f3da6fdec8481f315c6163259eed3bb94e577ecc8c3efcea6c3",
         "gue_histogram_q1_T100.csv":
             "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
         "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -297,10 +298,109 @@ class TestMeshEvaluator:
         monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 5000)
         monkeypatch.setattr(lfunc.np, "matmul", recording)
         lfunc._mesh_columns.cache_clear()
+        lfunc._mesh_direct.cache_clear()
         blocked_ts, blocked = lfunc._mesh_columns(23, T, step, prec)
         lfunc._mesh_columns.cache_clear()
+        lfunc._mesh_direct.cache_clear()
         assert len(sizes) > 1 and max(sizes) <= 5000
         assert np.array_equal(blocked_ts, ts) and np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("label, T, tol", [((1, 1), 1000.0, 2e-12), ((23, 2), 30.0, 1e-13)])
+    def test_negative_half_matches_hardy_z_batch_at_minus_t(self, label, T, tol):
+        # the phase is computed on t >= 0 and mirrored
+        chi = character(*label)
+        prec = EvalPrecision.for_height(T)
+        ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(label[0], T), prec)
+        neg = ts < 0
+        ref = hardy_z_batch(chi, ts[neg], prec)
+        assert np.max(np.abs(z[neg] - ref) / (1 + np.abs(ref))) <= tol
+
+
+class TestMeshInterpolation:
+    """mesh_evaluator: Z anywhere in [-T, T] from the direct sums of the scan
+    mesh, within the stated bound of mesh_interpolation."""
+
+    @pytest.mark.parametrize("label, T", [((1, 1), 1000.0), ((23, 2), 100.0)])
+    def test_within_stated_bound_of_hardy_z_batch(self, label, T):
+        chi = character(*label)
+        assert chi.is_primitive and (label[0] == 1 or not chi.is_real)
+        prec = EvalPrecision.for_height(T)
+        step = zeros.default_mesh_step(label[0], T)
+        plan = lfunc.mesh_interpolation(label[0], T, step, prec)
+        assert plan.bound <= plan.target == prec.target_abs_error
+        ts = np.random.default_rng(5).uniform(-T, T, 300)
+        ts = np.concatenate([ts, [-T, 0.0, T]])
+        got = lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+        ref = hardy_z_batch(chi, ts, prec)
+        assert np.max(np.abs(got - ref)) <= plan.bound + prec.target_abs_error
+
+    def test_order_is_the_smallest_that_meets_the_target(self):
+        T = 100.0
+        prec = EvalPrecision.for_height(T)
+        plan = lfunc.mesh_interpolation(23, T, zeros.default_mesh_step(23, T), prec)
+        p = plan.order
+        def bound(order):
+            return lfunc._stencil_factor(plan.scale, plan.width * plan.step, order) * (
+                lfunc._stencil_peak(order))
+
+        assert plan.bound == bound(p) <= plan.target
+        assert bound(p - 1) > plan.target
+
+    def test_stencil_peak_bounds_the_node_polynomial_near_the_centre(self):
+        for p in range(1, 13):
+            u = p / 2 + np.linspace(-0.5, 0.5, 1001)
+            node = np.prod(u[:, None] - np.arange(p + 1), axis=1)
+            assert np.max(np.abs(node)) <= lfunc._stencil_peak(p)
+
+    def test_em_tail_regroups_the_euler_maclaurin_tail(self):
+        prec = EvalPrecision.for_height(100.0)
+        shifts, values = lfunc._residues(character(23, 2).label)
+        s = 0.5 + 1j * np.random.default_rng(3).uniform(-100.0, 100.0, 50)
+        cols = np.zeros((s.size, shifts.size), dtype=np.complex128)
+        lfunc._add_em_tail(cols, s[:, None], prec.direct_terms + shifts, prec.bernoulli_terms)
+        ref = cols @ values
+        got = lfunc._em_tail(shifts, values, prec)(s)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_mesh_too_coarse_for_any_order_raises(self):
+        prec = EvalPrecision.for_height(1000.0)
+        with pytest.raises(PrecisionError):
+            lfunc.mesh_interpolation(1, 1000.0, 0.5, prec)
+        with pytest.raises(PrecisionError):
+            lfunc.mesh_evaluator(character(1, 1), 1000.0, 0.5, prec)
+
+    def test_order_below_the_chosen_one_raises(self, monkeypatch):
+        T = 100.0
+        chi = character(23, 2)
+        prec = EvalPrecision.for_height(T)
+        step = zeros.default_mesh_step(23, T)
+        ts = np.linspace(10.0, 10.0 + 3 * step, 41)
+        lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+        chosen = lfunc.mesh_interpolation
+
+        def lower(*args):
+            plan = chosen(*args)
+            return replace(plan, order=plan.order - 2)
+
+        monkeypatch.setattr(lfunc, "mesh_interpolation", lower)
+        with pytest.raises(PrecisionError):
+            lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+
+    def test_window_certified_at_its_worst_point(self):
+        T = 30.0
+        prec = EvalPrecision.for_height(T)
+        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        chi = _primitive(23)[0]
+        lfunc.mesh_evaluator(chi, T, 0.05, prec)
+        with pytest.raises(PrecisionError):
+            lfunc.mesh_evaluator(chi, T, 0.05, fewer)
+
+    def test_points_outside_the_window_rejected(self):
+        T = 30.0
+        prec = EvalPrecision.for_height(T)
+        z = lfunc.mesh_evaluator(character(1, 1), T, 0.05, prec)
+        with pytest.raises(ValueError):
+            z(np.array([T + 0.01]))
 
 
 class TestMeshExpSums:

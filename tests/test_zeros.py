@@ -203,14 +203,26 @@ class TestRefinementCertificate:
         assert code == 3
 
     def test_refinement_points_per_zero(self, monkeypatch):
-        # the mesh goes through hardy_z_mesh, so every hardy_z_batch point
-        # belongs to a dip re-test, a refinement step or a final residual
+        # the mesh goes through hardy_z_mesh, so every point of the mesh
+        # evaluator belongs to a dip re-test or a refinement step, and every
+        # hardy_z_batch point to a final residual
         points = [0]
+        evaluator = zeros.mesh_evaluator
+
+        def counting_evaluator(chi, T, mesh_step, prec):
+            z = evaluator(chi, T, mesh_step, prec)
+
+            def counted(ts):
+                points[0] += np.size(ts)
+                return z(ts)
+
+            return counted
 
         def counting(chi, ts, prec=None):
             points[0] += np.size(ts)
             return hardy_z_batch(chi, ts, prec)
 
+        monkeypatch.setattr(zeros, "mesh_evaluator", counting_evaluator)
         monkeypatch.setattr(zeros, "hardy_z_batch", counting)
         found = refined = 0
         for chi in enumerate_characters(5):
@@ -233,21 +245,18 @@ class TestRefinementCertificate:
         ],
         ids=["cubic", "exponential", "step", "flat"],
     )
-    def test_hard_functions_close_within_twice_bisection(self, monkeypatch, f):
+    def test_hard_functions_close_within_twice_bisection(self, f):
         steps = [0]
 
-        def fake(chi, ts, prec=None):
+        def fake(ts):
             steps[0] += 1
             return f(np.asarray(ts, dtype=np.float64))
 
-        monkeypatch.setattr(zeros, "hardy_z_batch", fake)
         tol, lo, hi = 1e-10, np.array([0.0]), np.array([0.05])
-        ords, resid, blo, bhi, zlo, zhi = _refine_brackets(
-            None, lo, hi, f(lo), f(hi), None, tol
-        )
+        ords, blo, bhi, zlo, zhi = _refine_brackets(fake, lo, hi, f(lo), f(hi), tol)
         assert _brackets_certified(ords, blo, bhi, zlo, zhi, tol)
-        # the last call is the residual; a halving costs at most two steps
-        assert steps[0] - 1 <= 2 * math.ceil(math.log2(0.05 / tol))
+        # every call is a step (the residual is the caller's); a halving costs at most two
+        assert steps[0] <= 2 * math.ceil(math.log2(0.05 / tol))
 
 
 class TestBracketSources:
@@ -267,7 +276,11 @@ class TestBracketSources:
             def batch(chi, ts, prec=None):
                 return f(np.asarray(ts, dtype=np.float64))
 
+            def evaluator(chi, T, mesh_step, prec):
+                return lambda ts: f(np.asarray(ts, dtype=np.float64))
+
             monkeypatch.setattr(zeros, "hardy_z_mesh", mesh)
+            monkeypatch.setattr(zeros, "mesh_evaluator", evaluator)
             monkeypatch.setattr(zeros, "hardy_z_batch", batch)
 
         return use
