@@ -317,8 +317,9 @@ def _cmd_zeros(args):
         # the highest interpolation order of the scanned meshes, from their
         # parameters alone, so a run served from the cache reports it too
         plan = max((mesh_interpolation(zs.label.modulus, args.T, zs.mesh_step, prec)
-                    for zs in sets.values()), key=lambda m: (m.order, m.bound))
-        interp = {"order": plan.order, "bound": plan.bound, "target": plan.target}
+                    for zs in sets.values()), key=lambda m: (m.order, m.truncation))
+        interp = {"order": plan.order, "truncation_bound": plan.truncation,
+                  "target": plan.target}
         code = 0 if all_certified else 3
         return _Result(rows, {"certified": all_certified, "em": em, "interp": interp}, code)
 

@@ -28,14 +28,15 @@ bounded.
 A zero scan needs the same columns for every character mod q on the same
 mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
 keeps the last few meshes, so each further character costs one
-matrix-vector product.  Only the half t >= 0 is computed: the shifts are
-real, so the columns at -t are the conjugates of those at t, and theta is
-odd, so the phase at -t is mirrored too.  The direct sums
+matrix-vector product.  Only the half t >= 0 is computed and kept: the
+shifts are real, so the columns at -t are the conjugates of those at t, and
+theta is odd, so the phase at -t is mirrored too.  The direct sums
 D_a(t) = sum_{n<N} (n+a)^(-1/2) e^(-it log(n+a)) on the mesh come from
 mesh_exp_sums, the blocked exponential-sum kernel for equispaced points
 (the Odlyzko-Schonhage factorisation), which also serves the sigma(v)
 quadrature of paircorr; the Euler-Maclaurin tail and the remainder check
-are the evaluator's own, at the same points.
+are the evaluator's own, at the same points.  The mesh keeps the direct
+sums beside the columns.
 
 Between the mesh nodes, mesh_evaluator gives Z at any t of [-T, T] without
 a new direct sum (the second half of Odlyzko-Schonhage).  A character's
@@ -44,22 +45,27 @@ a band of half width beta = (log q + log(N - 1 + a_max)) / 2 (a_max the
 largest unit shift), so times e^(-ict), c the band's centre, its (p+1)-th
 derivative is at most beta^(p+1) sum|c_n|, sum|c_n| = sum_a sum_n
 (n + a/q)^(-1/2).  The degree-p Lagrange stencil of the p + 1 mesh nodes
-nearest t then errs in Z by at most
+nearest t, from exact node values, then errs in Z by at most
 
     2 beta^(p+1) sum|c_n| h^(p+1) |prod_{j<=p} (u - j)| / (p+1)! q^(-1/2)
 
 (real and imaginary parts, times |q^-s|), u the position of t in its
-stencil in mesh steps.  mesh_interpolation picks the smallest p whose bound
-at the worst centred position meets the precision's target, from
-(q, T, mesh step, precision) alone; a mesh too coarse for every p up to
-_INTERP_MAX_ORDER raises PrecisionError, and so does any point whose own
-bound exceeds the target.  The mesh carries _MESH_PAD nodes past T, so every
-stencil of the window is centred.  The Euler-Maclaurin tail, q^-s and the
-phase are added at t itself, and the realness check runs as for the mesh.
-The remainder check runs once per evaluator, at the window's worst point
-t = T, not at every point.  hardy_z_batch stays the independent Euler-Maclaurin
-oracle: for tests, for the residuals of a scan, for refine_zero and, through
-the same kernel, for l_value.
+stencil in mesh steps.  This is a truncation bound, like the
+Euler-Maclaurin remainder: the rounding already in the node values, times
+the stencil's Lebesgue constant (at most 2.04 here), is not in it.  That
+rounding grows with t; at q = 1, T = 10^4 it is about 2e-11, above both
+the truncation bound and the target (ROADMAP item 2 states it).
+mesh_interpolation picks the smallest p whose bound at the worst centred
+position meets the precision's target, from (q, T, mesh step, precision)
+alone; a mesh too coarse for every p up to _INTERP_MAX_ORDER raises
+PrecisionError, and so does any point whose own bound exceeds the target.
+The mesh carries _MESH_PAD nodes past T, so every stencil of the window is
+centred.  The Euler-Maclaurin tail, q^-s and the phase are added at t
+itself, and the realness check runs as for the mesh.  The remainder check
+runs once per evaluator, at the window's worst point t = T, not at every
+point.  hardy_z_batch stays the independent Euler-Maclaurin oracle: for
+tests, for the residuals of a scan, for refine_zero and, through the same
+kernel, for l_value.
 
 Imprimitive values are obtained from the inducing character by stripping
 Euler factors.  At s = 1, L(1, chi) is i pi tau(chi)/q^2 sum_a conj chi(a) a
@@ -121,11 +127,12 @@ _BERN_OVER_FACT = tuple(
 _STIRLING = tuple(float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 13))
 _STIRLING_MIN_RE = 8  # least Re w at which the series is summed
 # elements of one direct-sum tensor: rows x N x (block bases + block width)
-# for the two operands of one mesh_exp_sums product, and a _EM_KERNEL_SHARE-th
-# of that (2^16, 1 MiB of complex128) for points x residues x N in the
-# Euler-Maclaurin kernel, so that its temporaries stay below a scan's mesh
+# for the two operands of one mesh_exp_sums product; and, 1 MiB of complex128,
+# points x residues x N in the Euler-Maclaurin kernel and rows x residues for
+# the scan mesh's tail and mirrored products, whose temporaries would
+# otherwise add copies of the whole mesh to a scan's peak
 _EM_CHUNK_ELEMENTS = 1 << 22
-_EM_KERNEL_SHARE = 64
+_EM_KERNEL_ELEMENTS = 1 << 16
 REALNESS_TOL = 1e-8  # largest |Im| of a rotated value, relative to 1 + |value|
 
 
@@ -286,34 +293,6 @@ def _add_em_tail(total: np.ndarray, s: np.ndarray, w: np.ndarray, m: int) -> Non
             wpow = wpow * wstep
 
 
-def _em_tail(shifts: np.ndarray, values: np.ndarray, prec: EvalPrecision):
-    """A function of a 1-d array of s: sum_a values_a (the Euler-Maclaurin tail
-    of zeta(s, a) past N), for the shifts a.  The terms of _add_em_tail are
-    regrouped as
-
-        sum_a values_a w^e w^-s,  e = 1, 0, -1, -3, ..., 1 - 2M,  w = N + a,
-
-    one matrix product for every power, times 1/(s-1), 1/2 and the rising
-    factorials (s)_{2j-1} B_2j/(2j)!, which depend on s alone."""
-    m = prec.bernoulli_terms
-    w = prec.direct_terms + shifts
-    log_w = np.log(w)
-    powers = np.array([1.0, 0.0, *(1.0 - 2.0 * np.arange(1, m + 1))])
-    coeffs = values[:, None] * w[:, None] ** powers
-    bern = np.array(_BERN_OVER_FACT[:m])
-    step = max(1, _EM_CHUNK_ELEMENTS // (_EM_KERNEL_SHARE * shifts.size))
-
-    def tail(s: np.ndarray) -> np.ndarray:
-        sums = np.empty((s.size, m + 2), dtype=np.complex128)
-        for i in range(0, s.size, step):
-            sums[i : i + step] = np.exp(-s[i : i + step, None] * log_w) @ coeffs
-        rising = np.cumprod(s[:, None] + np.arange(2 * m - 1), axis=1)[:, ::2]  # (s)_{2j-1}
-        bernoulli_part = np.einsum("ij,ij->i", rising * bern, sums[:, 2:])
-        return sums[:, 0] / (s - 1) + 0.5 * sums[:, 1] + bernoulli_part
-
-    return tail
-
-
 def hurwitz_zeta_batch(
     s: np.ndarray, a: float | np.ndarray, prec: EvalPrecision | None = None
 ) -> np.ndarray:
@@ -379,7 +358,7 @@ def _l_primitive(chi: DirichletCharacter, s: np.ndarray, prec: EvalPrecision) ->
     the character values combines them."""
     shifts, values = _residues(chi.label)
     k = shifts.size
-    step = max(1, _EM_CHUNK_ELEMENTS // (_EM_KERNEL_SHARE * k * prec.direct_terms))
+    step = max(1, _EM_KERNEL_ELEMENTS // (k * prec.direct_terms))
     total = np.empty(s.shape, dtype=np.complex128)
     for i in range(0, s.size, step):
         block = s[i : i + step, None]
@@ -477,8 +456,14 @@ def _rotation(label) -> complex:
     return cmath.sqrt(root_number(character(label.modulus, label.index))).conjugate()
 
 
-def _phase(chi: DirichletCharacter, ts: np.ndarray) -> np.ndarray:
-    return _rotation(chi.label) * np.exp(1j * _log_gamma_factor(chi, 0.5 + 1j * ts).imag)
+def _phase(chi: DirichletCharacter, ts: np.ndarray, mirror: bool = False) -> np.ndarray:
+    """The rotation times e^(i theta(t)) at ts.  With mirror, ts is a half mesh
+    from t = 0 and the phase is returned on the whole mesh -ts[:0:-1], ts:
+    theta is odd, so e^(i theta(-t)) is the conjugate of e^(i theta(t))."""
+    turn = np.exp(1j * _log_gamma_factor(chi, 0.5 + 1j * ts).imag)
+    if mirror:
+        turn = np.concatenate([turn[:0:-1].conj(), turn])
+    return _rotation(chi.label) * turn
 
 
 def _rotated_real(chi: DirichletCharacter, ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -515,58 +500,61 @@ def hardy_z_batch(
 
 
 @lru_cache(maxsize=4)
-def _mesh_direct(q: int, T: float, mesh_step: float, prec: EvalPrecision):
-    """The nodes t_m = m h, m <= ceil(T / mesh_step) + _MESH_PAD, and the direct
-    sums D_a(t) = sum_{n<N} (n + a)^(-1/2) e^(-i t log(n+a)) of the shifts
-    a/q of the units mod q on them, as read-only arrays of shapes (P,) and (P, k).
+def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
+    """The half scan mesh, its direct sums and its Hurwitz columns for the
+    units a mod q, as read-only arrays (ts, direct, cols).
 
-    The nodes up to T are the half mesh of _mesh_columns, from one
-    mesh_exp_sums call in its blocked layout; the _MESH_PAD nodes past T come
-    from a second call and give every interpolation stencil of the window
-    its nodes on both sides.
+    ts holds the nodes t_m = m h, m <= ceil(T / mesh_step) + _MESH_PAD, with
+    h = T / ceil(T / mesh_step), so the node ceil(T / mesh_step) is T; direct
+    holds D_a(t) = sum_{n<N} (n + a)^(-1/2) e^(-i t log(n+a)) for the shifts
+    a/q at every node, and cols the columns q^-s zeta(s, a/q), s = 1/2 + it,
+    at the nodes up to T.  The nodes up to T come from one mesh_exp_sums
+    call in its blocked layout; the _MESH_PAD nodes past T come from a
+    second call and give every interpolation stencil of the window its
+    nodes on both sides.  The columns add the Euler-Maclaurin tail, with
+    the remainder check, to a copy of the direct sums at the same floats t.
+    The shifts a/q and q are real, so the mesh of [-T, T] is this half and
+    its mirrored conjugate; no negative node is stored.
     """
     half = math.ceil(T / mesh_step)
     h = T / half
-    logs = np.log(_unit_shifts(q)[:, None] + np.arange(prec.direct_terms, dtype=np.float64))
+    shifts = _unit_shifts(q)
+    n = prec.direct_terms
+    logs = np.log(shifts[:, None] + np.arange(n, dtype=np.float64))
     ts, direct = mesh_exp_sums(0.0, h, half + 1, -logs, -0.5 * logs)
     pad_ts, pad = mesh_exp_sums((half + 1) * h, h, _MESH_PAD, -logs, -0.5 * logs)
     ts, direct = np.concatenate([ts, pad_ts]), np.concatenate([direct, pad])
-    ts.flags.writeable = direct.flags.writeable = False
-    return ts, direct
-
-
-@lru_cache(maxsize=4)
-def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
-    """The scan mesh of [-T, T] and the columns q^-s zeta(s, a/q), s = 1/2 + it,
-    of the units a mod q on it, as read-only arrays of shapes (P,) and (P, k).
-
-    The P = 2 ceil(T / mesh_step) + 1 points step by h = T / ceil(T / mesh_step)
-    and are symmetric about the node t = 0.  Only the half [0, T] is computed:
-    its direct sums are those of _mesh_direct, to which the Euler-Maclaurin
-    tail and the remainder check add at the same floats t.  The shifts a/q
-    and q are real, so the column at -t is the conjugate of the column at t,
-    and the negative half is the mirrored conjugate.
-    """
-    half = math.ceil(T / mesh_step)
-    shifts = _unit_shifts(q)
-    n = prec.direct_terms
-    ts, direct = _mesh_direct(q, T, mesh_step, prec)
-    ts, cols = ts[: half + 1], direct[: half + 1].copy()
-    s = 0.5 + 1j * ts[:, None]
+    cols = direct[: half + 1].copy()
+    s = 0.5 + 1j * ts[: half + 1, None]
     _certify(s, float(shifts[0]), prec)
-    _add_em_tail(cols, s, n + shifts, prec.bernoulli_terms)
+    rows = max(1, _EM_KERNEL_ELEMENTS // shifts.size)  # the tail's temporaries, a block at a time
+    for i in range(0, half + 1, rows):
+        _add_em_tail(cols[i : i + rows], s[i : i + rows], n + shifts, prec.bernoulli_terms)
     if q > 1:
         cols *= np.exp(-s * math.log(q))
-    ts = np.concatenate([-ts[:0:-1], ts])
-    cols = np.concatenate([cols[:0:-1].conj(), cols])
-    ts.flags.writeable = cols.flags.writeable = False
-    return ts, cols
+    for a in (ts, direct, cols):
+        a.flags.writeable = False
+    return ts, direct, cols
 
 
 def release_meshes() -> None:
-    """Drop every cached scan mesh: its columns and its direct sums."""
+    """Drop every cached scan mesh."""
     _mesh_columns.cache_clear()
-    _mesh_direct.cache_clear()
+
+
+def _mirrored(half: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """rows @ values on a symmetric mesh from the half mesh's rows at t >= 0:
+    the row at -t is the conjugate of the row at t.  The conjugate rows are
+    formed, a block at a time, not folded into conj(row @ conj(values)),
+    whose floats differ."""
+    n = half.shape[0]
+    out = np.empty(2 * n - 1, dtype=np.complex128)
+    out[n - 1 :] = half @ values
+    negative, mirror = out[: n - 1], half[:0:-1]
+    rows = max(1, _EM_KERNEL_ELEMENTS // half.shape[1])
+    for i in range(0, n - 1, rows):
+        negative[i : i + rows] = mirror[i : i + rows].conj() @ values
+    return out
 
 
 def hardy_z_mesh(
@@ -575,19 +563,19 @@ def hardy_z_mesh(
     """The scan mesh of [-T, T] with spacing at most mesh_step, and the rotated
     values of primitive chi on it.
 
-    The Hurwitz columns depend only on (q, T, mesh_step, prec) and are kept
-    for the next character of the same modulus, which then costs one
-    matrix-vector product.  The phase is computed on t >= 0 only: theta is
-    odd, so e^(i theta(-t)) is the conjugate of e^(i theta(t)).  The
-    realness check runs at every point.
+    The P = 2 ceil(T / mesh_step) + 1 points are symmetric about the node
+    t = 0.  The Hurwitz columns depend only on (q, T, mesh_step, prec) and
+    are kept, for t >= 0 only, for the next character of the same modulus,
+    which then costs one matrix-vector product; the negative half is
+    mirrored, and so is the phase.  The realness check runs at every point.
     """
     if not chi.is_primitive:
         raise ValueError("hardy_z_mesh requires a primitive character")
-    ts, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
-    half = ts.size // 2
-    turn = np.exp(1j * _log_gamma_factor(chi, 0.5 + 1j * ts[half:]).imag)
-    phase = _rotation(chi.label) * np.concatenate([turn[:0:-1].conj(), turn])
-    vals = phase * (cols @ _residues(chi.label)[1])
+    half_ts, _, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
+    half_ts = half_ts[: cols.shape[0]]
+    ts = np.concatenate([-half_ts[:0:-1], half_ts])
+    ts.flags.writeable = False
+    vals = _phase(chi, half_ts, mirror=True) * _mirrored(cols, _residues(chi.label)[1])
     return ts, _rotated_real(chi, ts, vals)
 
 
@@ -600,12 +588,14 @@ def _stencil_peak(order: int) -> float:
 @dataclass(frozen=True)
 class MeshInterpolation:
     """The interpolation of a scan mesh's direct sums (see the module notes):
-    the stencil degree `order`, its stated `bound` at the worst centred
-    position against `target`, the mesh step, the band's centre and half
-    width, and scale = 2 sum|c_n| / sqrt(q)."""
+    the stencil degree `order`, its truncation bound `truncation` at the
+    worst centred position against `target`, the mesh step, the band's
+    centre and half width, and scale = 2 sum|c_n| / sqrt(q).  The bound
+    leaves out the rounding already in the mesh nodes, as the
+    Euler-Maclaurin certificate leaves out its own."""
 
     order: int
-    bound: float
+    truncation: float
     target: float
     step: float
     centre: float
@@ -626,7 +616,7 @@ def mesh_interpolation(
     q: int, T: float, mesh_step: float, prec: EvalPrecision
 ) -> MeshInterpolation:
     """The interpolation order of the scan mesh (q, T, mesh_step, prec) and its
-    stated bound; PrecisionError if no order up to _INTERP_MAX_ORDER meets
+    truncation bound; PrecisionError if no order up to _INTERP_MAX_ORDER meets
     prec.target_abs_error, i.e. the mesh is too coarse for its band."""
     h = T / math.ceil(T / mesh_step)
     shifts = _unit_shifts(q)
@@ -642,7 +632,8 @@ def mesh_interpolation(
                                      width, scale)
     raise PrecisionError(
         f"mesh step {h:.4g} is too coarse to interpolate q={q} up to T={T:g}: order "
-        f"{_INTERP_MAX_ORDER} still bounds {bound:.3e} > target {prec.target_abs_error:.3e}"
+        f"{_INTERP_MAX_ORDER} still bounds the truncation by {bound:.3e} "
+        f"> target {prec.target_abs_error:.3e}"
     )
 
 
@@ -658,9 +649,11 @@ def mesh_evaluator(
     the phase carries no error of order t.  The Euler-Maclaurin tail, q^-s
     and the phase are then added at t itself, and the realness check runs as
     in hardy_z_batch.  p is mesh_interpolation's order; every point's own
-    bound is checked against prec.target_abs_error, and a point over it
-    raises PrecisionError.  The Euler-Maclaurin remainder is checked once,
-    at t = T, where its bound is largest, not at every point.
+    truncation bound is checked against prec.target_abs_error, and a point
+    over it raises PrecisionError.  The rounding of the mesh nodes, times the
+    stencil's Lebesgue constant (at most 2.04 for a centred stencil of
+    degree <= 40), is not in that bound.  The Euler-Maclaurin remainder is
+    checked once, at t = T, where its bound is largest, not at every point.
     """
     if not chi.is_primitive:
         raise ValueError("mesh_evaluator requires a primitive character")
@@ -669,9 +662,8 @@ def mesh_evaluator(
     p = plan.order
     shifts, values = _residues(chi.label)
     _certify(np.array([complex(0.5, T)]), float(shifts[0]), prec)  # the window's worst point
-    half_ts, direct = _mesh_direct(q, T, mesh_step, prec)
-    # S(-t) = sum_a chi(a) conj D_a(t) = conj(sum_a conj chi(a) D_a(t))
-    sums = np.concatenate([(direct[:0:-1] @ values.conj()).conj(), direct @ values])
+    half_ts, direct, _ = _mesh_columns(q, T, mesh_step, prec)
+    sums = _mirrored(direct, values)  # S(t) on the mesh of [-T - pad, T + pad]
     h, origin = plan.step, half_ts.size - 1
     edge = half_ts[half_ts.size - _MESH_PAD - 1]  # the mesh node at T
     offsets = np.arange(p + 1)
@@ -679,7 +671,6 @@ def mesh_evaluator(
     denom = np.array([(-1) ** (p - j) * math.factorial(j) * math.factorial(p - j)
                       for j in range(p + 1)], dtype=np.float64)
     factor = _stencil_factor(plan.scale, plan.width * h, p)
-    tail = _em_tail(shifts, values, prec)
 
     def z(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
@@ -693,13 +684,15 @@ def mesh_evaluator(
         worst = factor * float(np.max(np.abs(left[:, -1] * gaps[:, -1]), initial=0.0))
         if worst > plan.target:
             raise PrecisionError(
-                f"mesh interpolation bound {worst:.3e} exceeds target {plan.target:.3e} "
+                f"mesh interpolation truncation bound {worst:.3e} exceeds target {plan.target:.3e} "
                 f"(order {p}, step {h:.4g}) for {chi.label}"
             )
         weights = left * right / denom * np.exp(1j * (plan.centre * h) * gaps)
         total = np.einsum("ij,ij->i", weights, sums[first[:, None] + offsets])
         s = 0.5 + 1j * ts
-        total += tail(s)
+        tail = np.zeros((ts.size, shifts.size), dtype=np.complex128)
+        _add_em_tail(tail, s[:, None], prec.direct_terms + shifts, prec.bernoulli_terms)
+        total += tail @ values
         if q > 1:
             total *= np.exp(-s * math.log(q))
         return _rotated_real(chi, ts, _phase(chi, ts) * total)

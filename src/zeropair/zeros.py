@@ -15,7 +15,8 @@ step gives the ordinate; the bracket's ends then move out to the ordinate
 -+ tolerance/2, so that no end's sign is rounding.  A scan's mesh comes
 from lfunc.hardy_z_mesh, and its dip re-tests and refinement steps from
 lfunc.mesh_evaluator, which interpolates the mesh's direct sums within a
-stated bound (see lfunc); the residual at each ordinate is one
+stated truncation bound (see lfunc; like the Euler-Maclaurin certificate, it
+leaves out rounding); the residual at each ordinate is one
 Euler-Maclaurin hardy_z_batch call per scan, an independent cross-check.
 refine_zero refines on hardy_z_batch itself.  Everything runs at
 EvalPrecision.for_height(T), the smallest Euler-Maclaurin size certified on

@@ -249,9 +249,10 @@ class TestZeros:
             summaries.append(json.loads(capsys.readouterr().out))
         prec = EvalPrecision.for_height(30.0)
         plan = mesh_interpolation(5, 30.0, default_mesh_step(5, 30.0), prec)
-        want = {"order": plan.order, "bound": plan.bound, "target": prec.target_abs_error}
+        want = {"order": plan.order, "truncation_bound": plan.truncation,
+                "target": prec.target_abs_error}
         assert summaries[0]["interp"] == summaries[1]["interp"] == want
-        assert plan.bound <= plan.target
+        assert plan.truncation <= plan.target
         assert all("interp" not in row for row in summaries[0]["rows"])
 
     def test_mesh_too_coarse_to_interpolate_exits_3(self, capsys, tmp_path):
@@ -269,7 +270,7 @@ class TestZeros:
         monkeypatch.setattr("zeropair.lfunc.mesh_interpolation", low)
         code = main(["zeros", "--chi", "5:2", "--T", "30", "--cache-dir", str(tmp_path)])
         assert code == 3
-        assert "mesh interpolation bound" in capsys.readouterr().err
+        assert "mesh interpolation truncation bound" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [PrecisionError, RealnessError])
     def test_numeric_budget_failure_exits_3(self, capsys, tmp_path, monkeypatch, error):
@@ -723,7 +724,7 @@ class TestReport:
     # the bundle's bytes; a change that moves a cell updates these and names the cells
     SHA256 = {
         "zeta_ratio_T100.csv": "cca8d8887398daaf6de89786bcef665b309cef143ced0fafc3c2e0c3211ae3fd",
-        "thm_ratio.csv": "cc5da069ab7a9f3da6fdec8481f315c6163259eed3bb94e577ecc8c3efcea6c3",
+        "thm_ratio.csv": "05e7d37d4c374c7e4d9e82d9dc3b023185224be5bf9a5dbb93550ff0729d51ab",
         "gue_histogram_q1_T100.csv":
             "cce7b77ca90b55dcf2ecf30ece9c37f8c36b02fadff608a82ccb3cda309b100a",
         "montgomery.csv": "f073398bdda9f52c151ff931e949f7fa6a4eaefbdc89e9cd2d03e43fdc2ce915",

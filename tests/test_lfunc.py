@@ -184,7 +184,7 @@ class TestBroadcastKernel:
             sizes.append(np.size(s) * prec.direct_terms)
             return kernel(s, a, prec)
 
-        monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 2000)
+        monkeypatch.setattr(lfunc, "_EM_KERNEL_ELEMENTS", 2000)
         monkeypatch.setattr(lfunc, "hurwitz_zeta_batch", recording)
         chunked = l_critical_batch(chi, ts)
         assert len(sizes) > 1 and max(sizes) <= 2000
@@ -225,13 +225,24 @@ class TestMeshEvaluator:
         assert np.all(np.diff(ts) <= step + 1e-12)
         assert not ts.flags.writeable
 
-    def test_negative_half_is_the_conjugate_of_the_positive(self):
+    def test_negative_half_is_the_conjugate_of_the_positive(self, monkeypatch):
+        # only the half t >= 0 is kept; the product on the whole mesh is that
+        # of the mirrored conjugate columns, to the same floats
         T, step = 30.0, 0.05
+        prec = EvalPrecision.for_height(T)
+        chi = _primitive(23)[0]
         lfunc._mesh_columns.cache_clear()
-        ts, cols = lfunc._mesh_columns(23, T, step, EvalPrecision.for_height(T))
+        ts, z = hardy_z_mesh(chi, T, step, prec)
         half = ts.size // 2
         assert ts[half] == 0.0 and np.array_equal(ts, -ts[::-1])
-        assert np.array_equal(cols[:half], cols[: half : -1].conj())
+        nodes, direct, cols = lfunc._mesh_columns(23, T, step, prec)
+        assert cols.shape == (half + 1, 22) and np.array_equal(nodes[: half + 1], ts[half:])
+        assert direct.shape == (half + 1 + lfunc._MESH_PAD, 22) == (nodes.size, 22)
+        values = lfunc._residues(chi.label)[1]
+        whole = np.concatenate([cols[:0:-1].conj(), cols]) @ values
+        assert np.array_equal(lfunc._mirrored(cols, values), whole)
+        monkeypatch.setattr(lfunc, "_EM_KERNEL_ELEMENTS", 22 * 50)  # blocks of 50 rows
+        assert np.array_equal(lfunc._mirrored(cols, values), whole)
 
     def test_matches_hardy_z_batch_for_every_character_mod_23(self):
         T = 30.0
@@ -287,7 +298,7 @@ class TestMeshEvaluator:
         T, step = 30.0, 0.05
         prec = EvalPrecision.for_height(T)
         lfunc._mesh_columns.cache_clear()
-        ts, whole = lfunc._mesh_columns(23, T, step, prec)
+        whole = lfunc._mesh_columns(23, T, step, prec)
         sizes = []
         matmul = np.matmul
 
@@ -296,14 +307,13 @@ class TestMeshEvaluator:
             return matmul(lead, offs)
 
         monkeypatch.setattr(lfunc, "_EM_CHUNK_ELEMENTS", 5000)
+        monkeypatch.setattr(lfunc, "_EM_KERNEL_ELEMENTS", 22 * 50)  # the tail by 50 rows
         monkeypatch.setattr(lfunc.np, "matmul", recording)
         lfunc._mesh_columns.cache_clear()
-        lfunc._mesh_direct.cache_clear()
-        blocked_ts, blocked = lfunc._mesh_columns(23, T, step, prec)
+        blocked = lfunc._mesh_columns(23, T, step, prec)
         lfunc._mesh_columns.cache_clear()
-        lfunc._mesh_direct.cache_clear()
         assert len(sizes) > 1 and max(sizes) <= 5000
-        assert np.array_equal(blocked_ts, ts) and np.array_equal(blocked, whole)
+        assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
 
     @pytest.mark.parametrize("label, T, tol", [((1, 1), 1000.0, 2e-12), ((23, 2), 30.0, 1e-13)])
     def test_negative_half_matches_hardy_z_batch_at_minus_t(self, label, T, tol):
@@ -318,7 +328,7 @@ class TestMeshEvaluator:
 
 class TestMeshInterpolation:
     """mesh_evaluator: Z anywhere in [-T, T] from the direct sums of the scan
-    mesh, within the stated bound of mesh_interpolation."""
+    mesh, within the truncation bound of mesh_interpolation."""
 
     @pytest.mark.parametrize("label, T", [((1, 1), 1000.0), ((23, 2), 100.0)])
     def test_within_stated_bound_of_hardy_z_batch(self, label, T):
@@ -327,12 +337,41 @@ class TestMeshInterpolation:
         prec = EvalPrecision.for_height(T)
         step = zeros.default_mesh_step(label[0], T)
         plan = lfunc.mesh_interpolation(label[0], T, step, prec)
-        assert plan.bound <= plan.target == prec.target_abs_error
+        assert plan.truncation <= plan.target == prec.target_abs_error
         ts = np.random.default_rng(5).uniform(-T, T, 300)
         ts = np.concatenate([ts, [-T, 0.0, T]])
         got = lfunc.mesh_evaluator(chi, T, step, prec)(ts)
         ref = hardy_z_batch(chi, ts, prec)
-        assert np.max(np.abs(got - ref)) <= plan.bound + prec.target_abs_error
+        assert np.max(np.abs(got - ref)) <= plan.truncation + prec.target_abs_error
+
+    def test_truncation_bound_leaves_out_the_rounding_of_the_nodes_at_height_10000(self):
+        # at q = 1, T = 10^4 the nodes' rounding, not the truncation, sets the
+        # error: the difference from hardy_z_batch exceeds the truncation bound
+        # plus the target, and stays within the truncation bound plus the
+        # stencil's Lebesgue constant times the nodes' own difference from it
+        T = 10_000.0
+        chi = character(1, 1)
+        prec = EvalPrecision.for_height(T)
+        step = zeros.default_mesh_step(1, T)
+        plan = lfunc.mesh_interpolation(1, T, step, prec)
+        p, h = plan.order, plan.step
+        ts = np.random.default_rng(5).uniform(-T, T, 200)
+        err = np.abs(lfunc.mesh_evaluator(chi, T, step, prec)(ts) - hardy_z_batch(chi, ts, prec))
+        # the stencil of t: the p + 1 nodes from round(t / h - p / 2)
+        first = np.floor(ts / h - 0.5 * p + 0.5)
+        nodes = (first[:, None] + np.arange(p + 1)) * h
+        mesh_ts, mesh_z = hardy_z_mesh(chi, T, step, prec)
+        at = np.searchsorted(mesh_ts, nodes.ravel() - h / 2)
+        assert np.max(np.abs(mesh_ts[at] - nodes.ravel())) <= 1e-9 * h
+        node_err = np.abs(mesh_z[at] - hardy_z_batch(chi, mesh_ts[at], prec)).reshape(nodes.shape)
+        u = np.linspace(p / 2 - 0.5, p / 2 + 0.5, 201)
+        lagrange = np.prod([[(u - i) / (j - i) for i in range(p + 1) if i != j]
+                            for j in range(p + 1)], axis=1)
+        lebesgue = float(np.max(np.abs(lagrange).sum(axis=0)))
+        assert 1.0 < lebesgue <= 2.04
+        assert np.max(err) > plan.truncation + prec.target_abs_error
+        assert np.all(err <= plan.truncation + lebesgue * np.max(node_err, axis=1)
+                      + prec.target_abs_error)
 
     def test_order_is_the_smallest_that_meets_the_target(self):
         T = 100.0
@@ -343,7 +382,7 @@ class TestMeshInterpolation:
             return lfunc._stencil_factor(plan.scale, plan.width * plan.step, order) * (
                 lfunc._stencil_peak(order))
 
-        assert plan.bound == bound(p) <= plan.target
+        assert plan.truncation == bound(p) <= plan.target
         assert bound(p - 1) > plan.target
 
     def test_stencil_peak_bounds_the_node_polynomial_near_the_centre(self):
@@ -351,16 +390,6 @@ class TestMeshInterpolation:
             u = p / 2 + np.linspace(-0.5, 0.5, 1001)
             node = np.prod(u[:, None] - np.arange(p + 1), axis=1)
             assert np.max(np.abs(node)) <= lfunc._stencil_peak(p)
-
-    def test_em_tail_regroups_the_euler_maclaurin_tail(self):
-        prec = EvalPrecision.for_height(100.0)
-        shifts, values = lfunc._residues(character(23, 2).label)
-        s = 0.5 + 1j * np.random.default_rng(3).uniform(-100.0, 100.0, 50)
-        cols = np.zeros((s.size, shifts.size), dtype=np.complex128)
-        lfunc._add_em_tail(cols, s[:, None], prec.direct_terms + shifts, prec.bernoulli_terms)
-        ref = cols @ values
-        got = lfunc._em_tail(shifts, values, prec)(s)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_mesh_too_coarse_for_any_order_raises(self):
         prec = EvalPrecision.for_height(1000.0)
