@@ -45,7 +45,13 @@ from zeropair.conjectures import (
     weak_form_table,
 )
 from zeropair.explicit import psi_progression_from_zeros
-from zeropair.lfunc import EvalPrecision, PrecisionError, mesh_interpolation
+from zeropair.lfunc import (
+    BERNOULLI_TERMS,
+    TARGET_ABS_ERROR,
+    EvalPrecision,
+    PrecisionError,
+    mesh_interpolation,
+)
 from zeropair.paircorr import (
     CertificationError,
     f_q,
@@ -311,15 +317,15 @@ def _cmd_zeros(args):
         prec = EvalPrecision.for_height(args.T)
         em = {
             "direct_terms": prec.direct_terms,
-            "bernoulli_terms": prec.bernoulli_terms,
-            "target_abs_error": prec.target_abs_error,
+            "bernoulli_terms": BERNOULLI_TERMS,
+            "target_abs_error": TARGET_ABS_ERROR,
         }
         # the highest interpolation order of the scanned meshes, from their
         # parameters alone, so a run served from the cache reports it too
         plan = max((mesh_interpolation(zs.label.modulus, args.T, zs.mesh_step, prec)
                     for zs in sets.values()), key=lambda m: (m.order, m.truncation))
         interp = {"order": plan.order, "truncation_bound": plan.truncation,
-                  "target": plan.target}
+                  "target": TARGET_ABS_ERROR}
         code = 0 if all_certified else 3
         return _Result(rows, {"certified": all_certified, "em": em, "interp": interp}, code)
 
@@ -418,17 +424,7 @@ def _cmd_eh(args):
 
 
 def _weak_rows(x, qs, alphas, a) -> list:
-    rows = []
-    for alpha in alphas:
-        for r in weak_form_table(x, qs, alpha, a=a):
-            rows.append(
-                {
-                    "x": r.x, "q": r.q, "a": r.a, "alpha": r.alpha,
-                    "error": r.error, "normalizer": r.normalizer,
-                    "normalized": r.normalized,
-                }
-            )
-    return rows
+    return [asdict(r) for alpha in alphas for r in weak_form_table(x, qs, alpha, a=a)]
 
 
 def _cmd_weak(args):

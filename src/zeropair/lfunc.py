@@ -11,13 +11,15 @@ against the standard remainder bound
     |R| <= |B_{2M+2}/(2M+2)! * (s)_{2M+1} * (N+a)^(-s-2M-1)|
            * |s+2M+1| / (Re(s)+2M+1).
 
-Choice of N: with M = 12 the bound is C(s) * w^-(Re s + 2M + 1) for
-w = N + a, so the smallest N that meets the target follows in closed form
-(settled against the bound itself) for the worst shift a -> 0, where w = N.
-EvalPrecision.for_height(T) does this at s = 1/2 + iT, the worst point of a
-critical-line window |t| <= T; evaluations without an explicit precision do
-it over the points they are given.  Every evaluation still checks the bound
-at its own points and raises PrecisionError when it fails.
+M is fixed at BERNOULLI_TERMS = 12 and the target at TARGET_ABS_ERROR =
+1e-12, so an EvalPrecision holds N alone.  The bound is C(s) * w^-(Re s +
+2M + 1) for w = N + a, so the smallest N that meets the target follows in
+closed form (settled against the bound itself) for the worst shift a -> 0,
+where w = N.  EvalPrecision.for_height(T) does this at s = 1/2 + iT, the
+worst point of a critical-line window |t| <= T; evaluations without an
+explicit precision do it over the points they are given.  Every evaluation
+still checks the bound at its own points and raises PrecisionError when it
+fails.
 
 L(s, chi) for primitive chi mod q is q^(-s) sum_a chi(a) zeta(s, a/q).  The
 shifts a/q broadcast against the points, so one Euler-Maclaurin pass yields
@@ -25,21 +27,22 @@ every residue column and a matrix-vector product with the values chi(a)
 combines them; the pass is chunked so that points x residues x N stays
 bounded.
 
-A zero scan needs the same columns for every character mod q on the same
-mesh.  hardy_z_mesh computes them once per (q, T, mesh step, precision) and
-keeps the last few meshes, so each further character costs one
-matrix-vector product.  Only the half t >= 0 is computed and kept: the
-shifts are real, so the columns at -t are the conjugates of those at t, and
-theta is odd, so the phase at -t is mirrored too.  The direct sums
-D_a(t) = sum_{n<N} (n+a)^(-1/2) e^(-it log(n+a)) on the mesh come from
-mesh_exp_sums, the blocked exponential-sum kernel for equispaced points
-(the Odlyzko-Schonhage factorisation), which also serves the sigma(v)
-quadrature of paircorr; the Euler-Maclaurin tail and the remainder check
-are the evaluator's own, at the same points.  The mesh keeps the direct
-sums beside the columns.
+A zero scan takes everything from one call, scan_mesh, which returns the
+mesh, Z on it and an evaluator of Z between its nodes.  Every character mod
+q needs the same columns on the same mesh, so they are computed once per
+(q, T, mesh step, precision) and the last few meshes are kept; each further
+character costs matrix-vector products.  Only the half t >= 0 is computed
+and kept: the shifts are real, so the columns at -t are the conjugates of
+those at t, and theta is odd, so the phase at -t is mirrored too.  The
+direct sums D_a(t) = sum_{n<N} (n+a)^(-1/2) e^(-it log(n+a)) on the mesh
+come from mesh_exp_sums, the blocked exponential-sum kernel for equispaced
+points (the Odlyzko-Schonhage factorisation), which also serves the
+sigma(v) quadrature of paircorr; the Euler-Maclaurin tail is added at the
+same points, and the remainder check runs once per mesh, at every node up
+to T.  The mesh keeps the direct sums beside the columns.
 
-Between the mesh nodes, mesh_evaluator gives Z at any t of [-T, T] without
-a new direct sum (the second half of Odlyzko-Schonhage).  A character's
+Between the mesh nodes, the evaluator gives Z at any t of [-T, T] without a
+new direct sum (the second half of Odlyzko-Schonhage).  A character's
 direct sum S(t) = sum_a chi(a) D_a(t) has its frequencies -log(n + a/q) in
 a band of half width beta = (log q + log(N - 1 + a_max)) / 2 (a_max the
 largest unit shift), so times e^(-ict), c the band's centre, its (p+1)-th
@@ -56,16 +59,16 @@ the stencil's Lebesgue constant (at most 2.04 here), is not in it.  That
 rounding grows with t; at q = 1, T = 10^4 it is about 2e-11, above both
 the truncation bound and the target (ROADMAP item 2 states it).
 mesh_interpolation picks the smallest p whose bound at the worst centred
-position meets the precision's target, from (q, T, mesh step, precision)
-alone; a mesh too coarse for every p up to _INTERP_MAX_ORDER raises
-PrecisionError, and so does any point whose own bound exceeds the target.
-The mesh carries _MESH_PAD nodes past T, so every stencil of the window is
-centred.  The Euler-Maclaurin tail, q^-s and the phase are added at t
-itself, and the realness check runs as for the mesh.  The remainder check
-runs once per evaluator, at the window's worst point t = T, not at every
-point.  hardy_z_batch stays the independent Euler-Maclaurin oracle: for
-tests, for the residuals of a scan, for refine_zero and, through the same
-kernel, for l_value.
+position meets TARGET_ABS_ERROR, from (q, T, mesh step, precision) alone;
+scan_mesh asks it before the mesh pass, so a mesh too coarse for every p up
+to _INTERP_MAX_ORDER raises PrecisionError at once, and the evaluator
+raises it too for any point whose own bound exceeds the target.  The mesh
+carries _MESH_PAD nodes past T, so every stencil of the window is centred.
+The Euler-Maclaurin tail, q^-s and the phase are added at t itself, and the
+realness check runs as for the mesh.  The evaluator accepts no point beyond
+the node at T, so the mesh's remainder check covers it.  hardy_z_batch
+stays the independent Euler-Maclaurin oracle: for tests, for the residuals
+of a scan, for refine_zero and, through the same kernel, for l_value.
 
 Imprimitive values are obtained from the inducing character by stripping
 Euler factors.  At s = 1, L(1, chi) is i pi tau(chi)/q^2 sum_a conj chi(a) a
@@ -120,9 +123,10 @@ def bernoulli(m: int) -> Fraction:
     return -sum(math.comb(m + 1, j) * bernoulli(j) for j in range(m)) / (m + 1)
 
 
-_BERNOULLI_TERMS = 12  # M: the most EvalPrecision accepts; the remainder bound reads one more
-_BERN_OVER_FACT = tuple(
-    float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, _BERNOULLI_TERMS + 2)
+BERNOULLI_TERMS = 12  # M, the Bernoulli terms of every Euler-Maclaurin sum
+TARGET_ABS_ERROR = 1e-12  # certified bound of the EM remainder and of the mesh interpolation
+_BERN_OVER_FACT = tuple(  # the remainder bound reads one past M
+    float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, BERNOULLI_TERMS + 2)
 )
 _STIRLING = tuple(float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 13))
 _STIRLING_MIN_RE = 8  # least Re w at which the series is summed
@@ -196,32 +200,27 @@ def mesh_exp_sums(
 
 @dataclass(frozen=True)
 class EvalPrecision:
-    """Euler-Maclaurin truncation parameters plus the certified target."""
+    """The Euler-Maclaurin direct terms N; M is BERNOULLI_TERMS and the
+    certified target TARGET_ABS_ERROR."""
 
-    target_abs_error: float = 1e-12
-    direct_terms: int = 64
-    bernoulli_terms: int = _BERNOULLI_TERMS
+    direct_terms: int
 
     def __post_init__(self):
-        if self.target_abs_error <= 0:
-            raise ValueError("target_abs_error must be positive")
         if self.direct_terms < 1:
             raise ValueError("direct_terms must be >= 1")
-        if not (1 <= self.bernoulli_terms <= _BERNOULLI_TERMS):
-            raise ValueError(f"bernoulli_terms must lie in [1, {_BERNOULLI_TERMS}]")
 
     @staticmethod
-    def for_height(height: float, target_abs_error: float = 1e-12) -> "EvalPrecision":
+    def for_height(height: float) -> "EvalPrecision":
         """The smallest certified N for critical-line points 1/2 + it, |t| <= height.
 
         The remainder bound grows with |t| and falls as w = N + a grows, so it
         holds on the whole window once it holds at t = height for a -> 0.
         """
-        return _precision_for(np.array([complex(0.5, abs(height))]), target_abs_error)
+        return _precision_for(np.array([complex(0.5, abs(height))]))
 
 
-def _em_remainder_bound(s: np.ndarray, w: float | np.ndarray, prec: EvalPrecision) -> np.ndarray:
-    m = prec.bernoulli_terms
+def _em_remainder_bound(s: np.ndarray, w: float | np.ndarray) -> np.ndarray:
+    m = BERNOULLI_TERMS
     sigma = s.real
     if np.any(sigma + 2 * m + 1 <= 0):
         raise PrecisionError("remainder bound invalid: Re(s) + 2M + 1 must be positive")
@@ -238,27 +237,26 @@ def _em_remainder_bound(s: np.ndarray, w: float | np.ndarray, prec: EvalPrecisio
     )
 
 
-def _precision_for(s: np.ndarray, target_abs_error: float = 1e-12) -> EvalPrecision:
-    """M = 12 and the smallest N whose remainder bound meets the target at every
-    point of s for the worst shift a -> 0, where w = N + a falls to N."""
-    probe = EvalPrecision(target_abs_error, 1, _BERNOULLI_TERMS)
+def _precision_for(s: np.ndarray) -> EvalPrecision:
+    """The smallest N whose remainder bound meets the target at every point of
+    s for the worst shift a -> 0, where w = N + a falls to N."""
     s = np.ravel(s)
     n = 1
     if s.size:
         # the bound is (its value at w = 1) * w^-(Re s + 2M + 1): solve for w,
         # then settle the rounding against the bound itself
-        at_one = _em_remainder_bound(s, 1.0, probe)
-        root = (at_one / target_abs_error) ** (1.0 / (s.real + 2 * _BERNOULLI_TERMS + 1))
+        at_one = _em_remainder_bound(s, 1.0)
+        root = (at_one / TARGET_ABS_ERROR) ** (1.0 / (s.real + 2 * BERNOULLI_TERMS + 1))
         n = max(1, math.ceil(float(np.max(root))))
 
         def meets(k: int) -> bool:
-            return float(np.max(_em_remainder_bound(s, float(k), probe))) <= target_abs_error
+            return float(np.max(_em_remainder_bound(s, float(k)))) <= TARGET_ABS_ERROR
 
         while not meets(n):
             n += 1
         while n > 1 and meets(n - 1):
             n -= 1
-    return EvalPrecision(target_abs_error, n, _BERNOULLI_TERMS)
+    return EvalPrecision(n)
 
 
 def _certify(s: np.ndarray, shift: float, prec: EvalPrecision) -> None:
@@ -268,16 +266,16 @@ def _certify(s: np.ndarray, shift: float, prec: EvalPrecision) -> None:
     The bound falls as w = N + a grows, so checking at the smallest shift in
     use covers every column; a point is bounded as if it met that shift.
     """
-    bound = _em_remainder_bound(s, prec.direct_terms + shift, prec)
+    bound = _em_remainder_bound(s, prec.direct_terms + shift)
     worst = float(np.max(bound)) if bound.size else 0.0
-    if worst > prec.target_abs_error:
+    if worst > TARGET_ABS_ERROR:
         raise PrecisionError(
             f"Euler-Maclaurin remainder {worst:.3e} exceeds target "
-            f"{prec.target_abs_error:.3e} (N={prec.direct_terms}, M={prec.bernoulli_terms})"
+            f"{TARGET_ABS_ERROR:.3e} (N={prec.direct_terms}, M={BERNOULLI_TERMS})"
         )
 
 
-def _add_em_tail(total: np.ndarray, s: np.ndarray, w: np.ndarray, m: int) -> None:
+def _add_em_tail(total: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
     """Add w^(1-s)/(s-1) + w^-s/2 and the M Bernoulli terms to total in place,
     for w = N + a; s and w broadcast to the shape of total."""
     wneg = np.exp(-s * np.log(w))  # w^-s
@@ -286,9 +284,9 @@ def _add_em_tail(total: np.ndarray, s: np.ndarray, w: np.ndarray, m: int) -> Non
     rising = s
     wpow = wneg / w
     wstep = 1.0 / (w * w)
-    for j in range(1, m + 1):
+    for j in range(1, BERNOULLI_TERMS + 1):
         total += _BERN_OVER_FACT[j - 1] * rising * wpow
-        if j < m:
+        if j < BERNOULLI_TERMS:
             rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
             wpow = wpow * wstep
 
@@ -319,7 +317,7 @@ def hurwitz_zeta_batch(
     terms = s[..., None] * -logs
     np.exp(terms, out=terms)
     total = terms.sum(axis=-1)
-    _add_em_tail(total, s, prec.direct_terms + a, prec.bernoulli_terms)
+    _add_em_tail(total, s, prec.direct_terms + a)
     return total
 
 
@@ -529,7 +527,7 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
     _certify(s, float(shifts[0]), prec)
     rows = max(1, _EM_KERNEL_ELEMENTS // shifts.size)  # the tail's temporaries, a block at a time
     for i in range(0, half + 1, rows):
-        _add_em_tail(cols[i : i + rows], s[i : i + rows], n + shifts, prec.bernoulli_terms)
+        _add_em_tail(cols[i : i + rows], s[i : i + rows], n + shifts)
     if q > 1:
         cols *= np.exp(-s * math.log(q))
     for a in (ts, direct, cols):
@@ -557,28 +555,6 @@ def _mirrored(half: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def hardy_z_mesh(
-    chi: DirichletCharacter, T: float, mesh_step: float, prec: EvalPrecision
-) -> tuple[np.ndarray, np.ndarray]:
-    """The scan mesh of [-T, T] with spacing at most mesh_step, and the rotated
-    values of primitive chi on it.
-
-    The P = 2 ceil(T / mesh_step) + 1 points are symmetric about the node
-    t = 0.  The Hurwitz columns depend only on (q, T, mesh_step, prec) and
-    are kept, for t >= 0 only, for the next character of the same modulus,
-    which then costs one matrix-vector product; the negative half is
-    mirrored, and so is the phase.  The realness check runs at every point.
-    """
-    if not chi.is_primitive:
-        raise ValueError("hardy_z_mesh requires a primitive character")
-    half_ts, _, cols = _mesh_columns(chi.modulus, float(T), float(mesh_step), prec)
-    half_ts = half_ts[: cols.shape[0]]
-    ts = np.concatenate([-half_ts[:0:-1], half_ts])
-    ts.flags.writeable = False
-    vals = _phase(chi, half_ts, mirror=True) * _mirrored(cols, _residues(chi.label)[1])
-    return ts, _rotated_real(chi, ts, vals)
-
-
 def _stencil_peak(order: int) -> float:
     """An upper bound of |prod_{j<=p} (u - j)|, p = order, for u within 1/2 of
     the stencil's centre p/2: each factor is at most max(|p/2 - j|, 1/2)."""
@@ -589,14 +565,13 @@ def _stencil_peak(order: int) -> float:
 class MeshInterpolation:
     """The interpolation of a scan mesh's direct sums (see the module notes):
     the stencil degree `order`, its truncation bound `truncation` at the
-    worst centred position against `target`, the mesh step, the band's
-    centre and half width, and scale = 2 sum|c_n| / sqrt(q).  The bound
-    leaves out the rounding already in the mesh nodes, as the
-    Euler-Maclaurin certificate leaves out its own."""
+    worst centred position, the mesh step, the band's centre and half width,
+    and scale = 2 sum|c_n| / sqrt(q).  The bound leaves out the rounding
+    already in the mesh nodes, as the Euler-Maclaurin certificate leaves out
+    its own."""
 
     order: int
     truncation: float
-    target: float
     step: float
     centre: float
     width: float
@@ -617,7 +592,7 @@ def mesh_interpolation(
 ) -> MeshInterpolation:
     """The interpolation order of the scan mesh (q, T, mesh_step, prec) and its
     truncation bound; PrecisionError if no order up to _INTERP_MAX_ORDER meets
-    prec.target_abs_error, i.e. the mesh is too coarse for its band."""
+    TARGET_ABS_ERROR, i.e. the mesh is too coarse for its band."""
     h = T / math.ceil(T / mesh_step)
     shifts = _unit_shifts(q)
     n = prec.direct_terms
@@ -627,52 +602,64 @@ def mesh_interpolation(
     scale = 2.0 * terms / math.sqrt(q)
     for p in range(1, _INTERP_MAX_ORDER + 1):
         bound = _stencil_factor(scale, width * h, p) * _stencil_peak(p)
-        if bound <= prec.target_abs_error:
-            return MeshInterpolation(p, bound, prec.target_abs_error, h, 0.5 * (top + bottom),
-                                     width, scale)
+        if bound <= TARGET_ABS_ERROR:
+            return MeshInterpolation(p, bound, h, 0.5 * (top + bottom), width, scale)
     raise PrecisionError(
         f"mesh step {h:.4g} is too coarse to interpolate q={q} up to T={T:g}: order "
         f"{_INTERP_MAX_ORDER} still bounds the truncation by {bound:.3e} "
-        f"> target {prec.target_abs_error:.3e}"
+        f"> target {TARGET_ABS_ERROR:.3e}"
     )
 
 
-def mesh_evaluator(
+def scan_mesh(
     chi: DirichletCharacter, T: float, mesh_step: float, prec: EvalPrecision
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Z of primitive chi at any points of [-T, T], from the scan mesh.
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The scan mesh of [-T, T] with spacing at most mesh_step, the rotated
+    values of primitive chi on it, and an evaluator of them anywhere in [-T, T].
 
-    The character's direct sum S(t) = sum_a chi(a) D_a(t) is interpolated from
-    the degree-p stencil of the p + 1 mesh nodes nearest t, each node's value
-    demodulated by e^(-i centre (t_j - t)) so that the interpolated function
-    is band-limited (see the module notes); t - t_j is a few mesh steps, so
-    the phase carries no error of order t.  The Euler-Maclaurin tail, q^-s
-    and the phase are then added at t itself, and the realness check runs as
-    in hardy_z_batch.  p is mesh_interpolation's order; every point's own
-    truncation bound is checked against prec.target_abs_error, and a point
-    over it raises PrecisionError.  The rounding of the mesh nodes, times the
-    stencil's Lebesgue constant (at most 2.04 for a centred stencil of
-    degree <= 40), is not in that bound.  The Euler-Maclaurin remainder is
-    checked once, at t = T, where its bound is largest, not at every point.
+    The P = 2 ceil(T / mesh_step) + 1 points are symmetric about the node
+    t = 0.  The Hurwitz columns and direct sums depend only on
+    (q, T, mesh_step, prec) and are kept, for t >= 0 only, for the next
+    character of the same modulus, which then costs matrix-vector products;
+    the negative half is mirrored, and so is the phase.  They are certified
+    once, at every node up to the node at T, the evaluator's edge.  The
+    realness check runs at every mesh point.
+
+    The evaluator interpolates the character's direct sum
+    S(t) = sum_a chi(a) D_a(t) from the degree-p stencil of the p + 1 mesh
+    nodes nearest t, each node's value demodulated by e^(-i centre (t_j - t))
+    so that the interpolated function is band-limited (see the module notes);
+    t - t_j is a few mesh steps, so the phase carries no error of order t.
+    The Euler-Maclaurin tail, q^-s and the phase are then added at t itself,
+    and the realness check runs as in hardy_z_batch.  p is
+    mesh_interpolation's order, found before the mesh pass, so a mesh too
+    coarse for every order fails at once; every point's own truncation bound
+    is checked against TARGET_ABS_ERROR, and a point over it raises
+    PrecisionError.  The rounding of the mesh nodes, times the stencil's
+    Lebesgue constant (at most 2.04 for a centred stencil of degree <= 40),
+    is not in that bound.
     """
     if not chi.is_primitive:
-        raise ValueError("mesh_evaluator requires a primitive character")
+        raise ValueError("scan_mesh requires a primitive character")
     q, T, mesh_step = chi.modulus, float(T), float(mesh_step)
     plan = mesh_interpolation(q, T, mesh_step, prec)
     p = plan.order
+    half_ts, direct, cols = _mesh_columns(q, T, mesh_step, prec)
     shifts, values = _residues(chi.label)
-    _certify(np.array([complex(0.5, T)]), float(shifts[0]), prec)  # the window's worst point
-    half_ts, direct, _ = _mesh_columns(q, T, mesh_step, prec)
+    nodes = half_ts[: cols.shape[0]]
+    ts = np.concatenate([-nodes[:0:-1], nodes])
+    ts.flags.writeable = False
+    z = _rotated_real(chi, ts, _phase(chi, nodes, mirror=True) * _mirrored(cols, values))
+
     sums = _mirrored(direct, values)  # S(t) on the mesh of [-T - pad, T + pad]
-    h, origin = plan.step, half_ts.size - 1
-    edge = half_ts[half_ts.size - _MESH_PAD - 1]  # the mesh node at T
+    h, origin, edge = plan.step, half_ts.size - 1, nodes[-1]  # edge: the mesh node at T
     offsets = np.arange(p + 1)
     # Lagrange denominators prod_{i != j} (j - i) = (-1)^(p-j) j! (p-j)!
     denom = np.array([(-1) ** (p - j) * math.factorial(j) * math.factorial(p - j)
                       for j in range(p + 1)], dtype=np.float64)
     factor = _stencil_factor(plan.scale, plan.width * h, p)
 
-    def z(ts: np.ndarray) -> np.ndarray:
+    def z_at(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
         if np.any(np.abs(ts) > edge):
             raise ValueError(f"points must lie in [-{T:g}, {T:g}]")
@@ -682,22 +669,22 @@ def mesh_evaluator(
         left = np.cumprod(np.hstack([np.ones((ts.size, 1)), gaps[:, :-1]]), axis=1)
         right = np.cumprod(np.hstack([np.ones((ts.size, 1)), gaps[:, :0:-1]]), axis=1)[:, ::-1]
         worst = factor * float(np.max(np.abs(left[:, -1] * gaps[:, -1]), initial=0.0))
-        if worst > plan.target:
+        if worst > TARGET_ABS_ERROR:
             raise PrecisionError(
-                f"mesh interpolation truncation bound {worst:.3e} exceeds target {plan.target:.3e} "
-                f"(order {p}, step {h:.4g}) for {chi.label}"
+                f"mesh interpolation truncation bound {worst:.3e} exceeds target "
+                f"{TARGET_ABS_ERROR:.3e} (order {p}, step {h:.4g}) for {chi.label}"
             )
         weights = left * right / denom * np.exp(1j * (plan.centre * h) * gaps)
         total = np.einsum("ij,ij->i", weights, sums[first[:, None] + offsets])
         s = 0.5 + 1j * ts
         tail = np.zeros((ts.size, shifts.size), dtype=np.complex128)
-        _add_em_tail(tail, s[:, None], prec.direct_terms + shifts, prec.bernoulli_terms)
+        _add_em_tail(tail, s[:, None], prec.direct_terms + shifts)
         total += tail @ values
         if q > 1:
             total *= np.exp(-s * math.log(q))
         return _rotated_real(chi, ts, _phase(chi, ts) * total)
 
-    return z
+    return ts, z, z_at
 
 
 def hardy_z(chi: DirichletCharacter, t: float, prec: EvalPrecision | None = None) -> float:

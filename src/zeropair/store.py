@@ -19,9 +19,10 @@ Cache file layout (little endian), checksummed with zlib.crc32:
     crc32      u32  over everything above
 
 Writes are atomic (temp file + rename) and refuse to replace a certified
-set with an uncertified one unless forced.  Loads re-validate the payload
-(ascending, inside the window, count consistent) and raise distinct error
-types for bad magic, unknown version, checksum mismatch and invariant
+set with an uncertified one unless forced.  Loads re-validate the header
+(height, mesh step and tolerance finite and positive) and the payload
+(finite, ascending, inside the window, count consistent) and raise distinct
+error types for bad magic, unknown version, checksum mismatch and invariant
 violations.  Loaded sets carry point brackets and NaN residuals; the
 uncertainty of a stored ordinate is the set-level tolerance.  The files of
 a conjugate pair of characters are written together, from one scan.
@@ -157,7 +158,12 @@ def read_zero_set(path: Path | str) -> ZeroSet:
     if zlib.crc32(data[: -_CRC.size]) != crc_stored:
         raise CacheChecksumError(f"{path}: checksum mismatch")
 
+    for name, value in (("height", height), ("mesh step", mesh_step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise CacheInvariantError(f"{path}: {name} {value!r} is not finite and positive")
     ordinates = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
+    if not np.all(np.isfinite(ordinates)):
+        raise CacheInvariantError(f"{path}: non-finite ordinate")
     if count > 1 and not np.all(np.diff(ordinates) > 0):
         raise CacheInvariantError(f"{path}: ordinates not strictly ascending")
     if count and float(np.max(np.abs(ordinates))) > height + 1e-9:

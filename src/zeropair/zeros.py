@@ -12,15 +12,16 @@ sits at least tolerance/2 inside its bracket, so the bracket also closes
 from the side far from the root, and a step that fails to halve its bracket
 forces a bisection next, at most two steps per halving.  A final secant
 step gives the ordinate; the bracket's ends then move out to the ordinate
--+ tolerance/2, so that no end's sign is rounding.  A scan's mesh comes
-from lfunc.hardy_z_mesh, and its dip re-tests and refinement steps from
-lfunc.mesh_evaluator, which interpolates the mesh's direct sums within a
-stated truncation bound (see lfunc; like the Euler-Maclaurin certificate, it
-leaves out rounding); the residual at each ordinate is one
-Euler-Maclaurin hardy_z_batch call per scan, an independent cross-check.
-refine_zero refines on hardy_z_batch itself.  Everything runs at
-EvalPrecision.for_height(T), the smallest Euler-Maclaurin size certified on
-the whole window.
+-+ tolerance/2, so that no end's sign is rounding.  A scan takes its mesh,
+Z on it and an evaluator of Z between the nodes from one call,
+lfunc.scan_mesh; the dip re-tests and refinement steps use the evaluator,
+which interpolates the mesh's direct sums within a stated truncation bound
+(see lfunc; like the Euler-Maclaurin certificate, it leaves out rounding).
+The residual at each ordinate is one Euler-Maclaurin hardy_z_batch call per
+scan, an independent cross-check.  refine_zero refines on hardy_z_batch
+itself.  Everything runs at EvalPrecision.for_height(T), the smallest
+Euler-Maclaurin size N certified on the whole window for the fixed M and
+target of lfunc.
 
 The result carries a certificate: the count of located zeros must agree
 with the counting formula
@@ -74,9 +75,8 @@ from zeropair.lfunc import (
     PrecisionError,
     ROTATION_BRANCH,
     hardy_z_batch,
-    hardy_z_mesh,
-    mesh_evaluator,
     release_meshes,
+    scan_mesh,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -303,8 +303,7 @@ def scan_zeros(
     if prec is None:
         prec = EvalPrecision.for_height(T)
 
-    z_at = mesh_evaluator(chi, T, mesh_step, prec)  # first: a too coarse mesh fails at once
-    ts, z = hardy_z_mesh(chi, T, mesh_step, prec)
+    ts, z, z_at = scan_mesh(chi, T, mesh_step, prec)
     if chi.is_real:
         # Z is even; start at the node -h so that a dip at 0 is re-tested
         ts, z = ts[ts.size // 2 - 1 :], z[z.size // 2 - 1 :]

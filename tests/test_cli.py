@@ -233,8 +233,8 @@ class TestZeros:
         prec = EvalPrecision.for_height(30.0)
         assert summary["em"] == {
             "direct_terms": prec.direct_terms,
-            "bernoulli_terms": prec.bernoulli_terms,
-            "target_abs_error": prec.target_abs_error,
+            "bernoulli_terms": 12,
+            "target_abs_error": 1e-12,
         }
         assert summary["em"]["direct_terms"] == 15
         assert summary["rows"] and all("em" not in row for row in summary["rows"])
@@ -250,9 +250,9 @@ class TestZeros:
         prec = EvalPrecision.for_height(30.0)
         plan = mesh_interpolation(5, 30.0, default_mesh_step(5, 30.0), prec)
         want = {"order": plan.order, "truncation_bound": plan.truncation,
-                "target": prec.target_abs_error}
+                "target": 1e-12}
         assert summaries[0]["interp"] == summaries[1]["interp"] == want
-        assert plan.truncation <= plan.target
+        assert plan.truncation <= want["target"]
         assert all("interp" not in row for row in summaries[0]["rows"])
 
     def test_mesh_too_coarse_to_interpolate_exits_3(self, capsys, tmp_path):

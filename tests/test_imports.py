@@ -8,7 +8,9 @@ bind no checkable name and are skipped.  Inside src/, no function body may
 import: every dependency of a module is stated at its top.  Only the sieve
 sees a prime table: no public function takes a `table`, and no other module
 names LambdaTable or table_for.  Only lfunc names its Euler-Maclaurin chunk
-budget _EM_CHUNK_ELEMENTS: other modules size their own work.  numpy is
+budget _EM_CHUNK_ELEMENTS: other modules size their own work.  Every
+private module-level name in src/ (a def, class or assignment named _x) is
+read somewhere in src/, so a refactor leaves no helper behind.  numpy is
 the only third-party package the command line loads: importing zeropair.cli
 in a fresh interpreter loads no scipy module.
 """
@@ -183,6 +185,73 @@ def test_only_lfunc_names_its_chunk_budget():
              for path in sorted((ROOT / "src" / "zeropair").glob("*.py")) if path.stem != "lfunc"
              for line in chunk_budget_uses(path.read_text())]
     assert not found, "_EM_CHUNK_ELEMENTS outside lfunc:\n" + "\n".join(found)
+
+
+def _private_bindings(stmt: ast.stmt) -> list:
+    """(line, name) of each private name a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [(stmt.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(node: ast.AST) -> set:
+    """Names read under node: loaded names, attributes and imported names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, (ast.Attribute, ast.alias))}
+
+
+def unread_private(sources: dict) -> tuple[list, int]:
+    """(module, line, name) of each private module-level binding that no
+    statement but its own reads in any of sources (module name -> source),
+    and the number of bindings checked.  A recursive helper's call to itself
+    does not count as a read."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bound, reads = [], []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            mine = _private_bindings(stmt)
+            bound.extend((module, line, name) for line, name in mine)
+            reads.append(({name for _, name in mine}, _reads(stmt)))
+    unread = [(module, line, name) for module, line, name in bound
+              if not any(name in names - own for own, names in reads)]
+    return unread, len(bound)
+
+
+def test_detector_flags_only_unread_private_names():
+    sources = {
+        "a": (
+            "import math\n"
+            "_USED = 1\n"
+            "_LEFT, _RIGHT = 2, 3\n"
+            "def _helper():\n"
+            "    return _USED + _RIGHT\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Orphan:\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        "b": "from a import _helper\nimport a\nprint(a._imported_by_attribute)\n"
+             "_imported_by_attribute: int = 4\n",
+    }
+    unread, checked = unread_private(sources)
+    assert unread == [("a", 3, "_LEFT"), ("a", 6, "_recursive"), ("a", 8, "_Orphan")]
+    assert checked == 7
+
+
+def test_every_private_name_in_src_is_read():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    unread, checked = unread_private({str(p.relative_to(ROOT)): p.read_text() for p in paths})
+    assert checked > 50
+    assert not unread, "private names never read:\n" + "\n".join(
+        f"{module}:{line}: {name}" for module, line, name in unread)
 
 
 def test_cli_loads_no_scipy():

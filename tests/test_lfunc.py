@@ -11,6 +11,8 @@ import pytest
 from zeropair import lfunc, zeros
 from zeropair.characters import character, enumerate_characters
 from zeropair.lfunc import (
+    BERNOULLI_TERMS,
+    TARGET_ABS_ERROR,
     EvalPrecision,
     PoleError,
     PrecisionError,
@@ -19,13 +21,13 @@ from zeropair.lfunc import (
     completed_l,
     hardy_z,
     hardy_z_batch,
-    hardy_z_mesh,
     hurwitz_zeta,
     hurwitz_zeta_batch,
     l_critical_batch,
     l_value,
     mesh_exp_sums,
     root_number,
+    scan_mesh,
     _em_remainder_bound,
 )
 
@@ -68,33 +70,22 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 1.5)
 
     def test_unreachable_tolerance_is_distinct_error(self):
-        prec = EvalPrecision(target_abs_error=1e-30, direct_terms=5, bernoulli_terms=1)
+        prec = EvalPrecision(direct_terms=5)  # for_height(40) needs 19
         with pytest.raises(PrecisionError):
             hurwitz_zeta(0.5 + 40j, 0.5, prec)
 
     def test_self_consistency_doubling_direct_terms(self):
         prec = EvalPrecision.for_height(50.0)
-        doubled = EvalPrecision(
-            prec.target_abs_error, 2 * prec.direct_terms, prec.bernoulli_terms
-        )
+        doubled = EvalPrecision(2 * prec.direct_terms)
         for t in (0.0, 17.3, 50.0):
             s = 0.5 + 1j * t
             v1 = hurwitz_zeta(s, 0.25, prec)
             v2 = hurwitz_zeta(s, 0.25, doubled)
-            assert abs(v1 - v2) <= prec.target_abs_error
+            assert abs(v1 - v2) <= TARGET_ABS_ERROR
 
     def test_precision_parameters_validated(self):
         with pytest.raises(ValueError):
             EvalPrecision(direct_terms=0)
-        with pytest.raises(ValueError):
-            EvalPrecision(bernoulli_terms=0)
-        with pytest.raises(ValueError):
-            EvalPrecision(bernoulli_terms=40)
-        assert EvalPrecision(bernoulli_terms=12).bernoulli_terms == 12
-        with pytest.raises(ValueError, match=r"\[1, 12\]"):
-            EvalPrecision(bernoulli_terms=13)
-        with pytest.raises(ValueError):
-            EvalPrecision(target_abs_error=0.0)
 
 
 class TestBernoulli:
@@ -107,8 +98,7 @@ class TestBernoulli:
 
 def _critical_bound(T: float, n: int) -> float:
     """The remainder bound at 1/2 + iT for the worst shift a -> 0, where w = N."""
-    prec = EvalPrecision.for_height(T)
-    return float(_em_remainder_bound(np.array([0.5 + 1j * T]), float(n), prec)[0])
+    return float(_em_remainder_bound(np.array([0.5 + 1j * T]), float(n))[0])
 
 
 class TestPrecisionChoice:
@@ -116,8 +106,8 @@ class TestPrecisionChoice:
     def test_for_height_is_minimal(self, T):
         prec = EvalPrecision.for_height(T)
         n = prec.direct_terms
-        assert prec.bernoulli_terms == 12
-        assert _critical_bound(T, n) <= prec.target_abs_error < _critical_bound(T, n - 1)
+        assert BERNOULLI_TERMS == 12
+        assert _critical_bound(T, n) <= TARGET_ABS_ERROR < _critical_bound(T, n - 1)
 
     def test_documented_sizes(self):
         got = [EvalPrecision.for_height(T).direct_terms for T in (30.0, 100.0, 1000.0)]
@@ -126,7 +116,7 @@ class TestPrecisionChoice:
     @pytest.mark.parametrize("T", [15.0, 30.0, 100.0, 1000.0])
     def test_one_term_fewer_fails_the_certificate(self, T):
         prec = EvalPrecision.for_height(T)
-        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        fewer = EvalPrecision(prec.direct_terms - 1)
         s = np.array([0.5 + 1j * T])
         hurwitz_zeta_batch(s, 1e-9, prec)
         with pytest.raises(PrecisionError):
@@ -197,14 +187,14 @@ class TestRemainderAtSmallestShift:
         rng = np.random.default_rng(5)
         s = rng.uniform(0.2, 3.0, 200) + 1j * rng.uniform(-150.0, 150.0, 200)
         shifts = np.array([a / 23 for a in range(1, 23)])
-        prec = EvalPrecision(1e-12, 30, 12)
-        every = _em_remainder_bound(s[:, None], prec.direct_terms + shifts, prec)
-        smallest = _em_remainder_bound(s, prec.direct_terms + shifts.min(), prec)
+        n = 30
+        every = _em_remainder_bound(s[:, None], n + shifts)
+        smallest = _em_remainder_bound(s, n + shifts.min())
         assert np.max(np.abs(smallest - every.max(axis=1)) / every.max(axis=1)) <= 1e-14
 
     def test_broadcast_kernel_still_raises_at_the_certified_edge(self):
         prec = EvalPrecision.for_height(100.0)
-        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        fewer = EvalPrecision(prec.direct_terms - 1)
         s = np.broadcast_to(np.array([[0.5 + 100j]]), (1, 3))
         shifts = np.array([0.9, 1e-9, 0.5])
         hurwitz_zeta_batch(s, shifts, prec)
@@ -219,7 +209,7 @@ def _primitive(q):
 class TestMeshEvaluator:
     def test_mesh_points(self):
         T, step = 30.0, 0.05
-        ts, z = hardy_z_mesh(character(1, 1), T, step, EvalPrecision.for_height(T))
+        ts, z, _ = scan_mesh(character(1, 1), T, step, EvalPrecision.for_height(T))
         assert ts.size == z.size == 2 * math.ceil(T / step) + 1
         assert ts[0] == -T and abs(ts[-1] - T) <= 1e-12
         assert np.all(np.diff(ts) <= step + 1e-12)
@@ -232,7 +222,7 @@ class TestMeshEvaluator:
         prec = EvalPrecision.for_height(T)
         chi = _primitive(23)[0]
         lfunc._mesh_columns.cache_clear()
-        ts, z = hardy_z_mesh(chi, T, step, prec)
+        ts, z, _ = scan_mesh(chi, T, step, prec)
         half = ts.size // 2
         assert ts[half] == 0.0 and np.array_equal(ts, -ts[::-1])
         nodes, direct, cols = lfunc._mesh_columns(23, T, step, prec)
@@ -250,7 +240,7 @@ class TestMeshEvaluator:
         chars = _primitive(23)
         assert len(chars) == 21
         for chi in chars:
-            ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(23, T), prec)
+            ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(23, T), prec)
             ref = hardy_z_batch(chi, ts, prec)
             assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 1e-13
 
@@ -258,14 +248,14 @@ class TestMeshEvaluator:
         T = 1000.0
         chi = character(1, 1)
         prec = EvalPrecision.for_height(T)
-        ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(1, T), prec)
+        ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(1, T), prec)
         ref = hardy_z_batch(chi, ts, prec)
         assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 2e-12
 
     def test_against_mpmath_siegelz_at_height_1000(self):
         T = 1000.0
         prec = EvalPrecision.for_height(T)
-        ts, z = hardy_z_mesh(character(1, 1), T, zeros.default_mesh_step(1, T), prec)
+        ts, z, _ = scan_mesh(character(1, 1), T, zeros.default_mesh_step(1, T), prec)
         picks = np.random.default_rng(7).choice(ts.size, 40, replace=False)
         picks = np.concatenate([picks, [0, ts.size // 2, ts.size - 1]])
         with mp.workdps(20):
@@ -275,24 +265,24 @@ class TestMeshEvaluator:
     def test_one_term_fewer_raises(self):
         T = 30.0
         prec = EvalPrecision.for_height(T)
-        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        fewer = EvalPrecision(prec.direct_terms - 1)
         chi = _primitive(23)[0]
-        hardy_z_mesh(chi, T, 0.05, prec)
+        scan_mesh(chi, T, 0.05, prec)
         with pytest.raises(PrecisionError):
-            hardy_z_mesh(chi, T, 0.05, fewer)
+            scan_mesh(chi, T, 0.05, fewer)
 
     def test_corrupted_rotation_raises(self, monkeypatch):
         chi = _primitive(23)[3]
         tilted = lfunc._rotation(chi.label) * cmath.exp(0.3j)
         prec = EvalPrecision.for_height(30.0)
-        hardy_z_mesh(chi, 30.0, 0.05, prec)
+        scan_mesh(chi, 30.0, 0.05, prec)
         monkeypatch.setattr(lfunc, "_rotation", lambda label: tilted)
         with pytest.raises(RealnessError):
-            hardy_z_mesh(chi, 30.0, 0.05, prec)
+            scan_mesh(chi, 30.0, 0.05, prec)
 
     def test_imprimitive_rejected(self):
         with pytest.raises(ValueError):
-            hardy_z_mesh(character(12, 5), 10.0, 0.05, EvalPrecision.for_height(10.0))
+            scan_mesh(character(12, 5), 10.0, 0.05, EvalPrecision.for_height(10.0))
 
     def test_column_blocks_stay_within_the_element_budget(self, monkeypatch):
         T, step = 30.0, 0.05
@@ -320,15 +310,15 @@ class TestMeshEvaluator:
         # the phase is computed on t >= 0 and mirrored
         chi = character(*label)
         prec = EvalPrecision.for_height(T)
-        ts, z = hardy_z_mesh(chi, T, zeros.default_mesh_step(label[0], T), prec)
+        ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(label[0], T), prec)
         neg = ts < 0
         ref = hardy_z_batch(chi, ts[neg], prec)
         assert np.max(np.abs(z[neg] - ref) / (1 + np.abs(ref))) <= tol
 
 
 class TestMeshInterpolation:
-    """mesh_evaluator: Z anywhere in [-T, T] from the direct sums of the scan
-    mesh, within the truncation bound of mesh_interpolation."""
+    """scan_mesh's evaluator: Z anywhere in [-T, T] from the direct sums of the
+    scan mesh, within the truncation bound of mesh_interpolation."""
 
     @pytest.mark.parametrize("label, T", [((1, 1), 1000.0), ((23, 2), 100.0)])
     def test_within_stated_bound_of_hardy_z_batch(self, label, T):
@@ -337,12 +327,12 @@ class TestMeshInterpolation:
         prec = EvalPrecision.for_height(T)
         step = zeros.default_mesh_step(label[0], T)
         plan = lfunc.mesh_interpolation(label[0], T, step, prec)
-        assert plan.truncation <= plan.target == prec.target_abs_error
+        assert plan.truncation <= TARGET_ABS_ERROR
         ts = np.random.default_rng(5).uniform(-T, T, 300)
         ts = np.concatenate([ts, [-T, 0.0, T]])
-        got = lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+        got = scan_mesh(chi, T, step, prec)[2](ts)
         ref = hardy_z_batch(chi, ts, prec)
-        assert np.max(np.abs(got - ref)) <= plan.truncation + prec.target_abs_error
+        assert np.max(np.abs(got - ref)) <= plan.truncation + TARGET_ABS_ERROR
 
     def test_truncation_bound_leaves_out_the_rounding_of_the_nodes_at_height_10000(self):
         # at q = 1, T = 10^4 the nodes' rounding, not the truncation, sets the
@@ -356,11 +346,11 @@ class TestMeshInterpolation:
         plan = lfunc.mesh_interpolation(1, T, step, prec)
         p, h = plan.order, plan.step
         ts = np.random.default_rng(5).uniform(-T, T, 200)
-        err = np.abs(lfunc.mesh_evaluator(chi, T, step, prec)(ts) - hardy_z_batch(chi, ts, prec))
+        mesh_ts, mesh_z, z_at = scan_mesh(chi, T, step, prec)
+        err = np.abs(z_at(ts) - hardy_z_batch(chi, ts, prec))
         # the stencil of t: the p + 1 nodes from round(t / h - p / 2)
         first = np.floor(ts / h - 0.5 * p + 0.5)
         nodes = (first[:, None] + np.arange(p + 1)) * h
-        mesh_ts, mesh_z = hardy_z_mesh(chi, T, step, prec)
         at = np.searchsorted(mesh_ts, nodes.ravel() - h / 2)
         assert np.max(np.abs(mesh_ts[at] - nodes.ravel())) <= 1e-9 * h
         node_err = np.abs(mesh_z[at] - hardy_z_batch(chi, mesh_ts[at], prec)).reshape(nodes.shape)
@@ -369,9 +359,9 @@ class TestMeshInterpolation:
                             for j in range(p + 1)], axis=1)
         lebesgue = float(np.max(np.abs(lagrange).sum(axis=0)))
         assert 1.0 < lebesgue <= 2.04
-        assert np.max(err) > plan.truncation + prec.target_abs_error
+        assert np.max(err) > plan.truncation + TARGET_ABS_ERROR
         assert np.all(err <= plan.truncation + lebesgue * np.max(node_err, axis=1)
-                      + prec.target_abs_error)
+                      + TARGET_ABS_ERROR)
 
     def test_order_is_the_smallest_that_meets_the_target(self):
         T = 100.0
@@ -382,8 +372,8 @@ class TestMeshInterpolation:
             return lfunc._stencil_factor(plan.scale, plan.width * plan.step, order) * (
                 lfunc._stencil_peak(order))
 
-        assert plan.truncation == bound(p) <= plan.target
-        assert bound(p - 1) > plan.target
+        assert plan.truncation == bound(p) <= TARGET_ABS_ERROR
+        assert bound(p - 1) > TARGET_ABS_ERROR
 
     def test_stencil_peak_bounds_the_node_polynomial_near_the_centre(self):
         for p in range(1, 13):
@@ -396,7 +386,15 @@ class TestMeshInterpolation:
         with pytest.raises(PrecisionError):
             lfunc.mesh_interpolation(1, 1000.0, 0.5, prec)
         with pytest.raises(PrecisionError):
-            lfunc.mesh_evaluator(character(1, 1), 1000.0, 0.5, prec)
+            scan_mesh(character(1, 1), 1000.0, 0.5, prec)
+
+    def test_too_coarse_mesh_fails_before_the_mesh_pass(self):
+        prec = EvalPrecision.for_height(1000.0)
+        lfunc._mesh_columns.cache_clear()  # a mesh pass would count a miss, cached or not before
+        misses = lfunc._mesh_columns.cache_info().misses
+        with pytest.raises(PrecisionError, match="too coarse"):
+            scan_mesh(character(1, 1), 1000.0, 0.5, prec)
+        assert lfunc._mesh_columns.cache_info().misses == misses
 
     def test_order_below_the_chosen_one_raises(self, monkeypatch):
         T = 100.0
@@ -404,7 +402,7 @@ class TestMeshInterpolation:
         prec = EvalPrecision.for_height(T)
         step = zeros.default_mesh_step(23, T)
         ts = np.linspace(10.0, 10.0 + 3 * step, 41)
-        lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+        scan_mesh(chi, T, step, prec)[2](ts)
         chosen = lfunc.mesh_interpolation
 
         def lower(*args):
@@ -413,21 +411,21 @@ class TestMeshInterpolation:
 
         monkeypatch.setattr(lfunc, "mesh_interpolation", lower)
         with pytest.raises(PrecisionError):
-            lfunc.mesh_evaluator(chi, T, step, prec)(ts)
+            scan_mesh(chi, T, step, prec)[2](ts)
 
     def test_window_certified_at_its_worst_point(self):
         T = 30.0
         prec = EvalPrecision.for_height(T)
-        fewer = EvalPrecision(prec.target_abs_error, prec.direct_terms - 1, prec.bernoulli_terms)
+        fewer = EvalPrecision(prec.direct_terms - 1)
         chi = _primitive(23)[0]
-        lfunc.mesh_evaluator(chi, T, 0.05, prec)
+        scan_mesh(chi, T, 0.05, prec)
         with pytest.raises(PrecisionError):
-            lfunc.mesh_evaluator(chi, T, 0.05, fewer)
+            scan_mesh(chi, T, 0.05, fewer)
 
     def test_points_outside_the_window_rejected(self):
         T = 30.0
         prec = EvalPrecision.for_height(T)
-        z = lfunc.mesh_evaluator(character(1, 1), T, 0.05, prec)
+        z = scan_mesh(character(1, 1), T, 0.05, prec)[2]
         with pytest.raises(ValueError):
             z(np.array([T + 0.01]))
 
@@ -706,7 +704,7 @@ class TestHardyZ:
             hardy_z(character(12, 5), 1.0)
 
     def test_precision_failure_propagates(self):
-        prec = EvalPrecision(target_abs_error=1e-30, direct_terms=5, bernoulli_terms=1)
+        prec = EvalPrecision(direct_terms=5)  # for_height(50) needs 24
         with pytest.raises(PrecisionError):
             hardy_z(character(4, 3), 50.0, prec)
 

@@ -114,6 +114,41 @@ class TestCorruption:
         with pytest.raises(CacheInvariantError):
             read_zero_set(p)
 
+    def _written(self, zs, tmp_path, **fields):
+        from dataclasses import replace
+
+        p = tmp_path / "a.zc"
+        write_zero_set(p, replace(zs, **fields))  # the writer checks nothing
+        return p
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_height_not_finite_and_positive_rejected(self, sample_set, tmp_path, value):
+        # a NaN height fails no comparison with T, so require_certified would
+        # pass the set for any T
+        p = self._written(sample_set, tmp_path, height=value)
+        with pytest.raises(CacheInvariantError, match="height .* is not finite and positive"):
+            read_zero_set(p)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_mesh_step_not_finite_and_positive_rejected(self, sample_set, tmp_path, value):
+        p = self._written(sample_set, tmp_path, mesh_step=value)
+        with pytest.raises(CacheInvariantError, match="mesh step .* is not finite and positive"):
+            read_zero_set(p)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_tolerance_not_finite_and_positive_rejected(self, sample_set, tmp_path, value):
+        p = self._written(sample_set, tmp_path, tolerance=value)
+        with pytest.raises(CacheInvariantError, match="tolerance .* is not finite and positive"):
+            read_zero_set(p)
+
+    @pytest.mark.parametrize("ordinates", [[math.nan], [-3.0, math.nan], [math.nan, 3.0]])
+    def test_non_finite_ordinate_rejected(self, sample_set, tmp_path, ordinates):
+        # a single NaN has no neighbour to fail the ascending check, and
+        # NaN > height is False
+        p = self._written(sample_set, tmp_path, ordinates=np.array(ordinates))
+        with pytest.raises(CacheInvariantError, match="non-finite ordinate"):
+            read_zero_set(p)
+
 
 class TestOverwritePolicy:
     def test_uncertified_cannot_replace_certified(self, sample_set, tmp_path):

@@ -143,8 +143,8 @@ class TestMeshSharing:
         for chi in chars:
             assert scan_zeros(chi, 30.0).certified
         info = lfunc._mesh_columns.cache_info()
-        # each scan reads the mesh twice: for its values and for its evaluator
-        assert (info.misses, info.hits) == (1, 2 * len(chars) - 1) == (1, 41)
+        # each scan reads the mesh once, for its values and its evaluator
+        assert (info.misses, info.hits) == (1, len(chars) - 1) == (1, 20)
 
 
 class TestRefine:
@@ -204,26 +204,26 @@ class TestRefinementCertificate:
         assert code == 3
 
     def test_refinement_points_per_zero(self, monkeypatch):
-        # the mesh goes through hardy_z_mesh, so every point of the mesh
+        # the mesh comes with scan_mesh's evaluator, so every point of the
         # evaluator belongs to a dip re-test or a refinement step, and every
         # hardy_z_batch point to a final residual
         points = [0]
-        evaluator = zeros.mesh_evaluator
+        mesh = zeros.scan_mesh
 
-        def counting_evaluator(chi, T, mesh_step, prec):
-            z = evaluator(chi, T, mesh_step, prec)
+        def counting_mesh(chi, T, mesh_step, prec):
+            ts, z, z_at = mesh(chi, T, mesh_step, prec)
 
             def counted(ts):
                 points[0] += np.size(ts)
-                return z(ts)
+                return z_at(ts)
 
-            return counted
+            return ts, z, counted
 
         def counting(chi, ts, prec=None):
             points[0] += np.size(ts)
             return hardy_z_batch(chi, ts, prec)
 
-        monkeypatch.setattr(zeros, "mesh_evaluator", counting_evaluator)
+        monkeypatch.setattr(zeros, "scan_mesh", counting_mesh)
         monkeypatch.setattr(zeros, "hardy_z_batch", counting)
         found = refined = 0
         for chi in enumerate_characters(5):
@@ -271,17 +271,13 @@ class TestBracketSources:
     @pytest.fixture
     def fake_z(self, monkeypatch):
         def use(f):
-            def mesh(chi, T, mesh_step, prec):
-                return self.MESH, f(self.MESH)
-
             def batch(chi, ts, prec=None):
                 return f(np.asarray(ts, dtype=np.float64))
 
-            def evaluator(chi, T, mesh_step, prec):
-                return lambda ts: f(np.asarray(ts, dtype=np.float64))
+            def mesh(chi, T, mesh_step, prec):
+                return self.MESH, f(self.MESH), lambda ts: batch(chi, ts)
 
-            monkeypatch.setattr(zeros, "hardy_z_mesh", mesh)
-            monkeypatch.setattr(zeros, "mesh_evaluator", evaluator)
+            monkeypatch.setattr(zeros, "scan_mesh", mesh)
             monkeypatch.setattr(zeros, "hardy_z_batch", batch)
 
         return use
