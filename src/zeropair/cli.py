@@ -32,7 +32,6 @@ from pathlib import Path
 from zeropair.characters import (
     CharacterLabel,
     character,
-    conductor_and_inducer,
     enumerate_characters,
     euler_phi,
     require_tabulable,
@@ -63,7 +62,13 @@ from zeropair.paircorr import (
 )
 from zeropair.sieve import psi_character, psi_progression, require_in_range
 from zeropair.store import ZeroCache, ZeroCacheError, emit_table, json_cell
-from zeropair.zeros import DEFAULT_MESH_STEP, DEFAULT_TOLERANCE, WINDOWS, zeros_for_modulus
+from zeropair.zeros import (
+    DEFAULT_TOLERANCE,
+    WINDOWS,
+    check_scan_parameters,
+    zeros_for_characters,
+    zeros_for_modulus,
+)
 
 __all__ = ["RunConfig", "main"]
 
@@ -114,11 +119,7 @@ class RunConfig:
             raise ValueError("threads must be at least 1")
         if not 0 < self.rel_tol < 1:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        step = DEFAULT_MESH_STEP if self.mesh_step is None else self.mesh_step
-        if not 0 < step <= 0.5:
-            raise ValueError(f"mesh_step must be none or lie in (0, 0.5], got {self.mesh_step}")
-        if not 0 < self.tolerance < step:
-            raise ValueError(f"tolerance must lie in (0, {step:g}), got {self.tolerance}")
+        check_scan_parameters(self.mesh_step, self.tolerance)
 
     def manifest(self) -> dict:
         return {**asdict(self), "cache_dir": str(self.cache_dir), "deterministic": True}
@@ -287,13 +288,8 @@ def _cmd_zeros(args):
     def work(cfg: RunConfig) -> _Result:
         cache = ZeroCache(cfg.cache_dir)
         if args.chi is not None:
-            _, ind = conductor_and_inducer(chars[0])
-            sets = {
-                chars[0].label: cache.load_or_scan(
-                    ind, args.T, mesh_step=cfg.mesh_step,
-                    tolerance=cfg.tolerance, force=args.force,
-                )
-            }
+            sets = zeros_for_characters(chars, args.T, cfg.mesh_step, cfg.tolerance, cache=cache,
+                                        force=args.force, threads=cfg.threads)
         else:
             sets = _zero_sets(cfg, args.q, args.T, force=args.force)
         rows = []

@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,7 +138,13 @@ _STIRLING_MIN_RE = 8  # least Re w at which the series is summed
 # otherwise add copies of the whole mesh to a scan's peak
 _EM_CHUNK_ELEMENTS = 1 << 22
 _EM_KERNEL_ELEMENTS = 1 << 16
+# the most elements of an array that grows with the height, k x N or k x (mesh
+# nodes + pad): 8 times the largest documented run (2.0M, q = 1 at T = 10^5);
+# at the 70 bytes per element a scan peaks at (q = 97, T = 1000), about 1.2 GB
+_ARRAY_ELEMENTS = 1 << 24
 REALNESS_TOL = 1e-8  # largest |Im| of a rotated value, relative to 1 + |value|
+_MESH_LOCKS: dict = {}  # per _mesh_columns key: one thread builds a mesh, other keys in parallel
+_MESH_LOCKS_GUARD = threading.Lock()
 
 
 def _exp_i(a: np.ndarray, f: np.ndarray, c=0.0) -> np.ndarray:
@@ -219,6 +226,12 @@ class EvalPrecision:
         return _precision_for(np.array([complex(0.5, abs(height))]))
 
 
+def _require_elements(elements: int, what: str) -> None:
+    """PrecisionError, before anything is built, if elements > _ARRAY_ELEMENTS."""
+    if elements > _ARRAY_ELEMENTS:
+        raise PrecisionError(f"{what} needs {elements:,} array elements > {_ARRAY_ELEMENTS:,}")
+
+
 def _em_remainder_bound(s: np.ndarray, w: float | np.ndarray) -> np.ndarray:
     m = BERNOULLI_TERMS
     sigma = s.real
@@ -245,9 +258,12 @@ def _precision_for(s: np.ndarray) -> EvalPrecision:
     if s.size:
         # the bound is (its value at w = 1) * w^-(Re s + 2M + 1): solve for w,
         # then settle the rounding against the bound itself
-        at_one = _em_remainder_bound(s, 1.0)
-        root = (at_one / TARGET_ABS_ERROR) ** (1.0 / (s.real + 2 * BERNOULLI_TERMS + 1))
-        n = max(1, math.ceil(float(np.max(root))))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite root is refused below
+            at_one = _em_remainder_bound(s, 1.0)
+        root = np.max((at_one / TARGET_ABS_ERROR) ** (1.0 / (s.real + 2 * BERNOULLI_TERMS + 1)))
+        if not np.isfinite(root):
+            raise PrecisionError(f"the remainder bound overflows at |s| = {np.max(np.abs(s)):.3g}")
+        n = max(1, math.ceil(root))
 
         def meets(k: int) -> bool:
             return float(np.max(_em_remainder_bound(s, float(k)))) <= TARGET_ABS_ERROR
@@ -309,6 +325,7 @@ def hurwitz_zeta_batch(
         raise PoleError("zeta(s, a) has a pole at s = 1")
     if prec is None:
         prec = _precision_for(s)
+    _require_elements(np.broadcast(s, a).size * prec.direct_terms, "an Euler-Maclaurin pass")
     # points repeated along a broadcast (zero-stride) axis are certified once
     _certify(s[tuple(slice(0, 1) if st == 0 else slice(None) for st in s.strides)],
              float(np.min(a, initial=1.0)), prec)
@@ -537,7 +554,9 @@ def _mesh_columns(q: int, T: float, mesh_step: float, prec: EvalPrecision):
 
 def release_meshes() -> None:
     """Drop every cached scan mesh."""
-    _mesh_columns.cache_clear()
+    with _MESH_LOCKS_GUARD:
+        _mesh_columns.cache_clear()
+        _MESH_LOCKS.clear()
 
 
 def _mirrored(half: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -593,9 +612,11 @@ def mesh_interpolation(
     """The interpolation order of the scan mesh (q, T, mesh_step, prec) and its
     truncation bound; PrecisionError if no order up to _INTERP_MAX_ORDER meets
     TARGET_ABS_ERROR, i.e. the mesh is too coarse for its band."""
-    h = T / math.ceil(T / mesh_step)
+    half = math.ceil(T / mesh_step)
+    h = T / half
     shifts = _unit_shifts(q)
     n = prec.direct_terms
+    _require_elements(shifts.size * max(n, half + 1 + _MESH_PAD), f"the mesh of q={q} to T={T:g}")
     top, bottom = -math.log(shifts[0]), -math.log(n - 1 + shifts[-1])
     width = 0.5 * (top - bottom)
     terms = float(np.sum((shifts[:, None] + np.arange(n)) ** -0.5))
@@ -644,7 +665,11 @@ def scan_mesh(
     q, T, mesh_step = chi.modulus, float(T), float(mesh_step)
     plan = mesh_interpolation(q, T, mesh_step, prec)
     p = plan.order
-    half_ts, direct, cols = _mesh_columns(q, T, mesh_step, prec)
+    key = (q, T, mesh_step, prec)
+    with _MESH_LOCKS_GUARD:
+        lock = _MESH_LOCKS.setdefault(key, threading.Lock())
+    with lock:
+        half_ts, direct, cols = _mesh_columns(*key)
     shifts, values = _residues(chi.label)
     nodes = half_ts[: cols.shape[0]]
     ts = np.concatenate([-nodes[:0:-1], nodes])

@@ -24,8 +24,9 @@ set with an uncertified one unless forced.  Loads re-validate the header
 (finite, ascending, inside the window, count consistent) and raise distinct
 error types for bad magic, unknown version, checksum mismatch and invariant
 violations.  Loaded sets carry point brackets and NaN residuals; the
-uncertainty of a stored ordinate is the set-level tolerance.  The files of
-a conjugate pair of characters are written together, from one scan.
+uncertainty of a stored ordinate is the set-level tolerance.  A conjugate
+pair's files are written together, from one scan, and ZeroCache.load_or_scan
+returns the pair's sets, loaded only if the files are exact mirrors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import os
 import struct
 import tempfile
 import zlib
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -223,27 +225,36 @@ class ZeroCache:
         mesh_step: float | None = None,
         tolerance: float = 1e-10,
         force: bool = False,
-    ) -> ZeroSet:
-        """Return the cached set when it matches the request, else scan and store.
+    ) -> dict[CharacterLabel, ZeroSet]:
+        """The sets of chi's conjugate pair by label, loaded or scanned.
 
-        The files of chi's conjugate pair go together: unless both hold a
-        set with the current branch tag and the requested scan parameters,
-        the pair's representative is scanned once and both files are
-        written, the other member's as the mirror.  Unreadable files raise;
-        clearing or forcing past them is an explicit caller decision.
+        The pair's files are a hit only if both hold a set with the current
+        branch tag and the requested scan parameters, and the other member's
+        is the exact mirror of the representative's; otherwise the
+        representative is scanned once and both files are written.
+        Unreadable files raise; clearing or forcing past them is an explicit
+        caller decision.
         """
         if not force:
             want_mesh = mesh_step if mesh_step is not None else default_mesh_step(chi.modulus, T)
             want = (float(T), ROTATION_BRANCH, float(want_mesh), float(tolerance))
             sets = {psi.label: self.load(psi.label, T) for psi in conjugate_pair(chi)}
+            rep, *others = sets.values()
             if all(zs is not None and zs.label == label
                    and (zs.height, zs.branch, zs.mesh_step, zs.tolerance) == want
-                   for label, zs in sets.items()):
-                return sets[chi.label]
+                   for label, zs in sets.items()) and all(_mirrors(rep, zs) for zs in others):
+                return sets
         sets = scan_pair(chi, T, mesh_step=mesh_step, tolerance=tolerance)
         for zs in sets.values():
             write_zero_set(self.path_for(zs.label, T), zs, force=True)
-        return sets[chi.label]
+        return sets
+
+
+def _mirrors(rep: ZeroSet, zs: ZeroSet) -> bool:
+    """zs is rep's exact mirror, both matching the request: every other header
+    field but the index equal, and the ordinates -rep.ordinates[::-1]."""
+    head = attrgetter("conductor", "parity", "certified", "expected_count")
+    return head(zs) == head(rep) and np.array_equal(zs.ordinates, -rep.ordinates[::-1])
 
 
 def _format_value(v) -> str:

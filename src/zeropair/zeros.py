@@ -40,13 +40,17 @@ L(1/2 - it, chi) = conj L(1/2 + it, conj chi): the zeros of chi on [-T, 0)
 are the negated zeros of conj chi on (0, T].  The member with the smaller
 index represents a complex pair and is scanned on all of [-T, T]; the set
 of the other member is its mirror (ordinates negated and reversed, the same
-certificate).  A real chi, q = 1 included, has an even Z: its scan refines
-only the brackets in [0, T] and reflects them, keeping an exact zero at 0
-once.  A reflected bracket keeps its sign change because
-Z_chi(-t) = Z_conj(chi)(t) (see lfunc.hardy_z_batch).  Symmetry is still
-tested directly: the acceptance suite compares the scans of both members of
-every complex pair, and checks every reflected bracket of a real character
-for a sign change of Z evaluated on the negative half.
+certificate), built once, by scan_pair.  zeros_for_characters is the one
+path from characters to sets: a character takes its inducer's set, and each
+pair of inducers comes from scan_pair or, whole, from the cache's
+load_or_scan, which loads a pair only if its files are exact mirrors.  A
+real chi, q = 1 included, has an even Z: its scan refines only the brackets
+in [0, T] and reflects them, keeping an exact zero at 0 once.  A reflected
+bracket keeps its sign change because Z_chi(-t) = Z_conj(chi)(t) (see
+lfunc.hardy_z_batch).  Symmetry is still tested directly: the acceptance
+suite compares the scans of both members of every complex pair, and checks
+every reflected bracket of a real character for a sign change of Z
+evaluated on the negative half.
 
 Sums over zeros take their ordinates from ZeroSet.window, which checks the
 certificate first, or from character_family, its character-weighted form:
@@ -59,7 +63,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -281,12 +285,21 @@ def _brackets_certified(
     return bool(np.all(exact | (flip & inside)))
 
 
+def check_scan_parameters(mesh_step: float | None, tolerance: float) -> None:
+    """ValueError unless 0 < mesh_step <= 0.5 and 0 < tolerance < mesh_step;
+    None stands for default_mesh_step, at most DEFAULT_MESH_STEP."""
+    step = DEFAULT_MESH_STEP if mesh_step is None else mesh_step
+    if not 0 < step <= 0.5:
+        raise ValueError(f"mesh_step must be none or lie in (0, 0.5], got {mesh_step}")
+    if not 0 < tolerance < step:
+        raise ValueError(f"tolerance must lie in (0, {step:g}), got {tolerance}")
+
+
 def scan_zeros(
     chi: DirichletCharacter,
     T: float,
     mesh_step: float | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    prec: EvalPrecision | None = None,
 ) -> ZeroSet:
     """Scan [-T, T] for zeros of a primitive character's critical line; a real
     character's set is the reflection of its scan of [0, T]."""
@@ -296,12 +309,8 @@ def scan_zeros(
         raise ValueError("T must be positive")
     if mesh_step is None:
         mesh_step = default_mesh_step(chi.modulus, T)
-    if not 0 < mesh_step <= 0.5:
-        raise ValueError("mesh_step must lie in (0, 0.5]")
-    if not 0 < tolerance < mesh_step:
-        raise ValueError("tolerance must lie in (0, mesh_step)")
-    if prec is None:
-        prec = EvalPrecision.for_height(T)
+    check_scan_parameters(mesh_step, tolerance)
+    prec = EvalPrecision.for_height(T)
 
     ts, z, z_at = scan_mesh(chi, T, mesh_step, prec)
     if chi.is_real:
@@ -380,27 +389,23 @@ def conjugate_pair(chi: DirichletCharacter) -> tuple[DirichletCharacter, ...]:
     return tuple(sorted((chi, chi.conjugate()), key=lambda psi: psi.index))
 
 
-def pair_sets(zs: ZeroSet, pair: tuple[DirichletCharacter, ...]) -> dict[CharacterLabel, ZeroSet]:
-    """The sets of a conjugate pair by label, given zs, the set of its
-    representative pair[0]: the other member's is the mirror of zs, with the
-    reflected ordinates, brackets and residuals and zs's certificate."""
-    sets = {zs.label: zs}
-    for other in pair[1:]:
-        ordinates, lo, hi, residual = _reflect(zs.ordinates, zs.lo, zs.hi, zs.residual)
-        sets[other.label] = replace(zs, label=other.label, ordinates=ordinates, lo=lo, hi=hi,
-                                    residual=residual)
-    return sets
-
-
 def scan_pair(
     chi: DirichletCharacter,
     T: float,
     mesh_step: float | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[CharacterLabel, ZeroSet]:
-    """The sets of chi's conjugate pair from one scan of its representative."""
-    pair = conjugate_pair(chi)
-    return pair_sets(scan_zeros(pair[0], T, mesh_step=mesh_step, tolerance=tolerance), pair)
+    """The sets of chi's conjugate pair by label, from one scan of its
+    representative: the other member's is the mirror, with the reflected
+    ordinates, brackets and residuals and the same certificate."""
+    rep, *others = conjugate_pair(chi)
+    zs = scan_zeros(rep, T, mesh_step=mesh_step, tolerance=tolerance)
+    sets = {zs.label: zs}
+    for other in others:
+        ordinates, lo, hi, residual = _reflect(zs.ordinates, zs.lo, zs.hi, zs.residual)
+        sets[other.label] = replace(zs, label=other.label, ordinates=ordinates, lo=lo, hi=hi,
+                                    residual=residual)
+    return sets
 
 
 def refine_zero(
@@ -435,8 +440,8 @@ def refine_zero(
     return float(ords[0]), float(lo[0]), float(hi[0]), float(resid[0])
 
 
-def zeros_for_modulus(
-    q: int,
+def zeros_for_characters(
+    chars: Iterable[DirichletCharacter],
     T: float,
     mesh_step: float | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -444,7 +449,7 @@ def zeros_for_modulus(
     force: bool = False,
     threads: int = 1,
 ) -> dict[CharacterLabel, ZeroSet]:
-    """Zero sets for every character mod q, scanned through the inducers.
+    """Zero sets for the characters chars by label, scanned through their inducers.
 
     Imprimitive characters share their inducer's set by reference (the
     stripped Euler factors are zero-free on the critical line); principal
@@ -452,11 +457,11 @@ def zeros_for_modulus(
     scanned once, through its representative, in ascending label order, so
     the inducers of one modulus follow each other and reuse its mesh
     columns; the other member gets the mirror of the representative's set.
-    With a cache, scans go through cache.load_or_scan (force rescans past
-    it); with threads > 1 they run on a thread pool and are reassembled in
-    the same order.
+    With a cache, each pair comes from cache.load_or_scan, loaded or scanned
+    (force rescans past it); with threads > 1 the pairs run on a thread pool
+    and are reassembled in the same order.
     """
-    inducer_of = {chi.label: conductor_and_inducer(chi)[1] for chi in enumerate_characters(q)}
+    inducer_of = {chi.label: conductor_and_inducer(chi)[1] for chi in chars}
     pairs = sorted(
         {pair[0].label: pair for pair in map(conjugate_pair, inducer_of.values())}.values(),
         key=lambda pair: (pair[0].modulus, pair[0].index),
@@ -465,14 +470,19 @@ def zeros_for_modulus(
     def scan(pair: tuple[DirichletCharacter, ...]) -> dict[CharacterLabel, ZeroSet]:
         if cache is None:
             return scan_pair(pair[0], T, mesh_step=mesh_step, tolerance=tolerance)
-        zs = cache.load_or_scan(pair[0], T, mesh_step=mesh_step, tolerance=tolerance, force=force)
-        return pair_sets(zs, pair)
+        return cache.load_or_scan(pair[0], T, mesh_step=mesh_step, tolerance=tolerance, force=force)
 
     if threads > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             scanned = list(pool.map(scan, pairs))
     else:
         scanned = [scan(pair) for pair in pairs]
-    release_meshes()  # they served this modulus; a process scanning many keeps none
+    release_meshes()  # they served these characters; a process scanning many keeps none
     by_label = {label: zs for sets in scanned for label, zs in sets.items()}
     return {label: by_label[psi.label] for label, psi in inducer_of.items()}
+
+
+def zeros_for_modulus(q: int, T: float, *args, **kwargs) -> dict[CharacterLabel, ZeroSet]:
+    """zeros_for_characters(enumerate_characters(q), T, ...): the zero sets
+    of every character mod q, in enumerate_characters order."""
+    return zeros_for_characters(enumerate_characters(q), T, *args, **kwargs)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from zeropair import sieve, zeros
-from zeropair.characters import character
+from zeropair.characters import character, enumerate_characters
 from zeropair.cli import main, parse_config_file
 from zeropair.lfunc import (
     EvalPrecision,
@@ -326,6 +326,35 @@ class TestZeros:
         assert scanned == ["5:2"]
         assert rep.stat().st_ino != inode  # rewritten, to the same bytes
         assert {p: p.read_bytes() for p in (rep, conj)} == before
+
+    @pytest.mark.parametrize("q", [5, 12])
+    def test_chi_rows_equal_the_modulus_rows(self, capsys, tmp_path, q):
+        chars = [str(chi.label) for chi in enumerate_characters(q)]
+        by_chi = []
+        for label in chars:  # cold for the first member of each pair, warm after
+            code, out = run(capsys, tmp_path, "zeros", "--chi", label, "--T", "20", "--json")
+            assert code == 0
+            by_chi.extend(json.loads(out)["rows"])
+        code, out = run(capsys, tmp_path, "zeros", "--q", str(q), "--T", "20", "--json")
+        assert code == 0
+        assert by_chi == json.loads(out)["rows"]
+        assert [f"{row['q']}:{row['index']}" for row in by_chi] == chars
+
+    @pytest.mark.parametrize("argv", [["zeros", "--q", "5"], ["paircorr", "--x", "3"]])
+    @pytest.mark.parametrize("T", ["5e12", "1e300"])
+    def test_height_beyond_the_evaluator_exits_3(self, capsys, tmp_path, argv, T):
+        code = main([*argv, "--T", T, "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certification failure: the remainder bound overflows")
+
+    def test_mesh_over_the_element_budget_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("zeropair.lfunc._ARRAY_ELEMENTS", 1000)
+        code = main(["zeros", "--q", "5", "--T", "30", "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "the mesh of q=5 to T=30 needs 2,488 array elements > 1,000" in captured.err
+        assert not (tmp_path / "zeros" / "q5").exists()  # q = 1 fits and is scanned first
 
     def test_needs_q_or_chi(self, capsys, cache_dir):
         code, _ = run(capsys, cache_dir, "zeros", "--T", "30")

@@ -8,11 +8,13 @@ bind no checkable name and are skipped.  Inside src/, no function body may
 import: every dependency of a module is stated at its top.  Only the sieve
 sees a prime table: no public function takes a `table`, and no other module
 names LambdaTable or table_for.  Only lfunc names its Euler-Maclaurin chunk
-budget _EM_CHUNK_ELEMENTS: other modules size their own work.  Every
-private module-level name in src/ (a def, class or assignment named _x) is
-read somewhere in src/, so a refactor leaves no helper behind.  numpy is
-the only third-party package the command line loads: importing zeropair.cli
-in a fresh interpreter loads no scipy module.
+budget _EM_CHUNK_ELEMENTS: other modules size their own work.  zeros owns
+the one path from characters to zero sets: no module but zeros and store
+calls conjugate_pair, and cli calls neither conductor_and_inducer nor
+load_or_scan.  Every private module-level name in src/ (a def, class or
+assignment named _x) is read somewhere in src/, so a refactor leaves no
+helper behind.  numpy is the only third-party package the command line
+loads: importing zeropair.cli in a fresh interpreter loads no scipy module.
 """
 
 import ast
@@ -162,6 +164,40 @@ def test_only_the_sieve_sees_a_table():
         for line, what in table_leaks(path.read_text(), path.stem):
             found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert not found, "prime tables outside the sieve:\n" + "\n".join(found)
+
+
+def sharing_calls(source: str, module: str) -> list:
+    """(line, name) of each call that would open a second path from
+    characters to zero sets: conjugate_pair outside zeros and store, and
+    conductor_and_inducer or load_or_scan in cli."""
+    banned = set() if module in ("zeros", "store") else {"conjugate_pair"}
+    if module == "cli":
+        banned |= {"conductor_and_inducer", "load_or_scan"}
+    return sorted((node.lineno, _name(node.func)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _name(node.func) in banned)
+
+
+def test_detector_flags_sharing_calls():
+    source = (
+        "from zeropair.zeros import conjugate_pair\n"
+        "from zeropair import characters\n"
+        "pair = conjugate_pair(chi)\n"
+        "_, ind = characters.conductor_and_inducer(chi)\n"
+        "sets = cache.load_or_scan(ind, 10.0)\n"
+        "f = conjugate_pair\n"
+    )
+    assert sharing_calls(source, "cli") == [
+        (3, "conjugate_pair"), (4, "conductor_and_inducer"), (5, "load_or_scan"),
+    ]
+    assert sharing_calls(source, "explicit") == [(3, "conjugate_pair")]
+    assert sharing_calls(source, "zeros") == sharing_calls(source, "store") == []
+
+
+def test_zeros_owns_the_path_from_characters_to_zero_sets():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "zeropair").glob("*.py"))
+             for line, name in sharing_calls(path.read_text(), path.stem)]
+    assert not found, "a second sharing path:\n" + "\n".join(found)
 
 
 def chunk_budget_uses(source: str) -> list:

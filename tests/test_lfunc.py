@@ -136,6 +136,52 @@ class TestPrecisionChoice:
         assert abs(hurwitz_zeta(s, a) - ref) <= 1e-13 * abs(ref)
 
 
+def _mesh_elements(q: int, T: float) -> tuple[int, int]:
+    """k x N and k x (mesh nodes + pad) of the default scan of modulus q to T,
+    by arithmetic alone."""
+    k = len(lfunc._unit_shifts(q))
+    half = math.ceil(T / zeros.default_mesh_step(q, T))
+    return k * EvalPrecision.for_height(T).direct_terms, k * (half + 1 + lfunc._MESH_PAD)
+
+
+class TestHeightLimits:
+    @pytest.mark.parametrize("T", [5e12, 1e300])
+    def test_overflowing_remainder_bound_is_a_precision_error(self, T):
+        with pytest.raises(PrecisionError, match="remainder bound overflows"):
+            EvalPrecision.for_height(T)
+
+    def test_budget_holds_the_documented_runs_and_refuses_height_1e9(self):
+        assert _mesh_elements(97, 1000.0) == (96 * 471, 1_922_112)
+        assert max(_mesh_elements(1, 1e5)) == 2_000_022
+        # a few times the largest documented run: the budget is not the limit there
+        assert 8 * 2_000_022 <= lfunc._ARRAY_ELEMENTS
+        k_n, k_nodes = _mesh_elements(5, 1e9)
+        assert k_n == 4 * 616_417_599 > lfunc._ARRAY_ELEMENTS
+        assert k_nodes > lfunc._ARRAY_ELEMENTS
+
+    def test_mesh_over_the_budget_is_refused_before_the_mesh_pass(self, monkeypatch):
+        prec = EvalPrecision.for_height(30.0)
+        step = zeros.default_mesh_step(5, 30.0)
+        monkeypatch.setattr(lfunc, "_ARRAY_ELEMENTS", max(_mesh_elements(5, 30.0)) - 1)
+        lfunc._mesh_columns.cache_clear()
+        with pytest.raises(PrecisionError, match="array elements"):
+            lfunc.mesh_interpolation(5, 30.0, step, prec)
+        with pytest.raises(PrecisionError, match="array elements"):
+            scan_mesh(character(5, 2), 30.0, step, prec)
+        assert lfunc._mesh_columns.cache_info().misses == 0
+        monkeypatch.setattr(lfunc, "_ARRAY_ELEMENTS", max(_mesh_elements(5, 30.0)))
+        assert lfunc.mesh_interpolation(5, 30.0, step, prec).order >= 1
+
+    def test_euler_maclaurin_pass_over_the_budget_is_refused(self, monkeypatch):
+        prec = EvalPrecision.for_height(30.0)
+        s = np.full((10, 4), 0.5 + 30j)
+        monkeypatch.setattr(lfunc, "_ARRAY_ELEMENTS", 40 * prec.direct_terms - 1)
+        with pytest.raises(PrecisionError, match="array elements"):
+            hurwitz_zeta_batch(s, np.array([0.2, 0.4, 0.6, 0.8]), prec)
+        monkeypatch.setattr(lfunc, "_ARRAY_ELEMENTS", 40 * prec.direct_terms)
+        assert hurwitz_zeta_batch(s, np.array([0.2, 0.4, 0.6, 0.8]), prec).shape == (10, 4)
+
+
 class TestBroadcastKernel:
     def test_columns_match_scalar_shift_calls(self):
         prec = EvalPrecision.for_height(60.0)

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from zeropair.store import (
     read_zero_set,
     write_zero_set,
 )
-from zeropair.zeros import ZeroSet, scan_zeros
+from zeropair.zeros import ZeroSet, scan_zeros, zeros_for_modulus
 
 
 @pytest.fixture(scope="module")
@@ -193,17 +195,17 @@ class TestCacheDirectory:
             raise AssertionError("the third run should be a cache hit")
 
         monkeypatch.setattr(zeros, "scan_zeros", no_scan)
-        assert cache.load_or_scan(chi, 10.0).height == 10.0
+        assert cache.load_or_scan(chi, 10.0)[chi.label].height == 10.0
         assert low.read_bytes() == before and low.stat().st_mtime_ns == stamp
 
     def test_load_or_scan_caches(self, tmp_path):
         cache = ZeroCache(tmp_path)
         chi = character(4, 3)
-        zs1 = cache.load_or_scan(chi, 15.0)
+        zs1 = cache.load_or_scan(chi, 15.0)[chi.label]
         path = cache.path_for(chi.label, 15.0)
         assert path.exists()
         before = path.read_bytes()
-        zs2 = cache.load_or_scan(chi, 15.0)
+        zs2 = cache.load_or_scan(chi, 15.0)[chi.label]
         assert path.read_bytes() == before
         assert np.array_equal(zs1.ordinates, zs2.ordinates)
 
@@ -218,12 +220,77 @@ class TestCacheDirectory:
         with pytest.raises(CacheChecksumError):
             cache.load_or_scan(chi, 15.0)
         # explicit force rescans over the bad file
-        zs = cache.load_or_scan(chi, 15.0, force=True)
+        zs = cache.load_or_scan(chi, 15.0, force=True)[chi.label]
         assert zs.certified
 
     def test_missing_returns_none(self, tmp_path):
         cache = ZeroCache(tmp_path)
         assert cache.load(character(4, 3).label, 33.0) is None
+
+
+class TestConjugatePairs:
+    def test_load_or_scan_returns_the_pair_loaded_or_scanned(self, tmp_path):
+        cache = ZeroCache(tmp_path)
+        rep, conj = character(5, 2), character(5, 3)
+        for chi in (rep, conj):  # either member asks for the same pair
+            for _ in range(2):  # scanned, then loaded
+                sets = cache.load_or_scan(chi, 10.0)
+                assert list(sets) == [rep.label, conj.label]
+                assert np.array_equal(sets[conj.label].ordinates,
+                                      -sets[rep.label].ordinates[::-1])
+
+    def test_warm_modulus_reads_each_file_once_and_mirrors_nothing(self, tmp_path, monkeypatch):
+        cache = ZeroCache(tmp_path)
+        cold = zeros_for_modulus(15, 10.0, cache=cache)
+        reads = []
+
+        def counting(path):
+            reads.append(Path(path))
+            return read_zero_set(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm load neither scans nor mirrors")
+
+        monkeypatch.setattr(store, "read_zero_set", counting)
+        monkeypatch.setattr(zeros, "scan_zeros", refuse)
+        monkeypatch.setattr(zeros, "_reflect", refuse)
+        warm = zeros_for_modulus(15, 10.0, cache=cache)
+        assert sorted(reads) == sorted(tmp_path.rglob("*.zc"))  # each file once
+        assert list(warm) == list(cold)
+        for label, zs in warm.items():
+            assert zs.label == cold[label].label
+            assert np.array_equal(zs.ordinates, cold[label].ordinates)
+
+    @pytest.mark.parametrize("defect", ["ordinate", "header"])
+    def test_a_pair_that_is_not_an_exact_mirror_is_rescanned_once(self, tmp_path, monkeypatch,
+                                                                   defect):
+        cache = ZeroCache(tmp_path)
+        rep = character(5, 2)
+        cache.load_or_scan(rep, 10.0)
+        conj = cache.path_for(character(5, 3).label, 10.0)
+        before = conj.read_bytes()
+        stored = read_zero_set(conj)
+        if defect == "ordinate":
+            moved = stored.ordinates.copy()
+            moved[moved.size // 2] += 1e-9
+            write_zero_set(conj, replace(stored, ordinates=moved))  # with a valid checksum
+        else:
+            write_zero_set(conj, replace(stored, expected_count=stored.expected_count + 1.0))
+        read_zero_set(conj)  # reads cleanly
+        scanned = []
+
+        def recording(chi, T, **kwargs):
+            scanned.append(str(chi.label))
+            return scan_zeros(chi, T, **kwargs)
+
+        monkeypatch.setattr(zeros, "scan_zeros", recording)
+        sets = cache.load_or_scan(rep, 10.0)
+        assert scanned == ["5:2"]
+        assert conj.read_bytes() == before  # rewritten as the exact mirror
+        assert np.array_equal(sets[character(5, 3).label].ordinates,
+                              -sets[rep.label].ordinates[::-1])
+        cache.load_or_scan(rep, 10.0)
+        assert scanned == ["5:2"]  # then a hit
 
 
 class TestEmitTable:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from zeropair.zeros import (
     default_mesh_step,
     refine_zero,
     require_certified,
+    scan_pair,
     scan_zeros,
     zeros_for_modulus,
 )
@@ -504,7 +506,7 @@ class TestModulusMap:
         class FakeCache:
             def load_or_scan(self, chi, T, mesh_step=None, tolerance=None, force=False):
                 calls.append((chi.label, T, mesh_step, tolerance, force))
-                return scan_zeros(chi, T, mesh_step=mesh_step, tolerance=tolerance)
+                return scan_pair(chi, T, mesh_step=mesh_step, tolerance=tolerance)
 
         m = zeros_for_modulus(15, 10.0, tolerance=1e-9, cache=FakeCache(), force=True)
         assert len(m) == 8
@@ -527,6 +529,31 @@ class TestModulusMap:
                 assert np.array_equal(getattr(zs, name), getattr(other, name))
         # the pool keeps the sharing: one object per inducer
         assert len({id(zs) for zs in pooled.values()}) == len({zs.label for zs in pooled.values()})
+
+    @pytest.mark.parametrize("q,T,threads", [(23, 100.0, 2), (15, 30.0, 2), (15, 30.0, 6)])
+    def test_threads_build_each_mesh_once(self, monkeypatch, q, T, threads):
+        # the first pairs of a modulus start at once; one thread builds its
+        # mesh and the others wait for it, also with more threads than cores
+        # and a short switch interval
+        seen = []
+        release = zeros.release_meshes
+
+        def recording():
+            seen.append(lfunc._mesh_columns.cache_info())
+            release()
+
+        lfunc.release_meshes()
+        monkeypatch.setattr(zeros, "release_meshes", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            m = zeros_for_modulus(q, T, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        moduli = {zs.label.modulus for zs in m.values()}
+        assert seen[0].misses == len(moduli) == (2 if q == 23 else 4)
+        for label, zs in zeros_for_modulus(q, T).items():
+            assert np.array_equal(m[label].ordinates, zs.ordinates)
 
     def test_all_certified_small(self):
         for q in (1, 3, 5, 8):
