@@ -99,7 +99,7 @@ class RunConfig:
     cache_dir      "cache" (ZEROPAIR_CACHE_DIR overrides, flag wins)
     tolerance      1e-10   zero-refinement tolerance, below the mesh step
     rel_tol        1e-6    identity checks' discretization bound / max(|rhs|, 1), in (0, 1)
-    mesh_step      none    scan mesh override in (0, 0.5]; none = per-(q,T) default
+    mesh_step      none    scan mesh override in (0, 0.5]; none = the default 0.05
     threads        1       worker pool for independent zero scans
     format         csv     table output format (csv or json)
     """

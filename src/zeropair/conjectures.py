@@ -130,6 +130,17 @@ def _implied_epsilon(normalized: float, x: float) -> float:
     return math.log(abs(normalized)) / math.log(x)
 
 
+def _normalized_errors(xs, q_list, a: int | None, normalizer):
+    """(x, q, class, error, normalizer(x, q)) for every x in xs, modulus and class
+    of _classes_by_modulus, in one table pass per (x, q)."""
+    class_sets = _classes_by_modulus(q_list, a)
+    for x in xs:
+        for q, classes in class_sets.items():
+            errors, scale = _class_errors(x, q), normalizer(x, q)
+            for cls in classes:
+                yield x, q, cls, errors[cls], scale
+
+
 def montgomery_table(x_list, q_list, a: int | None = None) -> list[MontgomeryRow]:
     """Rows for every x in x_list, q in q_list, and unit class a.
 
@@ -139,28 +150,21 @@ def montgomery_table(x_list, q_list, a: int | None = None) -> list[MontgomeryRow
     xs = sorted(set(float(x) for x in x_list))
     if not xs or xs[0] <= 1.0:
         raise ValueError("x values must exceed 1")
-    class_sets = _classes_by_modulus(q_list, a)
     rows = []
-    for x in xs:
-        grh_env = math.sqrt(x) * math.log(x) ** 2
-        for q, classes in class_sets.items():
-            errors = _class_errors(x, q)
-            normalizer = math.sqrt(x / q)
-            for cls in classes:
-                err = errors[cls]
-                normalized = err / normalizer
-                rows.append(
-                    MontgomeryRow(
-                        x=x,
-                        q=q,
-                        a=cls,
-                        error=err,
-                        normalizer=normalizer,
-                        normalized=normalized,
-                        implied_epsilon=_implied_epsilon(normalized, x),
-                        grh_ratio=abs(err) / grh_env,
-                    )
-                )
+    for x, q, cls, err, scale in _normalized_errors(xs, q_list, a, lambda x, q: math.sqrt(x / q)):
+        normalized = err / scale
+        rows.append(
+            MontgomeryRow(
+                x=x,
+                q=q,
+                a=cls,
+                error=err,
+                normalizer=scale,
+                normalized=normalized,
+                implied_epsilon=_implied_epsilon(normalized, x),
+                grh_ratio=abs(err) / (math.sqrt(x) * math.log(x) ** 2),
+            )
+        )
     return rows
 
 
@@ -194,25 +198,20 @@ def weak_form_table(x: float, q_list, alpha: float, a: int | None = None) -> lis
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if x <= 1.0:
         raise ValueError("x must exceed 1")
-    class_sets = _classes_by_modulus(q_list, a)
-    rows = []
-    for q, classes in class_sets.items():
-        errors = _class_errors(x, q)
-        normalizer = math.sqrt(x * euler_phi(q) ** alpha / q)
-        for cls in classes:
-            err = errors[cls]
-            rows.append(
-                WeakFormRow(
-                    x=x,
-                    q=q,
-                    a=cls,
-                    alpha=alpha,
-                    error=err,
-                    normalizer=normalizer,
-                    normalized=err / normalizer,
-                )
-            )
-    return rows
+    return [
+        WeakFormRow(
+            x=x,
+            q=q,
+            a=cls,
+            alpha=alpha,
+            error=err,
+            normalizer=scale,
+            normalized=err / scale,
+        )
+        for x, q, cls, err, scale in _normalized_errors(
+            [x], q_list, a, lambda x, q: math.sqrt(x * euler_phi(q) ** alpha / q)
+        )
+    ]
 
 
 def dyadic_profile(x: float, q: int, a: int, eps: float = 0.1) -> DyadicProfile:

@@ -22,10 +22,10 @@ still checks the bound at its own points and raises PrecisionError when it
 fails.
 
 L(s, chi) for primitive chi mod q is q^(-s) sum_a chi(a) zeta(s, a/q).  The
-shifts a/q broadcast against the points, so one Euler-Maclaurin pass yields
-every residue column and a matrix-vector product with the values chi(a)
-combines them; the pass is chunked so that points x residues x N stays
-bounded.
+points enter as a column and the shifts a/q broadcast against it, so one
+Euler-Maclaurin pass yields every residue column and a matrix-vector product
+with the values chi(a) combines them; the pass is chunked so that points x
+residues x N stays bounded.
 
 A zero scan takes everything from one call, scan_mesh, which returns the
 mesh, Z on it and an evaluator of Z between its nodes.  Every character mod
@@ -33,13 +33,14 @@ q needs the same columns on the same mesh, so they are computed once per
 (q, T, mesh step, precision) and the last few meshes are kept; each further
 character costs matrix-vector products.  Only the half t >= 0 is computed
 and kept: the shifts are real, so the columns at -t are the conjugates of
-those at t, and theta is odd, so the phase at -t is mirrored too.  The
-direct sums D_a(t) = sum_{n<N} (n+a)^(-1/2) e^(-it log(n+a)) on the mesh
-come from mesh_exp_sums, the blocked exponential-sum kernel for equispaced
-points (the Odlyzko-Schonhage factorisation), which also serves the
-sigma(v) quadrature of paircorr; the Euler-Maclaurin tail is added at the
-same points, and the remainder check runs once per mesh, at every node up
-to T.  The mesh keeps the direct sums beside the columns.
+those at t, a character's product there is conj(cols @ conj(chi)), and
+theta is odd, so the phase at -t is mirrored too.  The direct sums
+D_a(t) = sum_{n<N} (n+a)^(-1/2) e^(-it log(n+a)) on the mesh come from
+mesh_exp_sums, the blocked exponential-sum kernel for equispaced points
+(the Odlyzko-Schonhage factorisation), which also serves the sigma(v)
+quadrature of paircorr; the Euler-Maclaurin tail is added at the same
+points, and the remainder check runs once per mesh, at every node up to T.
+The mesh keeps the direct sums beside the columns.
 
 Between the mesh nodes, the evaluator gives Z at any t of [-T, T] without a
 new direct sum (the second half of Odlyzko-Schonhage).  A character's
@@ -131,11 +132,11 @@ _BERN_OVER_FACT = tuple(  # the remainder bound reads one past M
 )
 _STIRLING = tuple(float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 13))
 _STIRLING_MIN_RE = 8  # least Re w at which the series is summed
-# elements of one direct-sum tensor: rows x N x (block bases + block width)
-# for the two operands of one mesh_exp_sums product; and, 1 MiB of complex128,
+# elements of one direct-sum product: N x (block bases + block width) for the
+# two operands of one mesh_exp_sums product; and, 1 MiB of complex128,
 # points x residues x N in the Euler-Maclaurin kernel and rows x residues for
-# the scan mesh's tail and mirrored products, whose temporaries would
-# otherwise add copies of the whole mesh to a scan's peak
+# the scan mesh's tail, whose temporaries would otherwise add copies of the
+# whole mesh to a scan's peak
 _EM_CHUNK_ELEMENTS = 1 << 22
 _EM_KERNEL_ELEMENTS = 1 << 16
 # the most elements of an array that grows with the height, k x N or k x (mesh
@@ -173,13 +174,13 @@ def mesh_exp_sums(
 
         exp(c + i v f) = exp(c + i v_b f) exp(i j h f),
 
-    so the sums of every block are one batched matrix product
-    (R', P/B, N) @ (R', N, B), with about 2 sqrt(P) R N exponentials instead
-    of P R N for P = count points (Odlyzko and Schonhage, Trans. AMS 309,
+    so the sums of every block of one row are one matrix product
+    (P/B, N) @ (N, B), with about 2 sqrt(P) R N exponentials instead of
+    P R N for P = count points (Odlyzko and Schonhage, Trans. AMS 309,
     1988).  The coefficients enter through the exponent, so a caller can pass
     logarithms and receive the same floats as a dense exp(c + i v f).  Each
-    product keeps R' N (bases + B) within _EM_CHUNK_ELEMENTS: rows and block
-    bases are chunked, and B shrinks when N B alone would exceed the budget.
+    product keeps N (bases + B) within _EM_CHUNK_ELEMENTS: the block bases
+    are chunked, and B shrinks when N B alone would exceed the budget.
     """
     rows, n = freqs.shape
     width = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
@@ -188,21 +189,16 @@ def mesh_exp_sums(
     bases = start + np.arange(-(-count // width)) * (width * step)
     offsets = np.arange(width) * step
     points = (bases[:, None] + offsets).ravel()[:count]
-    out = np.zeros((count, rows), dtype=np.complex128)
+    out = np.zeros((bases.size * width, rows), dtype=np.complex128)  # the last block in full
     if n == 0:
-        return points, out
+        return points, out[:count]
     chunk = min(bases.size, max(1, _EM_CHUNK_ELEMENTS // n - width))
-    row_step = max(1, _EM_CHUNK_ELEMENTS // (n * (chunk + width)))
-    for r in range(0, rows, row_step):
-        f = freqs[r : r + row_step, None, :]
-        c = log_coeffs[r : r + row_step, None, :]
-        offs = _exp_i(offsets, f.transpose(0, 2, 1))  # (R', N, B)
+    for r in range(rows):
+        offs = _exp_i(offsets, freqs[r, :, None])  # (N, B)
         for b in range(0, bases.size, chunk):
-            lead = _exp_i(bases[b : b + chunk, None], f, c)  # (R', P/B, N)
-            block = np.matmul(lead, offs).reshape(f.shape[0], -1)
-            m = b * width
-            out[m : m + block.shape[1], r : r + row_step] = block[:, : count - m].T
-    return points, out
+            lead = _exp_i(bases[b : b + chunk, None], freqs[r], log_coeffs[r])  # (P/B, N)
+            out[b * width : (b + chunk) * width, r] = np.matmul(lead, offs).ravel()
+    return points, out[:count]
 
 
 @dataclass(frozen=True)
@@ -312,10 +308,11 @@ def hurwitz_zeta_batch(
 ) -> np.ndarray:
     """zeta(s, a) elementwise for complex s (none equal to 1) and shifts 0 < a <= 1.
 
-    s and a broadcast against each other: s of shape (P, k) with a of shape
-    (k,) evaluates k Hurwitz columns at P points in one pass.  Without prec,
-    N is the smallest that certifies every point of s.  The remainder bound
-    is checked at the smallest shift, which carries the largest bound.
+    s and a broadcast against each other: a column s of shape (P, 1) with a
+    of shape (k,) evaluates k Hurwitz columns at P points in one pass.
+    Without prec, N is the smallest that certifies every point of s.  The
+    remainder bound is checked at the smallest shift, which carries the
+    largest bound, once per point of s.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all((a > 0) & (a <= 1)):
@@ -326,9 +323,7 @@ def hurwitz_zeta_batch(
     if prec is None:
         prec = _precision_for(s)
     _require_elements(np.broadcast(s, a).size * prec.direct_terms, "an Euler-Maclaurin pass")
-    # points repeated along a broadcast (zero-stride) axis are certified once
-    _certify(s[tuple(slice(0, 1) if st == 0 else slice(None) for st in s.strides)],
-             float(np.min(a, initial=1.0)), prec)
+    _certify(s, float(np.min(a, initial=1.0)), prec)
 
     logs = np.log(a[..., None] + np.arange(prec.direct_terms, dtype=np.float64))
     terms = s[..., None] * -logs
@@ -372,13 +367,10 @@ def _l_primitive(chi: DirichletCharacter, s: np.ndarray, prec: EvalPrecision) ->
     per chunk covers every residue column, and a matrix-vector product with
     the character values combines them."""
     shifts, values = _residues(chi.label)
-    k = shifts.size
-    step = max(1, _EM_KERNEL_ELEMENTS // (k * prec.direct_terms))
+    step = max(1, _EM_KERNEL_ELEMENTS // (shifts.size * prec.direct_terms))
     total = np.empty(s.shape, dtype=np.complex128)
     for i in range(0, s.size, step):
-        block = s[i : i + step, None]
-        cols = hurwitz_zeta_batch(np.broadcast_to(block, (block.shape[0], k)), shifts, prec)
-        total[i : i + step] = cols @ values
+        total[i : i + step] = hurwitz_zeta_batch(s[i : i + step, None], shifts, prec) @ values
     q = chi.modulus
     if q > 1:
         total *= np.exp(-s * math.log(q))
@@ -561,17 +553,12 @@ def release_meshes() -> None:
 
 def _mirrored(half: np.ndarray, values: np.ndarray) -> np.ndarray:
     """rows @ values on a symmetric mesh from the half mesh's rows at t >= 0:
-    the row at -t is the conjugate of the row at t.  The conjugate rows are
-    formed, a block at a time, not folded into conj(row @ conj(values)),
-    whose floats differ."""
-    n = half.shape[0]
-    out = np.empty(2 * n - 1, dtype=np.complex128)
-    out[n - 1 :] = half @ values
-    negative, mirror = out[: n - 1], half[:0:-1]
-    rows = max(1, _EM_KERNEL_ELEMENTS // half.shape[1])
-    for i in range(0, n - 1, rows):
-        negative[i : i + rows] = mirror[i : i + rows].conj() @ values
-    return out
+    the row at -t is the conjugate of the row at t, so its product is
+    conj(row @ conj(values)).  The contiguous rows are multiplied and the
+    products reversed: a reversed operand would run outside BLAS, to other
+    floats."""
+    negative = half[1:] @ values.conj()
+    return np.concatenate([np.conjugate(negative, out=negative)[::-1], half @ values])
 
 
 def _stencil_peak(order: int) -> float:

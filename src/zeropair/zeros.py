@@ -84,7 +84,7 @@ from zeropair.lfunc import (
 )
 
 DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MESH_STEP = 0.05  # largest scan mesh step default_mesh_step picks
+DEFAULT_MESH_STEP = 0.05  # the scan mesh step of every accepted scan (default_mesh_step)
 RESIDUAL_TOL = 1e-6  # largest |Z| at a refined ordinate of a certified set
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
 REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
@@ -92,8 +92,13 @@ WINDOWS = ("both", "positive")  # ordinate windows of ZeroSet.window
 
 
 def default_mesh_step(q: int, T: float) -> float:
-    """Mesh fine enough to separate zeros at density ~ log(qT)/pi."""
-    return min(DEFAULT_MESH_STEP, 0.5 * math.pi / math.log(q * (T + 3)))
+    """DEFAULT_MESH_STEP.  Zeros at density log(q T)/pi need a step below
+    pi / (2 log(q (T + 3))), under 0.05 only once q (T + 3) > e^(10 pi) ~ 4.4e13.
+    A scan's mesh holds phi(q) (20 T + 22) elements or more, at most
+    lfunc._ARRAY_ELEMENTS = 2^24, so phi(q) < 762,601 and q/phi(q) < 5.6 (a
+    larger ratio takes eight prime factors, phi(q) >= 1,658,880): every
+    accepted scan has q (T + 3) below 1.3e7."""
+    return DEFAULT_MESH_STEP
 
 
 def count_expected(chi: DirichletCharacter, T: float) -> float:
@@ -287,7 +292,7 @@ def _brackets_certified(
 
 def check_scan_parameters(mesh_step: float | None, tolerance: float) -> None:
     """ValueError unless 0 < mesh_step <= 0.5 and 0 < tolerance < mesh_step;
-    None stands for default_mesh_step, at most DEFAULT_MESH_STEP."""
+    None stands for default_mesh_step, which is DEFAULT_MESH_STEP."""
     step = DEFAULT_MESH_STEP if mesh_step is None else mesh_step
     if not 0 < step <= 0.5:
         raise ValueError(f"mesh_step must be none or lie in (0, 0.5], got {mesh_step}")

@@ -348,6 +348,23 @@ class TestZeros:
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("certification failure: the remainder bound overflows")
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_a_tolerance_the_dry_run_accepts_the_run_accepts(self, capsys, tmp_path, dry_run):
+        # the automatic mesh step is 0.05 at every height; the run then fails
+        # only at the evaluator's height limit, which no dry run predicts
+        config = tmp_path / "tol.cfg"
+        config.write_text("tolerance = 0.0499\n")
+        local = tmp_path / "cache"
+        code = main(["zeros", "--chi", "5:2", "--T", "1e13", "--config", str(config),
+                     "--cache-dir", str(local), *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
+        if dry_run:
+            assert code == 0 and "dry-run ok" in captured.out
+        else:
+            assert (code, captured.out) == (3, "")
+            assert captured.err.startswith("certification failure: the remainder bound overflows")
+        assert not local.exists()
+
     def test_mesh_over_the_element_budget_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("zeropair.lfunc._ARRAY_ELEMENTS", 1000)
         code = main(["zeros", "--q", "5", "--T", "30", "--cache-dir", str(tmp_path)])

@@ -8,7 +8,9 @@ bind no checkable name and are skipped.  Inside src/, no function body may
 import: every dependency of a module is stated at its top.  Only the sieve
 sees a prime table: no public function takes a `table`, and no other module
 names LambdaTable or table_for.  Only lfunc names its Euler-Maclaurin chunk
-budget _EM_CHUNK_ELEMENTS: other modules size their own work.  zeros owns
+budget _EM_CHUNK_ELEMENTS: other modules size their own work.  lfunc passes
+its Euler-Maclaurin points as a column: it neither calls np.broadcast_to nor
+reads .strides.  zeros owns
 the one path from characters to zero sets: no module but zeros and store
 calls conjugate_pair, and cli calls neither conductor_and_inducer nor
 load_or_scan.  Every private module-level name in src/ (a def, class or
@@ -221,6 +223,33 @@ def test_only_lfunc_names_its_chunk_budget():
              for path in sorted((ROOT / "src" / "zeropair").glob("*.py")) if path.stem != "lfunc"
              for line in chunk_budget_uses(path.read_text())]
     assert not found, "_EM_CHUNK_ELEMENTS outside lfunc:\n" + "\n".join(found)
+
+
+def layout_workarounds(source: str) -> list:
+    """(line, name) of each broadcast_to or strides name, attribute or import."""
+    return sorted((getattr(node, "lineno", 0), _name(node)) for node in ast.walk(ast.parse(source))
+                  if _name(node) in ("broadcast_to", "strides"))
+
+
+def test_detector_flags_layout_workarounds():
+    source = (
+        "import numpy as np\n"
+        "from numpy import broadcast_to\n"
+        "s = np.broadcast_to(block, (rows, k))\n"
+        "t = broadcast_to(block, (rows, k))\n"
+        "u = s[tuple(slice(0, 1) if st == 0 else slice(None) for st in s.strides)]\n"
+        "v = block[:, None] + np.broadcast(block, k).size\n"
+    )
+    assert layout_workarounds(source) == [
+        (2, "broadcast_to"), (3, "broadcast_to"), (4, "broadcast_to"), (5, "strides"),
+    ]
+
+
+def test_lfunc_passes_its_points_as_a_column():
+    path = ROOT / "src" / "zeropair" / "lfunc.py"
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for line, name in layout_workarounds(path.read_text())]
+    assert not found, "broadcast layouts in lfunc:\n" + "\n".join(found)
 
 
 def _private_bindings(stmt: ast.stmt) -> list:

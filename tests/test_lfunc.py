@@ -217,7 +217,7 @@ class TestBroadcastKernel:
         kernel = lfunc.hurwitz_zeta_batch
 
         def recording(s, a, prec=None):
-            sizes.append(np.size(s) * prec.direct_terms)
+            sizes.append(np.broadcast(s, a).size * prec.direct_terms)
             return kernel(s, a, prec)
 
         monkeypatch.setattr(lfunc, "_EM_KERNEL_ELEMENTS", 2000)
@@ -226,6 +226,14 @@ class TestBroadcastKernel:
         assert len(sizes) > 1 and max(sizes) <= 2000
         assert sum(sizes) == ts.size * 6 * EvalPrecision.for_height(40.0).direct_terms
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_a_column_of_points_equals_the_broadcast_points(self):
+        prec = EvalPrecision.for_height(60.0)
+        s = (0.5 + 1j * np.array([-58.2, -3.0, 0.0, 0.4, 11.9, 37.5, 60.0]))[:, None]
+        shifts = np.arange(1, 24) / 23.0
+        column = hurwitz_zeta_batch(s, shifts, prec)
+        assert column.shape == (7, 23)
+        assert np.array_equal(column, hurwitz_zeta_batch(np.broadcast_to(s, (7, 23)), shifts, prec))
 
 
 class TestRemainderAtSmallestShift:
@@ -261,24 +269,25 @@ class TestMeshEvaluator:
         assert np.all(np.diff(ts) <= step + 1e-12)
         assert not ts.flags.writeable
 
-    def test_negative_half_is_the_conjugate_of_the_positive(self, monkeypatch):
-        # only the half t >= 0 is kept; the product on the whole mesh is that
-        # of the mirrored conjugate columns, to the same floats
+    def test_negative_half_is_the_conjugate_of_the_positive(self):
+        # only the half t >= 0 is kept; the product on the whole mesh, of the
+        # columns and of the direct sums the evaluator interpolates, is that
+        # of the mirrored conjugate rows, to the same floats
         T, step = 30.0, 0.05
         prec = EvalPrecision.for_height(T)
-        chi = _primitive(23)[0]
-        lfunc._mesh_columns.cache_clear()
-        ts, z, _ = scan_mesh(chi, T, step, prec)
-        half = ts.size // 2
-        assert ts[half] == 0.0 and np.array_equal(ts, -ts[::-1])
-        nodes, direct, cols = lfunc._mesh_columns(23, T, step, prec)
-        assert cols.shape == (half + 1, 22) and np.array_equal(nodes[: half + 1], ts[half:])
-        assert direct.shape == (half + 1 + lfunc._MESH_PAD, 22) == (nodes.size, 22)
-        values = lfunc._residues(chi.label)[1]
-        whole = np.concatenate([cols[:0:-1].conj(), cols]) @ values
-        assert np.array_equal(lfunc._mirrored(cols, values), whole)
-        monkeypatch.setattr(lfunc, "_EM_KERNEL_ELEMENTS", 22 * 50)  # blocks of 50 rows
-        assert np.array_equal(lfunc._mirrored(cols, values), whole)
+        for q in (23, 97):
+            chi = _primitive(q)[0]
+            lfunc._mesh_columns.cache_clear()
+            ts, z, _ = scan_mesh(chi, T, step, prec)
+            half = ts.size // 2
+            assert ts[half] == 0.0 and np.array_equal(ts, -ts[::-1])
+            nodes, direct, cols = lfunc._mesh_columns(q, T, step, prec)
+            assert cols.shape == (half + 1, q - 1) and np.array_equal(nodes[: half + 1], ts[half:])
+            assert direct.shape == (half + 1 + lfunc._MESH_PAD, q - 1) == (nodes.size, q - 1)
+            values = lfunc._residues(chi.label)[1]
+            for rows in (cols, direct):
+                whole = np.concatenate([rows[:0:-1].conj(), rows]) @ values
+                assert np.array_equal(lfunc._mirrored(rows, values), whole)
 
     def test_matches_hardy_z_batch_for_every_character_mod_23(self):
         T = 30.0
