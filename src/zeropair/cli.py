@@ -1,7 +1,8 @@
 """Command-line front end: one executable, one subcommand per operation.
 
-Subcommands: zeros, psi, paircorr, explicit, montgomery, eh, weak, dyadic,
-check (identity suites), report (CSV bundle of the standard tables).
+The table _COMMANDS is the command line: each subcommand's help line, its
+handler and its flags, marked where they repeat or take a default, over the
+table _FLAGS, which defines each flag once.
 
 Each subcommand's handler checks its flags and returns (params, work):
 params is what a dry run prints and a run's summary carries, and work(cfg)
@@ -61,7 +62,7 @@ from zeropair.paircorr import (
     spacing_histogram,
 )
 from zeropair.sieve import psi_character, psi_progression, require_in_range
-from zeropair.store import ZeroCache, ZeroCacheError, emit_table, json_cell
+from zeropair.store import TABLE_FORMATS, ZeroCache, ZeroCacheError, emit_table, json_cell
 from zeropair.zeros import (
     DEFAULT_TOLERANCE,
     WINDOWS,
@@ -113,8 +114,8 @@ class RunConfig:
 
     def __post_init__(self):
         # the one check of every setting, so that --dry-run rejects what a run rejects
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.format not in TABLE_FORMATS:
+            raise ValueError(f"format must be {' or '.join(TABLE_FORMATS)}, got {self.format!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if not 0 < self.rel_tol < 1:
@@ -159,7 +160,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["cache_dir"] = Path(env_cache)
     if getattr(args, "config", None) is not None:
         values.update(parse_config_file(args.config))
-    for key in ("cache_dir", "format", "threads"):
+    for key in _CONFIG_COERCERS:  # the keys a flag also sets: cache_dir, format, threads
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     return RunConfig(**values)
@@ -219,12 +220,6 @@ def _zero_sets(cfg: RunConfig, q: int, T: float, force: bool = False) -> dict:
                              force=force, threads=cfg.threads)
 
 
-def _mont_regime(x: float, q: int) -> str:
-    if q == 1:
-        return "classical"
-    return "below-sqrt" if q * q <= x else "above-sqrt"
-
-
 def _montgomery_rows(xs, qs, a) -> list:
     rows = []
     for r in montgomery_table(xs, qs, a=a):
@@ -238,7 +233,8 @@ def _montgomery_rows(xs, qs, a) -> list:
                 "normalized": r.normalized,
                 "impliedEpsilon": r.implied_epsilon,
                 "grhRatio": r.grh_ratio,
-                "regime": _mont_regime(r.x, r.q),
+                "regime": ("classical" if r.q == 1
+                           else "below-sqrt" if r.q * r.q <= r.x else "above-sqrt"),
             }
         )
     return rows
@@ -645,103 +641,78 @@ def _cmd_report(args):
     return {"out": str(out_dir)}, work
 
 
-_HANDLERS = {
-    "zeros": _cmd_zeros,
-    "psi": _cmd_psi,
-    "paircorr": _cmd_paircorr,
-    "explicit": _cmd_explicit,
-    "montgomery": _cmd_montgomery,
-    "eh": _cmd_eh,
-    "weak": _cmd_weak,
-    "dyadic": _cmd_dyadic,
-    "check": _cmd_check,
-    "report": _cmd_report,
+# every flag, defined once: its argparse keywords, and a default that a
+# command takes only where it marks the flag "name="
+_FLAGS = {
+    "config": {"type": Path, "help": "key=value settings file"},
+    "cache-dir": {"type": Path, "help": "zero cache root (default: cache)"},
+    "format": {"choices": TABLE_FORMATS, "help": "table output format (default: csv)"},
+    "threads": {"type": int, "help": "scan worker count (default: 1)"},
+    "out": {"type": Path, "help": "write tables to this path (report: directory)"},
+    "json": {"action": "store_true", "help": "print a machine-readable summary on stdout"},
+    "dry-run": {"action": "store_true", "help": "validate inputs, compute nothing"},
+    "q": {"type": int, "default": 1, "help": "modulus"},
+    "a": {"type": int, "default": 1, "help": "residue class"},
+    "x": {"type": float, "help": "evaluation point"},
+    "T": {"type": float, "help": "height"},
+    "chi": {"help": "character as q:index"},
+    "force": {"action": "store_true", "help": "rescan even when cached"},
+    "window": {"choices": WINDOWS, "default": "both", "help": "ordinate window"},
+    "Z": {"type": float, "help": "truncation height"},
+    "Q": {"type": int, "help": "modulus ceiling: every q <= Q"},
+    "alpha": {"type": float, "help": "normalizer exponent in [0, 1]"},
+    "eps": {"type": float, "default": 0.1, "help": "depth exponent"},
+    "suite": {"choices": tuple(_SUITES), "required": True, "help": "identity suite"},
+    "U": {"type": float, "help": "lower height of the increment suite"},
+    "tol": {"type": float, "help": "suite tolerance override; reconstruction has none"},
 }
+_COMMON_FLAGS = "config cache-dir format threads out json dry-run"
+
+# subcommand -> (help line, handler, flags).  A flag "name*" repeats, and a
+# flag "name=" takes its _FLAGS default; any other flag defaults to None.
+_COMMANDS = {
+    "zeros": ("scan and cache zero sets: every character mod --q, or the one --chi instead",
+              _cmd_zeros, "q chi T force"),
+    "psi": ("exact sieve counts: psi(x; q, a), q = a = 1 unless given, or psi(x, chi) with "
+            "--chi alone", _cmd_psi, "x q a chi"),
+    "paircorr": ("pair correlation table", _cmd_paircorr, "q= a= x* T* window="),
+    "explicit": ("zero-sum reconstructions of psi(x; q, a)", _cmd_explicit, "x* Z* q= a="),
+    "montgomery": ("normalized class errors; without --a, every unit class", _cmd_montgomery,
+                   "x* Q q* a"),
+    "eh": ("summed worst-class errors, one row per modulus ceiling --Q", _cmd_eh, "x Q*"),
+    "weak": ("interpolated normalizer table; without --a, every unit class", _cmd_weak,
+             "x alpha* Q q* a"),
+    "dyadic": ("halving-block error profile", _cmd_dyadic, "x q= a= eps="),
+    "check": ("identity suites over the moduli --q (default 4)", _cmd_check,
+              "suite q* a= x* T* U* Z* tol"),
+    "report": ("standard CSV bundle, written to the --out directory (default: report)",
+               _cmd_report, ""),
+}
+
+
+def _add_flags(parser, specs: str) -> None:
+    for spec in specs.split():
+        name = spec.rstrip("*=")
+        kw = _FLAGS[name]
+        if spec[-1] == "*":
+            kw = {**kw, "action": "append", "default": None, "help": kw["help"] + ", repeatable"}
+        elif spec[-1] == "=":
+            kw = {**kw, "help": kw["help"] + " (default: %(default)s)"}
+        elif "default" in kw:
+            kw = {**kw, "default": None}
+        parser.add_argument("--" + name, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("common options")
-    group.add_argument("--config", type=Path, help="key=value settings file")
-    group.add_argument("--cache-dir", dest="cache_dir", type=Path,
-                       help="zero cache root (default: cache)")
-    group.add_argument("--format", choices=("csv", "json"),
-                       help="table output format (default: csv)")
-    group.add_argument("--threads", type=int, help="scan worker count (default: 1)")
-    group.add_argument("--out", type=Path,
-                       help="write tables to this path (report: directory)")
-    group.add_argument("--json", action="store_true",
-                       help="print a machine-readable summary on stdout")
-    group.add_argument("--dry-run", dest="dry_run", action="store_true",
-                       help="validate inputs, compute nothing")
-
+    _add_flags(common.add_argument_group("common options"), _COMMON_FLAGS)
     parser = argparse.ArgumentParser(
         prog="zeropair",
         description="Pair correlation statistics of Dirichlet L-function zeros.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("zeros", parents=[common], help="scan and cache zero sets")
-    p.add_argument("--q", type=int, help="modulus; scans every character mod q")
-    p.add_argument("--chi", help="single character as q:index")
-    p.add_argument("--T", type=float, help="scan height")
-    p.add_argument("--force", action="store_true", help="rescan even when cached")
-
-    p = sub.add_parser("psi", parents=[common], help="exact sieve counts")
-    p.add_argument("--x", type=float, help="evaluation point")
-    p.add_argument("--q", type=int, help="modulus (with --a)")
-    p.add_argument("--a", type=int, help="residue class (with --q)")
-    p.add_argument("--chi", help="character sum instead, as q:index")
-
-    p = sub.add_parser("paircorr", parents=[common], help="pair correlation table")
-    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
-    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
-    p.add_argument("--x", type=float, action="append", help="repeatable")
-    p.add_argument("--T", type=float, action="append", help="repeatable")
-    p.add_argument("--window", choices=WINDOWS, default="both")
-
-    p = sub.add_parser("explicit", parents=[common], help="zero-sum reconstructions")
-    p.add_argument("--x", type=float, action="append", help="repeatable")
-    p.add_argument("--Z", type=float, action="append", help="truncation height, repeatable")
-    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
-    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
-
-    p = sub.add_parser("montgomery", parents=[common], help="normalized class errors")
-    p.add_argument("--x", type=float, action="append", help="repeatable")
-    p.add_argument("--Q", type=int, help="all moduli up to Q")
-    p.add_argument("--q", type=int, action="append", help="specific moduli, repeatable")
-    p.add_argument("--a", type=int, help="fix the residue class (default: all units)")
-
-    p = sub.add_parser("eh", parents=[common], help="summed worst-class errors")
-    p.add_argument("--x", type=float, help="evaluation point")
-    p.add_argument("--Q", type=int, action="append", help="modulus ceiling, repeatable")
-
-    p = sub.add_parser("weak", parents=[common], help="interpolated normalizer table")
-    p.add_argument("--x", type=float, help="evaluation point")
-    p.add_argument("--alpha", type=float, action="append", help="exponent in [0,1], repeatable")
-    p.add_argument("--Q", type=int, help="all moduli up to Q")
-    p.add_argument("--q", type=int, action="append", help="specific moduli, repeatable")
-    p.add_argument("--a", type=int, help="fix the residue class (default: all units)")
-
-    p = sub.add_parser("dyadic", parents=[common], help="halving-block error profile")
-    p.add_argument("--x", type=float, help="evaluation point")
-    p.add_argument("--q", type=int, default=1, help="modulus (default 1)")
-    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
-    p.add_argument("--eps", type=float, default=0.1, help="depth exponent (default 0.1)")
-
-    p = sub.add_parser("check", parents=[common], help="identity suites")
-    p.add_argument("--suite", required=True,
-                   choices=("integral", "increment", "orthogonality", "reconstruction"))
-    p.add_argument("--q", type=int, action="append", help="moduli, repeatable (default 4)")
-    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
-    p.add_argument("--x", type=float, action="append", help="repeatable")
-    p.add_argument("--T", type=float, action="append", help="repeatable")
-    p.add_argument("--U", type=float, action="append", help="increment suite lower heights")
-    p.add_argument("--Z", type=float, action="append", help="reconstruction truncations")
-    p.add_argument("--tol", type=float, help="suite tolerance override; reconstruction has none")
-
-    p = sub.add_parser("report", parents=[common], help="standard CSV bundle")
-
+    for name, (line, _, flags) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, parents=[common], help=line, description=line), flags)
     return parser
 
 
@@ -758,7 +729,7 @@ def main(argv=None) -> int:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"--{name} must be finite, got {v}")
         cfg = resolve_config(args)
-        params, work = _HANDLERS[args.command](args)
+        params, work = _COMMANDS[args.command][1](args)
         result = None if args.dry_run else work(cfg)
     except (CertificationError, PrecisionError, ZeroCacheError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

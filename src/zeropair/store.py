@@ -1,29 +1,20 @@
 """Binary zero caches and deterministic table emission.
 
-Cache file layout (little endian), checksummed with zlib.crc32:
-
-    magic      4s   "ZPZC"
-    version    u16  currently 1
-    modulus    u32
-    index      u32
-    conductor  u32
-    parity     u8
-    certified  u8
-    branch     16s  rotation branch tag, NUL padded
-    height     f64
-    mesh_step  f64
-    tolerance  f64
-    expected   f64  value of the counting formula at height
-    count      u64
-    payload    count * f64, ordinates in ascending order
-    crc32      u32  over everything above
+A cache file is a little-endian header, whose layout is the field table
+_FIELDS, then count float64 ordinates in ascending order, then a zlib.crc32
+of everything before it.  The header holds the magic "ZPZC", the version
+(currently 1), the character label, conductor and parity, the certified
+byte, the rotation branch tag (NUL padded), the scan height, mesh step and
+tolerance, the counting formula's value at the height, and the count.
 
 Writes are atomic (temp file + rename) and refuse to replace a certified
-set with an uncertified one unless forced.  Loads re-validate the header
-(height, mesh step and tolerance finite and positive) and the payload
-(finite, ascending, inside the window, count consistent) and raise distinct
-error types for bad magic, unknown version, checksum mismatch and invariant
-violations.  Loaded sets carry point brackets and NaN residuals; the
+set with an uncertified one unless forced.  Loads raise distinct error
+types for bad magic, unknown version and checksum mismatch, and raise
+CacheInvariantError when a header field breaks its load rule (parity and
+certified in {0, 1}, the branch tag ASCII, height, mesh step and tolerance
+finite and positive, the expected count finite and non-negative) or the
+payload is not finite, ascending, inside the window and of the stated
+count.  Loaded sets carry point brackets and NaN residuals; the
 uncertainty of a stored ordinate is the set-level tolerance.  A conjugate
 pair's files are written together, from one scan, and ZeroCache.load_or_scan
 returns the pair's sets, loaded only if the files are exact mirrors.
@@ -38,6 +29,7 @@ import os
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -50,9 +42,36 @@ from zeropair.zeros import ZeroSet, conjugate_pair, default_mesh_step, scan_pair
 
 MAGIC = b"ZPZC"
 VERSION = 1
-_HEADER = struct.Struct("<4sHIIIBB16sddddQ")
-_CRC = struct.Struct("<I")
+TABLE_FORMATS = ("csv", "json")  # the formats emit_table writes
 _BRANCH_BYTES = 16
+
+# a header field's load rule: (test of the unpacked value, what the value must be)
+_BIT = ((0, 1).__contains__, "0 or 1")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
+# the v1 header in file order: (name, struct code, load rule or None).  A name
+# that is a ZeroSet field is written from, and read back into, that field.
+_FIELDS = (
+    ("magic", "4s", None),
+    ("version", "H", None),
+    ("modulus", "I", None),
+    ("index", "I", None),
+    ("conductor", "I", None),
+    ("parity", "B", _BIT),
+    ("certified", "B", _BIT),
+    ("branch", f"{_BRANCH_BYTES}s", (bytes.isascii, "ASCII")),
+    ("height", "d", _POSITIVE),
+    ("mesh_step", "d", _POSITIVE),
+    ("tolerance", "d", _POSITIVE),
+    ("expected_count", "d", (lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")),
+    ("count", "Q", None),
+)
+_HEADER = struct.Struct("<" + "".join(code for _, code, _ in _FIELDS))
+_NAMES = [name for name, _, _ in _FIELDS]
+_RULES = [(name, *rule) for name, _, rule in _FIELDS if rule is not None]
+# the ZeroSet fields stored as they are: not the branch tag (bytes) or certified (a byte)
+_STORED = [f.name for f in fields(ZeroSet)
+           if f.name in _NAMES and f.name not in ("branch", "certified")]
+_CRC = struct.Struct("<I")
 
 
 class ZeroCacheError(Exception):
@@ -83,24 +102,10 @@ def _serialize(zs: ZeroSet) -> bytes:
     branch = zs.branch.encode("ascii")
     if len(branch) > _BRANCH_BYTES:
         raise ValueError(f"branch tag too long: {zs.branch!r}")
-    ordinates = zs.ordinates
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        zs.label.modulus,
-        zs.label.index,
-        zs.conductor,
-        zs.parity,
-        1 if zs.certified else 0,
-        branch.ljust(_BRANCH_BYTES, b"\x00"),
-        zs.height,
-        zs.mesh_step,
-        zs.tolerance,
-        zs.expected_count,
-        len(ordinates),
-    )
-    payload = ordinates.astype("<f8").tobytes()
-    body = header + payload
+    head = {name: getattr(zs, name) for name in _STORED}
+    head.update(magic=MAGIC, version=VERSION, modulus=zs.label.modulus, index=zs.label.index,
+                certified=1 if zs.certified else 0, branch=branch, count=zs.count)
+    body = _HEADER.pack(*(head[name] for name in _NAMES)) + zs.ordinates.astype("<f8").tobytes()
     return body + _CRC.pack(zlib.crc32(body))
 
 
@@ -134,25 +139,12 @@ def read_zero_set(path: Path | str) -> ZeroSet:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size + _CRC.size:
         raise CacheFormatError(f"{path}: file too short for a zero cache")
-    (
-        magic,
-        version,
-        modulus,
-        index,
-        conductor,
-        parity,
-        certified,
-        branch_raw,
-        height,
-        mesh_step,
-        tolerance,
-        expected,
-        count,
-    ) = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise CacheVersionError(f"{path}: unsupported version {version}")
+    head = dict(zip(_NAMES, _HEADER.unpack_from(data, 0)))
+    if head["magic"] != MAGIC:
+        raise CacheFormatError(f"{path}: bad magic {head['magic']!r}")
+    if head["version"] != VERSION:
+        raise CacheVersionError(f"{path}: unsupported version {head['version']}")
+    count = head["count"]
     want = _HEADER.size + 8 * count + _CRC.size
     if len(data) != want:
         raise CacheFormatError(f"{path}: expected {want} bytes, found {len(data)}")
@@ -160,36 +152,31 @@ def read_zero_set(path: Path | str) -> ZeroSet:
     if zlib.crc32(data[: -_CRC.size]) != crc_stored:
         raise CacheChecksumError(f"{path}: checksum mismatch")
 
-    for name, value in (("height", height), ("mesh step", mesh_step), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise CacheInvariantError(f"{path}: {name} {value!r} is not finite and positive")
+    for name, test, what in _RULES:
+        if not test(head[name]):
+            field = name.replace("_", " ")
+            raise CacheInvariantError(f"{path}: {field} {head[name]!r} is not {what}")
     ordinates = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
     if not np.all(np.isfinite(ordinates)):
         raise CacheInvariantError(f"{path}: non-finite ordinate")
     if count > 1 and not np.all(np.diff(ordinates) > 0):
         raise CacheInvariantError(f"{path}: ordinates not strictly ascending")
-    if count and float(np.max(np.abs(ordinates))) > height + 1e-9:
+    if count and float(np.max(np.abs(ordinates))) > head["height"] + 1e-9:
         raise CacheInvariantError(f"{path}: ordinate outside the stated window")
     try:
-        label = CharacterLabel(modulus, index)
+        label = CharacterLabel(head["modulus"], head["index"])
     except ValueError as exc:
         raise CacheInvariantError(f"{path}: invalid label: {exc}") from exc
 
-    branch = branch_raw.rstrip(b"\x00").decode("ascii")
     return ZeroSet(
         label=label,
-        conductor=conductor,
-        parity=parity,
-        height=height,
-        mesh_step=mesh_step,
-        tolerance=tolerance,
-        branch=branch,
+        branch=head["branch"].rstrip(b"\x00").decode("ascii"),
         ordinates=ordinates,
         lo=ordinates,
         hi=ordinates,
         residual=np.full(count, math.nan),
-        expected_count=expected,
-        certified=bool(certified),
+        certified=bool(head["certified"]),
+        **{name: head[name] for name in _STORED},
     )
 
 
@@ -297,7 +284,7 @@ def emit_table(
     order; an empty CSV stays headerless because no key set is known.  A
     JSON cell is the CSV cell, quoted where it is not a JSON literal.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in TABLE_FORMATS:
         raise ValueError(f"unsupported format {fmt!r}")
     own = not hasattr(dest, "write")
     fh: IO[str]

@@ -6,15 +6,20 @@ tests reuse scans from earlier ones, which also exercises the cache-hit
 path under realistic conditions.
 """
 
+import argparse
 import hashlib
+import io
 import json
+import math
+import struct
+import zlib
 from dataclasses import replace
 
 import pytest
 
-from zeropair import sieve, zeros
+from zeropair import cli, sieve, zeros
 from zeropair.characters import character, enumerate_characters
-from zeropair.cli import main, parse_config_file
+from zeropair.cli import build_parser, main, parse_config_file
 from zeropair.lfunc import (
     EvalPrecision,
     PrecisionError,
@@ -23,7 +28,7 @@ from zeropair.lfunc import (
 )
 from zeropair.paircorr import f_q
 from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
-from zeropair.store import read_zero_set, write_zero_set
+from zeropair.store import TABLE_FORMATS, emit_table, read_zero_set, write_zero_set
 from zeropair.zeros import default_mesh_step, zeros_for_modulus
 
 
@@ -326,6 +331,22 @@ class TestZeros:
         assert scanned == ["5:2"]
         assert rep.stat().st_ino != inode  # rewritten, to the same bytes
         assert {p: p.read_bytes() for p in (rep, conj)} == before
+
+    @pytest.mark.parametrize("offset, code, value", [
+        (18, "<B", 5), (19, "<B", 7), (20, "<16s", b"\xff"), (60, "<d", math.nan), (60, "<d", -3.0),
+    ], ids=["parity", "certified", "branch", "expected-nan", "expected-negative"])
+    def test_a_header_field_outside_its_rule_exits_3(self, capsys, tmp_path, offset, code, value):
+        # 5:4 is real, its own conjugate pair, so no mirror check compares its
+        # header with another file's
+        assert run(capsys, tmp_path, "zeros", "--q", "5", "--T", "20")[0] == 0
+        path = tmp_path / "zeros" / "q5" / "chi4_T20.zc"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(code, raw, offset, value)
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert main(["zeros", "--q", "5", "--T", "20", "--cache-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("certification failure: ")
 
     @pytest.mark.parametrize("q", [5, 12])
     def test_chi_rows_equal_the_modulus_rows(self, capsys, tmp_path, q):
@@ -726,6 +747,119 @@ class TestOutputPlumbing:
         assert list(dry) == [*head, "dry_run", "params"]
         own = self.OWN_FIELDS.get(argv[0], [])
         assert list(summary) == [*head, "params", *own, *([] if argv[0] == "report" else ["rows"])]
+
+
+def _subparsers(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(parser) -> list:
+    """(option, dest, type, default, action, choices, required) of each flag but --help."""
+    return [(a.option_strings[0], a.dest, getattr(a.type, "__name__", a.type), a.default,
+             type(a).__name__.strip("_").removesuffix("Action").lower(), a.choices, a.required)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+class TestInterface:
+    """The parsed command line, pinned flag by flag: every subcommand takes
+    the common flags, then its own, in this order and with these settings."""
+
+    COMMON = [
+        ("--config", "config", "Path", None, "store", None, False),
+        ("--cache-dir", "cache_dir", "Path", None, "store", None, False),
+        ("--format", "format", None, None, "store", ("csv", "json"), False),
+        ("--threads", "threads", "int", None, "store", None, False),
+        ("--out", "out", "Path", None, "store", None, False),
+        ("--json", "json", None, False, "storetrue", None, False),
+        ("--dry-run", "dry_run", None, False, "storetrue", None, False),
+    ]
+    OWN = {
+        "zeros": [
+            ("--q", "q", "int", None, "store", None, False),
+            ("--chi", "chi", None, None, "store", None, False),
+            ("--T", "T", "float", None, "store", None, False),
+            ("--force", "force", None, False, "storetrue", None, False),
+        ],
+        "psi": [
+            ("--x", "x", "float", None, "store", None, False),
+            ("--q", "q", "int", None, "store", None, False),
+            ("--a", "a", "int", None, "store", None, False),
+            ("--chi", "chi", None, None, "store", None, False),
+        ],
+        "paircorr": [
+            ("--q", "q", "int", 1, "store", None, False),
+            ("--a", "a", "int", 1, "store", None, False),
+            ("--x", "x", "float", None, "append", None, False),
+            ("--T", "T", "float", None, "append", None, False),
+            ("--window", "window", None, "both", "store", ("both", "positive"), False),
+        ],
+        "explicit": [
+            ("--x", "x", "float", None, "append", None, False),
+            ("--Z", "Z", "float", None, "append", None, False),
+            ("--q", "q", "int", 1, "store", None, False),
+            ("--a", "a", "int", 1, "store", None, False),
+        ],
+        "montgomery": [
+            ("--x", "x", "float", None, "append", None, False),
+            ("--Q", "Q", "int", None, "store", None, False),
+            ("--q", "q", "int", None, "append", None, False),
+            ("--a", "a", "int", None, "store", None, False),
+        ],
+        "eh": [
+            ("--x", "x", "float", None, "store", None, False),
+            ("--Q", "Q", "int", None, "append", None, False),
+        ],
+        "weak": [
+            ("--x", "x", "float", None, "store", None, False),
+            ("--alpha", "alpha", "float", None, "append", None, False),
+            ("--Q", "Q", "int", None, "store", None, False),
+            ("--q", "q", "int", None, "append", None, False),
+            ("--a", "a", "int", None, "store", None, False),
+        ],
+        "dyadic": [
+            ("--x", "x", "float", None, "store", None, False),
+            ("--q", "q", "int", 1, "store", None, False),
+            ("--a", "a", "int", 1, "store", None, False),
+            ("--eps", "eps", "float", 0.1, "store", None, False),
+        ],
+        "check": [
+            ("--suite", "suite", None, None, "store",
+             ("integral", "increment", "orthogonality", "reconstruction"), True),
+            ("--q", "q", "int", None, "append", None, False),
+            ("--a", "a", "int", 1, "store", None, False),
+            ("--x", "x", "float", None, "append", None, False),
+            ("--T", "T", "float", None, "append", None, False),
+            ("--U", "U", "float", None, "append", None, False),
+            ("--Z", "Z", "float", None, "append", None, False),
+            ("--tol", "tol", "float", None, "store", None, False),
+        ],
+        "report": [],
+    }
+
+    def test_every_subcommand_parses_its_pinned_flags(self):
+        commands = _subparsers(build_parser())
+        assert list(commands) == list(self.OWN)
+        for name, parser in commands.items():
+            assert _flags(parser) == self.COMMON + self.OWN[name], name
+
+    def test_choices_come_from_their_owners(self):
+        commands = _subparsers(build_parser())
+        choices = {flag[0]: flag[5] for parser in commands.values() for flag in _flags(parser)}
+        assert choices["--suite"] == tuple(cli._SUITES)
+        assert choices["--window"] == zeros.WINDOWS
+        assert choices["--format"] == TABLE_FORMATS
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "xml", "CSV"])
+    def test_run_config_and_emit_table_accept_the_format_choices(self, fmt):
+        accepted = []
+        for accept in (lambda: cli.RunConfig(format=fmt), lambda: emit_table([], io.StringIO(), fmt)):
+            try:
+                accept()
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted == [fmt in TABLE_FORMATS] * 2
 
 
 class TestHeaders:

@@ -17,6 +17,8 @@ load_or_scan.  Every private module-level name in src/ (a def, class or
 assignment named _x) is read somewhere in src/, so a refactor leaves no
 helper behind.  numpy is the only third-party package the command line
 loads: importing zeropair.cli in a fresh interpreter loads no scipy module.
+cli defines each flag once, in its flag table: no add_argument call names a
+flag with a string literal.
 """
 
 import ast
@@ -317,6 +319,38 @@ def test_every_private_name_in_src_is_read():
     assert checked > 50
     assert not unread, "private names never read:\n" + "\n".join(
         f"{module}:{line}: {name}" for module, line, name in unread)
+
+
+def literal_flags(source: str) -> list:
+    """(line, flag) of each add_argument call that names its flag with a string
+    literal, or with an f-string that has no placeholder."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "add_argument":
+            for arg in node.args:
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                if all(isinstance(p, ast.Constant) and isinstance(p.value, str) for p in parts):
+                    found.append((node.lineno, "".join(p.value for p in parts)))
+    return found
+
+
+def test_detector_flags_literal_flag_names():
+    source = (
+        "p.add_argument('--x', type=float)\n"
+        "group.add_argument('-q', '--modulus')\n"
+        "p.add_argument(f'--T')\n"
+        "p.add_argument('--' + name, **kw)\n"
+        "p.add_argument(f'--{name}', help='a literal help is fine')\n"
+        "p.add_parser('zeros')\n"
+    )
+    assert literal_flags(source) == [(1, "--x"), (2, "-q"), (2, "--modulus"), (3, "--T")]
+
+
+def test_cli_defines_each_flag_in_its_table():
+    path = ROOT / "src" / "zeropair" / "cli.py"
+    found = [f"{path.relative_to(ROOT)}:{line}: {flag}"
+             for line, flag in literal_flags(path.read_text())]
+    assert not found, "flags named outside the flag table:\n" + "\n".join(found)
 
 
 def test_cli_loads_no_scipy():

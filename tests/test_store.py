@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -92,17 +94,12 @@ class TestCorruption:
         raw = bytearray(p.read_bytes())
         raw[4] = 99  # version field, little endian
         # keep the checksum honest so only the version trips
-        import zlib
-
         raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "little")
         p.write_bytes(bytes(raw))
         with pytest.raises(CacheVersionError):
             read_zero_set(p)
 
     def test_unsorted_payload_rejected(self, sample_set, tmp_path):
-        import struct
-        import zlib
-
         p = tmp_path / "a.zc"
         write_zero_set(p, sample_set)
         raw = bytearray(p.read_bytes())
@@ -150,6 +147,52 @@ class TestCorruption:
         p = self._written(sample_set, tmp_path, ordinates=np.array(ordinates))
         with pytest.raises(CacheInvariantError, match="non-finite ordinate"):
             read_zero_set(p)
+
+
+    # (offset, struct code) of the v1 header fields the tests below rewrite
+    V1_AT = {"parity": (18, "<B"), "certified": (19, "<B"), "branch": (20, "<16s"),
+             "expected": (60, "<d")}
+
+    def _rewritten(self, zs, tmp_path, field, value):
+        """zs written, then one header field rewritten under a recomputed checksum."""
+        p = tmp_path / "a.zc"
+        write_zero_set(p, zs)
+        raw = bytearray(p.read_bytes())
+        offset, code = self.V1_AT[field]
+        struct.pack_into(code, raw, offset, value)
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        return p
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("parity", 5, "parity 5 is not 0 or 1"),
+        ("certified", 7, "certified 7 is not 0 or 1"),
+        ("branch", b"principal\xffsqrt", "branch .* is not ASCII"),
+        ("expected", math.nan, "expected count nan is not finite and non-negative"),
+        ("expected", -3.0, "expected count -3.0 is not finite and non-negative"),
+    ], ids=["parity", "certified", "branch", "expected-nan", "expected-negative"])
+    def test_header_field_outside_its_rule_rejected(self, sample_set, tmp_path, field, value,
+                                                    message):
+        # each loaded as a cache hit before the field had a load rule
+        p = self._rewritten(sample_set, tmp_path, field, value)
+        with pytest.raises(CacheInvariantError, match=message):
+            read_zero_set(p)
+
+
+class TestByteLayout:
+    def test_v1_bytes_are_the_pinned_layout(self, sample_set, tmp_path):
+        # the layout built field by field here, not from the store's own table,
+        # so a reordered or retyped field fails
+        zs = sample_set
+        header = struct.pack(
+            "<4sHIIIBB16sddddQ", b"ZPZC", 1, zs.label.modulus, zs.label.index, zs.conductor,
+            zs.parity, 1, zs.branch.encode("ascii"), zs.height, zs.mesh_step, zs.tolerance,
+            zs.expected_count, zs.count,
+        )
+        assert len(header) == 76 and zs.certified
+        body = header + struct.pack(f"<{zs.count}d", *zs.ordinates)
+        p = write_zero_set(tmp_path / "a.zc", zs)
+        assert p.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestOverwritePolicy:
