@@ -313,9 +313,11 @@ def _cmd_zeros(args):
             "target_abs_error": TARGET_ABS_ERROR,
         }
         # the highest interpolation order of the scanned meshes, from their
-        # parameters alone, so a run served from the cache reports it too
-        plan = max((mesh_interpolation(zs.label.modulus, args.T, zs.mesh_step, prec)
-                    for zs in sets.values()), key=lambda m: (m.order, m.truncation))
+        # parameters alone, so a run served from the cache reports it too;
+        # a plan depends on the set only through its modulus and mesh step
+        meshes = {(zs.label.modulus, zs.mesh_step) for zs in sets.values()}
+        plan = max((mesh_interpolation(q, args.T, step, prec) for q, step in meshes),
+                   key=lambda m: (m.order, m.truncation))
         interp = {"order": plan.order, "truncation_bound": plan.truncation,
                   "target": TARGET_ABS_ERROR}
         code = 0 if all_certified else 3
@@ -371,24 +373,10 @@ def _cmd_explicit(args):
     _sieve_grid({"x": xs, "Z": zs}, least_z=1)
 
     def work(cfg: RunConfig) -> list:
-        sets = _zero_sets(cfg, q, max(zs))
-        rows = []
-        for x in xs:
-            for z in zs:
-                run = psi_progression_from_zeros(x, z, q, a, sets)
-                rows.append(
-                    {
-                        "x": run.x,
-                        "Z": run.z,
-                        "q": run.q,
-                        "a": run.a,
-                        "reconstructed": run.reconstructed,
-                        "exact": run.exact,
-                        "absError": run.abs_error,
-                        "budget": run.error_budget,
-                    }
-                )
-        return rows
+        return [{"x": run.x, "Z": run.z, "q": run.q, "a": run.a,
+                 "reconstructed": run.reconstructed, "exact": run.exact,
+                 "absError": run.abs_error, "budget": run.error_budget}
+                for runs in _explicit_runs(cfg, q, a, xs, zs) for run in runs]
 
     return {"q": q, "a": a, "x": xs, "Z": zs}, work
 
@@ -468,11 +456,17 @@ def _orthogonality_rows(q, a, grid, cfg):
         yield {"x": x}, (), f"x={x:g}", residual
 
 
+def _explicit_runs(cfg: RunConfig, q: int, a: int, xs, zs) -> list:
+    """psi_progression_from_zeros for each x, one list over zs per x, on the
+    zero sets to max(zs): the rows of explicit and the reconstruction suite."""
+    sets = _zero_sets(cfg, q, max(zs))
+    return [[psi_progression_from_zeros(x, z, q, a, sets) for z in zs] for x in xs]
+
+
 def _reconstruction_rows(q, a, grid, cfg):
     zs = grid["Z"]
-    sets = _zero_sets(cfg, q, max(zs))
-    for x in grid["x"]:
-        errs = [psi_progression_from_zeros(x, z, q, a, sets).abs_error for z in zs]
+    for x, runs in zip(grid["x"], _explicit_runs(cfg, q, a, grid["x"], zs)):
+        errs = [run.abs_error for run in runs]
         notes = [f"x={x:g} Z={z:g} absError={err:.6f}" for z, err in zip(zs, errs)]
         fields = {"x": x, "firstZ": zs[0], "lastZ": zs[-1],
                   "firstErr": errs[0], "lastErr": errs[-1]}

@@ -1,24 +1,21 @@
 """Truncated zero-sum reconstructions of weighted prime-power counts.
 
-Each reconstruction evaluates a finite sum of x^(1/2+ig)/(1/2+ig) over
-certified ordinates with |g| <= Z, assembles the main term appropriate to
-the target count, and records the gap to the exact sieve value.  The
-truncation error budget has the shape x log^2(.) / Z with no asserted
-constant; the measured ratio of the gap to the budget is the output of
-interest, reported per run and never turned into a hard bound here.
+Each reconstruction sums x^(1/2+ig)/(1/2+ig) over certified ordinates with
+|g| <= Z, adds the main term of its target count and records the gap to the
+exact sieve value.  The error budget has the shape x log^2(qxZ) / Z of the
+truncation error (Davenport, Multiplicative Number Theory, ch. 17 and 19)
+with no asserted constant: the measured ratio of the gap to the budget is
+reported per run, never turned into a hard bound.
 
-Three targets are covered: the full count psi(x), a single character sum
-psi(x, chi) for nonprincipal chi, and the residue-class count psi(x; q, a).
-For the full count the ordinates come in mirror pairs, so the sum is taken
-as twice the real part over the positive half, which makes the result real
-by construction.  The residue-class count aggregates one zero sum per
-character mod q with weight conj(chi(a)); prime powers sharing a factor
-with q belong to no coprime class, so their exact mass is removed from the
-main term x before dividing by phi(q).  That aggregate is one weighted sum
-over the flat ordinates and weights of zeros.character_family, the family
-the pair sums of paircorr use, so a run's term count is the number of
-ordinates its ZeroSet.window cuts keep.  The small imaginary part
-left over after aggregation is kept as a diagnostic, not silently lost.
+psi(x; q, a) is one sum over the ordinates of zeros.character_family with
+weights conj(chi(a)), the family the pair sums of paircorr use; psi(x) is
+its case q = 1, and psi(x, chi) for nonprincipal chi is a single
+character's sum.  Prime powers sharing a factor with q lie in no coprime
+class, so their exact mass leaves the main term x before the division by
+phi(q).  The window of conj(chi) is the mirror of chi's, so the family is
+closed under g -> -g with conjugate weights, and its sum is twice the real
+part over g > 0 plus the terms at g = 0: real by construction.  That mirror
+is checked, and a family without it raises CertificationError.
 """
 
 from __future__ import annotations
@@ -29,9 +26,15 @@ from typing import Mapping
 
 import numpy as np
 
-from zeropair.characters import CharacterLabel, DirichletCharacter, conductor_and_inducer, euler_phi
-from zeropair.sieve import logp_sums, psi, psi_character, psi_progression
-from zeropair.zeros import ZeroSet, character_family, zero_set_for
+from zeropair.characters import (
+    CharacterLabel,
+    DirichletCharacter,
+    conductor_and_inducer,
+    enumerate_characters,
+    euler_phi,
+)
+from zeropair.sieve import logp_sums, psi_character, psi_progression
+from zeropair.zeros import CertificationError, ZeroSet, character_family, zero_set_for
 
 __all__ = [
     "ExplicitFormulaRun",
@@ -47,13 +50,8 @@ _ZETA_LABEL = CharacterLabel(1, 1)
 
 @dataclass(frozen=True)
 class ExplicitFormulaRun:
-    """One reconstruction-versus-exact comparison.
-
-    reconstructed and exact are floats for psi(x) and psi(x; q, a) runs
-    and complex for character runs.  imag_residue is the magnitude of the
-    imaginary part dropped when a mathematically real aggregate is reduced
-    to its real part; it is zero by construction for the paired zeta sum.
-    """
+    """One reconstruction-versus-exact comparison: reconstructed and exact are
+    floats for psi(x) and psi(x; q, a), complex for psi(x, chi)."""
 
     x: float
     z: float
@@ -61,13 +59,16 @@ class ExplicitFormulaRun:
     a: int
     reconstructed: complex
     exact: complex
-    error_budget: float
     term_count: int
-    imag_residue: float
 
     @property
     def abs_error(self) -> float:
         return abs(self.reconstructed - self.exact)
+
+    @property
+    def error_budget(self) -> float:
+        """The budget shape x log^2(qxZ) / Z, the same for every target."""
+        return self.x * math.log(self.q * self.x * self.z) ** 2 / self.z
 
     @property
     def measured_constant(self) -> float:
@@ -86,6 +87,14 @@ def _terms(x: float, o: np.ndarray) -> np.ndarray:
     return np.exp(math.log(x) * rho) / rho
 
 
+def _require_mirrored(q: int, z: float, zero_sets: Mapping[CharacterLabel, ZeroSet]) -> None:
+    """CertificationError unless every window of conj(chi) mod q mirrors chi's."""
+    for chi in enumerate_characters(q):
+        o, bar = (zero_set_for(zero_sets, psi.label).window(z) for psi in (chi, chi.conjugate()))
+        if not np.array_equal(bar, -o[::-1]):
+            raise CertificationError(f"{chi.label} and its conjugate do not mirror up to {z:g}")
+
+
 def zero_sum(x: float, zs: ZeroSet, z: float) -> complex:
     """Sum of x^(1/2+ig)/(1/2+ig) over recorded ordinates with |g| <= z."""
     return complex(np.sum(_terms(x, zs.window(z))))
@@ -99,29 +108,10 @@ def ramified_mass(x: float, q: int) -> float:
 
 
 def psi_from_zeros(x: float, z: float, zeta_set: ZeroSet) -> ExplicitFormulaRun:
-    """Reconstruct psi(x) as x minus the truncated zero sum.
-
-    The budget shape is x log^2(xZ) / Z.
-    """
-    _check_range(x, z)
+    """psi(x) from the zeros of zeta: psi_progression_from_zeros at q = 1."""
     if zeta_set.label != _ZETA_LABEL:
         raise ValueError(f"expected the zeta zero set, got {zeta_set.label}")
-    o = zeta_set.window(z)
-    # pairing g with -g exactly keeps the result real regardless of the
-    # last-digit noise between the two independently refined halves
-    total = 2.0 * float(np.sum(_terms(x, o[o > 0.0]).real))
-    budget = x * math.log(x * z) ** 2 / z
-    return ExplicitFormulaRun(
-        x=x,
-        z=z,
-        q=1,
-        a=1,
-        reconstructed=x - total,
-        exact=psi(x),
-        error_budget=budget,
-        term_count=o.size,
-        imag_residue=0.0,
-    )
+    return psi_progression_from_zeros(x, z, 1, 1, {_ZETA_LABEL: zeta_set})
 
 
 def psi_chi_from_zeros(
@@ -133,7 +123,6 @@ def psi_chi_from_zeros(
     term x and belongs to psi_from_zeros via its inducing zeta set.  The
     zero set must be the one for chi itself or for its primitive inducer
     (an induced character keeps the critical-line zeros of its inducer).
-    The budget shape is x log^2(qx) / Z.
     """
     _check_range(x, z)
     if chi.is_principal:
@@ -144,19 +133,15 @@ def psi_chi_from_zeros(
             f"zero set {zero_set.label} matches neither {chi.label} "
             f"nor its inducer {inducer.label}"
         )
-    q = chi.modulus
     o = zero_set.window(z)
-    budget = x * math.log(q * x) ** 2 / z
     return ExplicitFormulaRun(
         x=x,
         z=z,
-        q=q,
+        q=chi.modulus,
         a=0,
         reconstructed=-complex(np.sum(_terms(x, o))),
         exact=psi_character(x, chi),
-        error_budget=budget,
         term_count=o.size,
-        imag_residue=0.0,
     )
 
 
@@ -170,29 +155,22 @@ def psi_progression_from_zeros(
     """Reconstruct psi(x; q, a) from one zero sum per character mod q.
 
     reconstructed = (x - ramified mass - sum over chi of conj(chi(a)) S_chi)
-    divided by phi(q), where S_chi is the truncated zero sum of chi's set.
-    The ramified mass (prime powers sharing a factor with q) is subtracted
-    exactly: those prime powers lie in no coprime class, so leaving them in
-    the main term would misallocate their weight across the classes.  For
-    q = 1 this is exactly psi_from_zeros.  The budget shape is
-    x log^2(qx) / Z.
+    divided by phi(q), where S_chi is the truncated zero sum of chi's set,
+    taken over the positive half of the mirrored family (module docstring).
+    The run's a is reduced to 1..q.
     """
     _check_range(x, z)
-    if q == 1:
-        return psi_from_zeros(x, z, zero_set_for(zero_sets, _ZETA_LABEL))
     gammas, weights = character_family(q, a, z, zero_sets)
-    phi = euler_phi(q)
-    total = complex(np.sum(weights * _terms(x, gammas)))
-    raw = (x - ramified_mass(x, q) - total) / phi
-    budget = x * math.log(q * x) ** 2 / z
+    _require_mirrored(q, z, zero_sets)
+    g, w = gammas[gammas >= 0.0], weights[gammas >= 0.0]
+    side = (w * _terms(x, g)).real
+    total = 2.0 * float(np.sum(side[g > 0.0])) + float(np.sum(side[g == 0.0]))
     return ExplicitFormulaRun(
         x=x,
         z=z,
         q=q,
-        a=a % q,
-        reconstructed=raw.real,
+        a=(a - 1) % q + 1,
+        reconstructed=(x - ramified_mass(x, q) - total) / euler_phi(q),
         exact=psi_progression(x, q, a),
-        error_budget=budget,
         term_count=gammas.size,
-        imag_residue=abs(raw.imag),
     )

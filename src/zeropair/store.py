@@ -38,7 +38,7 @@ import numpy as np
 
 from zeropair.characters import CharacterLabel, DirichletCharacter
 from zeropair.lfunc import ROTATION_BRANCH
-from zeropair.zeros import ZeroSet, conjugate_pair, default_mesh_step, scan_pair
+from zeropair.zeros import DEFAULT_MESH_STEP, ZeroSet, conjugate_pair, scan_pair
 
 MAGIC = b"ZPZC"
 VERSION = 1
@@ -223,7 +223,7 @@ class ZeroCache:
         caller decision.
         """
         if not force:
-            want_mesh = mesh_step if mesh_step is not None else default_mesh_step(chi.modulus, T)
+            want_mesh = mesh_step if mesh_step is not None else DEFAULT_MESH_STEP
             want = (float(T), ROTATION_BRANCH, float(want_mesh), float(tolerance))
             sets = {psi.label: self.load(psi.label, T) for psi in conjugate_pair(chi)}
             rep, *others = sets.values()

@@ -84,7 +84,7 @@ from zeropair.lfunc import (
 )
 
 DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MESH_STEP = 0.05  # the scan mesh step of every accepted scan (default_mesh_step)
+DEFAULT_MESH_STEP = 0.05  # the mesh step of every accepted scan; default_mesh_step says why
 RESIDUAL_TOL = 1e-6  # largest |Z| at a refined ordinate of a certified set
 COUNT_SLACK = 2  # lower-order terms of the counting formula land inside this
 REFINE_STEP_CAP = 80  # refinement steps; bisection alone needs ~29 from 0.05 to 1e-10
@@ -97,7 +97,8 @@ def default_mesh_step(q: int, T: float) -> float:
     A scan's mesh holds phi(q) (20 T + 22) elements or more, at most
     lfunc._ARRAY_ELEMENTS = 2^24, so phi(q) < 762,601 and q/phi(q) < 5.6 (a
     larger ratio takes eight prime factors, phi(q) >= 1,658,880): every
-    accepted scan has q (T + 3) below 1.3e7."""
+    accepted scan has q (T + 3) below 1.3e7.  Only perfbench/spans.py's
+    _count_scan calls this; the program reads DEFAULT_MESH_STEP."""
     return DEFAULT_MESH_STEP
 
 
@@ -292,7 +293,7 @@ def _brackets_certified(
 
 def check_scan_parameters(mesh_step: float | None, tolerance: float) -> None:
     """ValueError unless 0 < mesh_step <= 0.5 and 0 < tolerance < mesh_step;
-    None stands for default_mesh_step, which is DEFAULT_MESH_STEP."""
+    None stands for DEFAULT_MESH_STEP."""
     step = DEFAULT_MESH_STEP if mesh_step is None else mesh_step
     if not 0 < step <= 0.5:
         raise ValueError(f"mesh_step must be none or lie in (0, 0.5], got {mesh_step}")
@@ -313,7 +314,7 @@ def scan_zeros(
     if T <= 0:
         raise ValueError("T must be positive")
     if mesh_step is None:
-        mesh_step = default_mesh_step(chi.modulus, T)
+        mesh_step = DEFAULT_MESH_STEP
     check_scan_parameters(mesh_step, tolerance)
     prec = EvalPrecision.for_height(T)
 

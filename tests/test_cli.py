@@ -29,7 +29,7 @@ from zeropair.lfunc import (
 from zeropair.paircorr import f_q
 from zeropair.sieve import MAX_X, LambdaTable, psi_character, psi_progression
 from zeropair.store import TABLE_FORMATS, emit_table, read_zero_set, write_zero_set
-from zeropair.zeros import default_mesh_step, zeros_for_modulus
+from zeropair.zeros import DEFAULT_MESH_STEP, zeros_for_modulus
 
 
 @pytest.fixture(scope="module")
@@ -253,12 +253,25 @@ class TestZeros:
             assert main(argv) == 0
             summaries.append(json.loads(capsys.readouterr().out))
         prec = EvalPrecision.for_height(30.0)
-        plan = mesh_interpolation(5, 30.0, default_mesh_step(5, 30.0), prec)
+        plan = mesh_interpolation(5, 30.0, DEFAULT_MESH_STEP, prec)
         want = {"order": plan.order, "truncation_bound": plan.truncation,
                 "target": 1e-12}
         assert summaries[0]["interp"] == summaries[1]["interp"] == want
         assert plan.truncation <= want["target"]
         assert all("interp" not in row for row in summaries[0]["rows"])
+
+    def test_json_summary_plans_the_interpolation_once_per_inducer_modulus(
+            self, capsys, tmp_path, monkeypatch):
+        moduli = []
+
+        def counting(q, *args):
+            moduli.append(q)
+            return mesh_interpolation(q, *args)
+
+        monkeypatch.setattr(cli, "mesh_interpolation", counting)
+        assert run(capsys, tmp_path, "zeros", "--q", "24", "--T", "30", "--json")[0] == 0
+        # eight characters mod 24, induced from moduli 1, 3, 4, 8, 12 and 24
+        assert sorted(moduli) == [1, 3, 4, 8, 12, 24]
 
     def test_mesh_too_coarse_to_interpolate_exits_3(self, capsys, tmp_path):
         config = tmp_path / "coarse.cfg"
@@ -483,6 +496,21 @@ class TestExplicit:
         assert lines[0] == "x,Z,q,a,reconstructed,exact,absError,budget"
         errs = [float(line.split(",")[6]) for line in lines[1:]]
         assert len(errs) == 2 and errs[1] < errs[0]
+
+    def test_a_real_set_that_is_not_symmetric_exits_3(self, capsys, tmp_path):
+        # 5:4 is real, its own conjugate, so the cache loads its file alone
+        argv = ["explicit", "--q", "5", "--x", "1000.5", "--Z", "30"]
+        assert run(capsys, tmp_path, *argv)[0] == 0
+        path = tmp_path / "zeros" / "q5" / "chi4_T30.zc"
+        raw = bytearray(path.read_bytes())
+        top = len(raw) - 12  # the largest ordinate, just before the checksum
+        struct.pack_into("<d", raw, top, struct.unpack_from("<d", raw, top)[0] - 1e-9)
+        raw[-4:] = zlib.crc32(bytes(raw[:-4])).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert read_zero_set(path).certified
+        assert main([argv[0], "--cache-dir", str(tmp_path), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("certification failure: ")
 
     def test_default_modulus_is_one(self, capsys, cache_dir):
         code, out = run(capsys, cache_dir, "explicit", "--x", "100.5", "--Z", "30")

@@ -115,7 +115,6 @@ class TestPsiFromZeros:
         assert run.reconstructed == 1000.5
         assert run.term_count == 0
         assert run.abs_error == pytest.approx(abs(1000.5 - psi(1000.5)))
-        assert run.imag_residue == 0.0
 
     def test_exact_side_is_sieve_value(self, sets1):
         run = psi_from_zeros(1000.5, 50.0, sets1[ZETA])
@@ -124,7 +123,6 @@ class TestPsiFromZeros:
     def test_real_by_construction(self, sets1):
         run = psi_from_zeros(1000.5, 100.0, sets1[ZETA])
         assert isinstance(run.reconstructed, float)
-        assert run.imag_residue == 0.0
 
     def test_term_count_z30(self, sets1):
         # three positive ordinates below 30, mirrored
@@ -262,11 +260,13 @@ class TestPsiProgressionFromZeros:
             )
             assert abs(total - (full - ramified_mass(x, q))) <= 1e-8 * x
 
-    def test_imag_residue_small(self, sets5):
-        x = 1000.5
-        for a in (1, 2, 3, 4):
-            run = psi_progression_from_zeros(x, 100.0, 5, a, sets5)
-            assert run.imag_residue <= 1e-10 * x
+    def test_unmirrored_family_refused(self, sets5):
+        # the positive half stands for the whole family only if the window of
+        # each conj(chi) is the exact mirror of chi's
+        chi = next(c for c in enumerate_characters(5) if not c.is_real)
+        shifted = replace(sets5[chi.label], ordinates=sets5[chi.label].ordinates + 1e-9)
+        with pytest.raises(CertificationError, match="do not mirror"):
+            psi_progression_from_zeros(1000.5, 100.0, 5, 2, {**sets5, chi.label: shifted})
 
     def test_empty_window_returns_main_term(self, sets4):
         # 2 <= Z below the lowest mod-4 ordinate (6.02)
@@ -274,3 +274,18 @@ class TestPsiProgressionFromZeros:
         want = (1000.5 - ramified_mass(1000.5, 4)) / euler_phi(4)
         assert run.reconstructed == pytest.approx(want, rel=1e-15)
         assert run.term_count == 0
+
+
+class TestBudget:
+    """One budget shape x log^2(qxZ) / Z for every target (q = 1 in
+    TestPsiFromZeros.test_budget_shape)."""
+
+    def test_character_run(self, sets5):
+        chi = next(c for c in enumerate_characters(5) if not c.is_real)
+        run = psi_chi_from_zeros(500.5, 60.0, chi, sets5[chi.label])
+        assert run.error_budget == 500.5 * math.log(5 * 500.5 * 60.0) ** 2 / 60.0
+
+    @pytest.mark.parametrize("q, a", [(4, 3), (5, 2)])
+    def test_progression_run(self, sets4, sets5, q, a):
+        run = psi_progression_from_zeros(1000.5, 30.0, q, a, {4: sets4, 5: sets5}[q])
+        assert run.error_budget == 1000.5 * math.log(q * 1000.5 * 30.0) ** 2 / 30.0

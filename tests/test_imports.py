@@ -16,7 +16,8 @@ calls conjugate_pair, and cli calls neither conductor_and_inducer nor
 load_or_scan.  Every private module-level name in src/ (a def, class or
 assignment named _x) is read somewhere in src/, so a refactor leaves no
 helper behind.  numpy is the only third-party package the command line
-loads: importing zeropair.cli in a fresh interpreter loads no scipy module.
+loads: importing zeropair.cli in a fresh interpreter adds, beyond the
+standard library, the top-level packages numpy and zeropair and no other.
 cli defines each flag once, in its flag table: no add_argument call names a
 flag with a string literal.
 """
@@ -353,9 +354,12 @@ def test_cli_defines_each_flag_in_its_table():
     assert not found, "flags named outside the flag table:\n" + "\n".join(found)
 
 
-def test_cli_loads_no_scipy():
-    code = "import sys, zeropair.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def test_cli_loads_numpy_alone_beyond_the_standard_library():
+    # import time is most of a command's setup, and numpy most of that
+    code = ("import sys; before = set(sys.modules); import zeropair.cli; "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names)))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip() == "['numpy', 'zeropair']"

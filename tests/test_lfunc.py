@@ -140,7 +140,7 @@ def _mesh_elements(q: int, T: float) -> tuple[int, int]:
     """k x N and k x (mesh nodes + pad) of the default scan of modulus q to T,
     by arithmetic alone."""
     k = len(lfunc._unit_shifts(q))
-    half = math.ceil(T / zeros.default_mesh_step(q, T))
+    half = math.ceil(T / zeros.DEFAULT_MESH_STEP)
     return k * EvalPrecision.for_height(T).direct_terms, k * (half + 1 + lfunc._MESH_PAD)
 
 
@@ -161,7 +161,7 @@ class TestHeightLimits:
 
     def test_mesh_over_the_budget_is_refused_before_the_mesh_pass(self, monkeypatch):
         prec = EvalPrecision.for_height(30.0)
-        step = zeros.default_mesh_step(5, 30.0)
+        step = zeros.DEFAULT_MESH_STEP
         monkeypatch.setattr(lfunc, "_ARRAY_ELEMENTS", max(_mesh_elements(5, 30.0)) - 1)
         lfunc._mesh_columns.cache_clear()
         with pytest.raises(PrecisionError, match="array elements"):
@@ -295,7 +295,7 @@ class TestMeshEvaluator:
         chars = _primitive(23)
         assert len(chars) == 21
         for chi in chars:
-            ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(23, T), prec)
+            ts, z, _ = scan_mesh(chi, T, zeros.DEFAULT_MESH_STEP, prec)
             ref = hardy_z_batch(chi, ts, prec)
             assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 1e-13
 
@@ -303,14 +303,14 @@ class TestMeshEvaluator:
         T = 1000.0
         chi = character(1, 1)
         prec = EvalPrecision.for_height(T)
-        ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(1, T), prec)
+        ts, z, _ = scan_mesh(chi, T, zeros.DEFAULT_MESH_STEP, prec)
         ref = hardy_z_batch(chi, ts, prec)
         assert np.max(np.abs(z - ref) / (1 + np.abs(ref))) <= 2e-12
 
     def test_against_mpmath_siegelz_at_height_1000(self):
         T = 1000.0
         prec = EvalPrecision.for_height(T)
-        ts, z, _ = scan_mesh(character(1, 1), T, zeros.default_mesh_step(1, T), prec)
+        ts, z, _ = scan_mesh(character(1, 1), T, zeros.DEFAULT_MESH_STEP, prec)
         picks = np.random.default_rng(7).choice(ts.size, 40, replace=False)
         picks = np.concatenate([picks, [0, ts.size // 2, ts.size - 1]])
         with mp.workdps(20):
@@ -365,7 +365,7 @@ class TestMeshEvaluator:
         # the phase is computed on t >= 0 and mirrored
         chi = character(*label)
         prec = EvalPrecision.for_height(T)
-        ts, z, _ = scan_mesh(chi, T, zeros.default_mesh_step(label[0], T), prec)
+        ts, z, _ = scan_mesh(chi, T, zeros.DEFAULT_MESH_STEP, prec)
         neg = ts < 0
         ref = hardy_z_batch(chi, ts[neg], prec)
         assert np.max(np.abs(z[neg] - ref) / (1 + np.abs(ref))) <= tol
@@ -380,7 +380,7 @@ class TestMeshInterpolation:
         chi = character(*label)
         assert chi.is_primitive and (label[0] == 1 or not chi.is_real)
         prec = EvalPrecision.for_height(T)
-        step = zeros.default_mesh_step(label[0], T)
+        step = zeros.DEFAULT_MESH_STEP
         plan = lfunc.mesh_interpolation(label[0], T, step, prec)
         assert plan.truncation <= TARGET_ABS_ERROR
         ts = np.random.default_rng(5).uniform(-T, T, 300)
@@ -397,7 +397,7 @@ class TestMeshInterpolation:
         T = 10_000.0
         chi = character(1, 1)
         prec = EvalPrecision.for_height(T)
-        step = zeros.default_mesh_step(1, T)
+        step = zeros.DEFAULT_MESH_STEP
         plan = lfunc.mesh_interpolation(1, T, step, prec)
         p, h = plan.order, plan.step
         ts = np.random.default_rng(5).uniform(-T, T, 200)
@@ -421,7 +421,7 @@ class TestMeshInterpolation:
     def test_order_is_the_smallest_that_meets_the_target(self):
         T = 100.0
         prec = EvalPrecision.for_height(T)
-        plan = lfunc.mesh_interpolation(23, T, zeros.default_mesh_step(23, T), prec)
+        plan = lfunc.mesh_interpolation(23, T, zeros.DEFAULT_MESH_STEP, prec)
         p = plan.order
         def bound(order):
             return lfunc._stencil_factor(plan.scale, plan.width * plan.step, order) * (
@@ -455,7 +455,7 @@ class TestMeshInterpolation:
         T = 100.0
         chi = character(23, 2)
         prec = EvalPrecision.for_height(T)
-        step = zeros.default_mesh_step(23, T)
+        step = zeros.DEFAULT_MESH_STEP
         ts = np.linspace(10.0, 10.0 + 3 * step, 41)
         scan_mesh(chi, T, step, prec)[2](ts)
         chosen = lfunc.mesh_interpolation

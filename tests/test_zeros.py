@@ -12,6 +12,7 @@ from zeropair.cli import main
 from zeropair.lfunc import EvalPrecision, PrecisionError, hardy_z_batch
 from zeropair.paircorr import CertificationError as PairCorrCertificationError
 from zeropair.zeros import (
+    DEFAULT_MESH_STEP,
     CertificationError,
     ZeroSet,
     _brackets_certified,
@@ -19,7 +20,6 @@ from zeropair.zeros import (
     character_family,
     conjugate_pair,
     count_expected,
-    default_mesh_step,
     refine_zero,
     require_certified,
     scan_pair,
@@ -98,7 +98,7 @@ class TestScan:
     def test_mesh_halving_stability(self):
         chi = character(4, 3)
         a = scan_zeros(chi, 15.0)
-        b = scan_zeros(chi, 15.0, mesh_step=default_mesh_step(4, 15.0) / 2)
+        b = scan_zeros(chi, 15.0, mesh_step=DEFAULT_MESH_STEP / 2)
         assert a.count == b.count
         assert np.max(np.abs(a.ordinates - b.ordinates)) <= 1e-9
 
